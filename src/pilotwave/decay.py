@@ -473,10 +473,15 @@ def imaging_trajectories(spec, lens, a, n, seed=20250101, sigma_com=None,
         {"a": a, "alpha0": spec.alpha, "m": m, "t0": 0.0}, [m])
     src = ParametricVelocity(collapsed)
     tau = 2.0 * m * spec.alpha                      # expansion timescale
-    horizon = 40.0 * tau
+    # offsets from `a` grow as sqrt(1 + (t/tau)^2), so run i reaches x = 0
+    # at tau sqrt(g_i^2 - 1) with g_i = S / (S - x_i); run to 1.5 times
+    # the latest of these, in whole steps
+    g = s / (s - decay[:, 0])
+    dt = tau / 100
+    horizon = dt * np.ceil(1.5 * tau * np.sqrt(np.max(g) ** 2 - 1.0) / dt)
     ens = Ensemble(configs=decay.copy(), seed=seed)
     final, status, (rtimes, track) = integrate_ensemble(
-        ens, src, horizon, IntegrationControls(dt=horizon / 4000,
+        ens, src, horizon, IntegrationControls(dt=dt,
                                                record_every=record_every),
         record=True)
     lens_hit, k_lens = _plane_crossings(track, 0.0, "lens plane")

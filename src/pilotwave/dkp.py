@@ -17,14 +17,16 @@ theory is indefinite, exhibited by `charge_current` below), and every
 output of this module labels them as such.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (ConfigurationError, DegenerateObserverError,
                      InvariantViolationError, NodeError, PhysicsError,
                      ShapeError)
+from .families import PlaneWaveSum
 from .matrices import METRIC, build_matrix_set
+from .wavefunction import ParametricWaveFunction
 
 _SETS = {"spin0": build_matrix_set("dkp5"), "spin1": build_matrix_set("dkp10")}
 
@@ -84,12 +86,21 @@ class DkpState:
 
     rep is 'spin0' or 'spin1'.  For the massless kinds the `mass` is only
     a normalization scale of the wavefunction layout; the physical
-    dispersion is E = |p|.
+    dispersion is E = |p|.  `wave` holds the field as `plane_wave_sum`
+    params, with amplitudes coef * components.
     """
     rep: str
     mass: float
     terms: tuple                 # (coef, p, E, components) per term
     massless: bool = False
+    wave: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "wave", {
+            "k": np.reshape([p for _, p, _, _ in self.terms], (-1, 3)),
+            "omega": np.array([e for _, _, e, _ in self.terms], dtype=float),
+            "amps": np.reshape([c * u for c, _, _, u in self.terms],
+                               (-1, self.dim)).astype(complex)})
 
     @property
     def mats(self):
@@ -101,13 +112,7 @@ class DkpState:
 
     def evaluate(self, x, t):
         """Field amplitude, shape (dim, npoints)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[1] != 3:
-            raise ShapeError("DKP states live in 3 spatial dimensions")
-        out = np.zeros((self.dim, x.shape[0]), dtype=complex)
-        for c, p, e, comp in self.terms:
-            out += c * comp[:, None] * np.exp(1j * (x @ p - e * t))[None, :]
-        return out
+        return PlaneWaveSum.value(self.wave, x, t)
 
     def projected(self, psi_vals):
         """gamma psi for massless states, psi unchanged for massive."""
@@ -116,8 +121,7 @@ class DkpState:
         return self.mats.gamma_proj @ psi_vals
 
     def scale(self):
-        return sum(abs(c) ** 2 * float(np.real(u.conj() @ u))
-                   for c, _, _, u in self.terms)
+        return PlaneWaveSum.scale(self.wave)
 
 
 def build_dkp_state(rep, mass, waves, massless=False):
@@ -251,60 +255,16 @@ def reduced_nonrel_state(state):
     spin0: scalar psi' from phi = exp(-imt) psi'/sqrt(2) m; spin1: the
     3-component Phi = (phi^1, phi^2, phi^3) from A^mu = exp(-imt)
     phi^mu / sqrt(2) m.  Rest energy is removed; the exact relativistic
-    frequencies are kept so the comparison is honest at every order."""
+    frequencies are kept so the comparison is honest at every order.
+    Returns a `plane_wave_sum` ParametricWaveFunction."""
     if state.massless:
         raise PhysicsError("the non-relativistic limit needs massive states")
-    terms = []
-    for c, p, e, comp in state.terms:
-        if state.rep == "spin0":
-            chi = np.array([1.0 + 0j])
-        else:
-            chi = comp[6:9] * np.sqrt(state.mass) / state.mass  # polarization
-        terms.append((c, p, e - state.mass, chi))
-    return _ReducedState(terms, state.mass,
-                         1 if state.rep == "spin0" else 3)
-
-
-class _ReducedState:
-    """Plane-wave superposition with explicit per-term frequencies."""
-
-    representation = "parametric"
-
-    def __init__(self, terms, mass, spin_dim):
-        from .units import NATURAL
-        self.terms = terms
-        self.masses = (mass,)
-        self.units = NATURAL
-        self.spin_dim = spin_dim
-        self.time = 0.0
-        self.config_dim = 3
-        self.particle_axes = ((0, 1, 2),)
-
-    def at_time(self, t):
-        out = _ReducedState(self.terms, self.masses[0], self.spin_dim)
-        out.time = t
-        return out
-
-    def evaluate(self, x, t=None):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        tt = self.time if t is None else t
-        out = np.zeros((self.spin_dim, x.shape[0]), dtype=complex)
-        for c, p, w, chi in self.terms:
-            out += c * chi[:, None] * np.exp(1j * (x @ p - w * tt))[None, :]
-        return out
-
-    def gradient(self, x, t=None):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        tt = self.time if t is None else t
-        out = np.zeros((self.spin_dim, 3, x.shape[0]), dtype=complex)
-        for c, p, w, chi in self.terms:
-            ph = np.exp(1j * (x @ p - w * tt))
-            out += c * chi[:, None, None] * (1j * p)[None, :, None] * ph[None, None, :]
-        return out
-
-    def density(self, x, t=None):
-        v = self.evaluate(x, t)
-        return np.sum(np.abs(v) ** 2, axis=0)
+    wave = state.wave
+    # the components m^{1/2} phi (spin0) or m^{1/2} A^i (spin1)
+    rest = slice(4, 5) if state.rep == "spin0" else slice(6, 9)
+    return ParametricWaveFunction("plane_wave_sum", {
+        "k": wave["k"], "omega": wave["omega"] - state.mass,
+        "amps": wave["amps"][:, rest] / np.sqrt(state.mass)}, [state.mass])
 
 
 def nonrel_limit_check(rep, epsilons, mass=1.0, seed=0, n_points=16,
@@ -351,12 +311,6 @@ def nonrel_limit_check(rep, epsilons, mass=1.0, seed=0, n_points=16,
 # two-particle tensor current
 
 
-def _gamma_matrix(mats, mu, nu, mass):
-    return mass * (mats.eta0 @ (mats.generators[mu] @ mats.generators[nu]
-                                + mats.generators[nu] @ mats.generators[mu]
-                                - METRIC[mu, nu] * np.eye(mats.dim)))
-
-
 def dkp2_velocity(state_a, state_b, x1, x2, t, a=None, symmetrized=False,
                   rho_floor_rel=RHO_FLOOR_REL):
     """Two-particle energy-flow velocities from the rank-2 tensor current.
@@ -365,7 +319,8 @@ def dkp2_velocity(state_a, state_b, x1, x2, t, a=None, symmetrized=False,
     optionally symmetrized.  With the rank-2 contraction tensor
     n^{mu1 mu2} = a^{mu1} a^{mu2} (a future-causal, default the time
     observer), j^{mu1 mu2} = psi^dag G^{mu1} x G^{mu2} psi with
-    G^mu = Gamma^{mu nu} a_nu, and v_r = j^{(r: i)} / j^{00}."""
+    G^mu = m Theta^{mu nu} a_nu (the unprojected `theta_matrix`), and
+    v_r = j^{(r: i)} / j^{00}."""
     if state_a.rep != state_b.rep or state_a.massless != state_b.massless:
         raise ShapeError("two-particle states must share representation")
     if a is None:
@@ -377,8 +332,8 @@ def dkp2_velocity(state_a, state_b, x1, x2, t, a=None, symmetrized=False,
     # G^mu for each particle, contracted on the second index
     g_mu = {}
     for which, st in (("a", state_a), ("b", state_b)):
-        g_mu[which] = [sum(_gamma_matrix(mats, mu, nu, st.mass) * low[nu]
-                           for nu in range(4)) for mu in range(4)]
+        g_mu[which] = [st.mass * sum(mats.theta_matrix(mu, nu) * low[nu]
+                                     for nu in range(4)) for mu in range(4)]
 
     x1 = np.atleast_2d(np.asarray(x1, dtype=float))
     x2 = np.atleast_2d(np.asarray(x2, dtype=float))

@@ -1,7 +1,7 @@
 """Exception hierarchy.
 
 Every failure mode raised by the library derives from PilotWaveError so
-callers (and the CLI) can map errors onto exit-code categories.
+callers can tell library failures from their own and sort them by kind.
 """
 
 

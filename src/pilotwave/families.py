@@ -17,6 +17,8 @@ Registered families:
                           factor (normalizable in all coordinates)
 * ``superposition``       complex-coefficient sum of same-shape families
 * ``spinor_product``      scalar family times a constant spinor
+* ``plane_wave_sum``      sum of spinor plane waves with given frequencies
+                          (Dirac and DKP states and their reductions)
 
 Families that are sums of terms also provide ``moduli``, the per-spin
 sum of the moduli of their terms (see `term_moduli`), which is what
@@ -25,7 +27,7 @@ guidance compares the density against to tell a node from a tail.
 
 import numpy as np
 
-from .errors import ConfigurationError, UnsupportedFamilyError
+from .errors import ConfigurationError, ShapeError, UnsupportedFamilyError
 
 _REGISTRY = {}
 
@@ -407,3 +409,56 @@ class SpinorProduct:
         fam, p, chi = cls._parts(params)
         m = term_moduli(fam, p, x, t, hbar)
         return None if m is None else np.abs(chi)[:, None] * m[0][None, :]
+
+
+@register("plane_wave_sum")
+class PlaneWaveSum:
+    """Finite plane-wave sum psi = sum_i A_i exp(i(K_i.x - w_i t)).
+
+    params: k (nterm, d) wavevectors, omega (nterm,) frequencies and amps
+    (nterm, spin_dim) amplitudes, each a coefficient times its constant
+    spinor or field vector.  The frequencies are given, so hbar does not
+    enter, and any dispersion (relativistic, or with the rest energy
+    removed) is exact.  A configuration of the wrong dimension raises
+    ShapeError, the error the relativistic states report for it.
+    """
+
+    @staticmethod
+    def config_dim(params):
+        return np.shape(params["k"])[1]
+
+    @staticmethod
+    def spin_dim(params):
+        return np.shape(params["amps"])[1]
+
+    @staticmethod
+    def _phases(params, x, t):
+        """exp(i(K x - w t)), shape (nterm, n)."""
+        k = np.asarray(params["k"], dtype=float)
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        if x.shape[1] != k.shape[1]:
+            raise ShapeError(f"configuration has dimension {x.shape[1]}, "
+                             f"the plane waves {k.shape[1]}")
+        return np.exp(1j * (k @ x.T - (np.asarray(params["omega"]) * t)[:, None]))
+
+    @classmethod
+    def value(cls, params, x, t, hbar=1.0):
+        """Shape (spin_dim, n), C-contiguous."""
+        return np.asarray(params["amps"]).T @ cls._phases(params, x, t)
+
+    @classmethod
+    def gradient(cls, params, x, t, hbar=1.0):
+        return np.einsum("ts,td,tn->sdn", params["amps"],
+                         1j * np.asarray(params["k"], dtype=float),
+                         cls._phases(params, x, t))
+
+    @classmethod
+    def moduli(cls, params, x, t, hbar=1.0):
+        n = np.atleast_2d(x).shape[0]
+        mod = np.sum(np.abs(params["amps"]), axis=0)
+        return np.repeat(mod[:, None], n, axis=1)
+
+    @staticmethod
+    def scale(params):
+        """Typical density scale sum_i |A_i|^2."""
+        return float(np.sum(np.abs(params["amps"]) ** 2))

@@ -10,13 +10,15 @@ global-scaling invariance test).  Negative-energy terms are permitted
 and labeled as such; no Dirac-sea machinery is attempted.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (CausalityViolationError, NodeError, PhysicsError,
                      ShapeError)
+from .families import PlaneWaveSum
 from .matrices import build_matrix_set
+from .wavefunction import ParametricWaveFunction
 
 _DIRAC = build_matrix_set("dirac4")
 _SIGMA = np.array([[[0, 1], [1, 0]],
@@ -55,35 +57,37 @@ class PlaneWaveSpinorState:
 
     One particle: terms = [(coef, p(3,), energy_sign, spin_label), ...].
     Two particles: terms = [(coef, (p1, sign1, spin1), (p2, sign2, spin2)), ...];
-    the amplitude is a 16-component tensor product per term.
+    the amplitude is a 16-component tensor product per term.  `wave`
+    holds the amplitude as `plane_wave_sum` params: a two-particle term
+    is one plane wave with K = (p1, p2), w = E1 + E2 and A = coef
+    kron(u1, u2).
     """
     terms: tuple
     mass: float
     n_particles: int = 1
+    wave: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_particles not in (1, 2):
             raise ShapeError("only one- and two-particle states are supported")
         if not self.terms:
             raise ShapeError("state needs at least one term")
-        spinors = []
+        k, omega, amps = [], [], []
         for term in self.terms:
-            if self.n_particles == 1:
-                c, p, sign, lab = term
+            parts = (term[1:],) if self.n_particles == 1 else term[1:]
+            ps, e_sum, amp = [], 0.0, np.array([complex(term[0])])
+            for p, sign, lab in parts:
                 u, e = free_spinor(p, self.mass, sign, lab)
                 self._check_term(u, e, p)
-                spinors.append((complex(c), (np.asarray(p, float),), (e,), (u,)))
-            else:
-                c, one, two = term
-                ps, es, us = [], [], []
-                for (p, sign, lab) in (one, two):
-                    u, e = free_spinor(p, self.mass, sign, lab)
-                    self._check_term(u, e, p)
-                    ps.append(np.asarray(p, float))
-                    es.append(e)
-                    us.append(u)
-                spinors.append((complex(c), tuple(ps), tuple(es), tuple(us)))
-        object.__setattr__(self, "_spinors", tuple(spinors))
+                ps.append(np.asarray(p, float))
+                e_sum += e
+                amp = np.kron(amp, u)
+            k.append(np.concatenate(ps))
+            omega.append(e_sum)
+            amps.append(amp)
+        object.__setattr__(self, "wave", {
+            "k": np.array(k), "omega": np.array(omega),
+            "amps": np.array(amps)})
 
     def _check_term(self, u, e, p):
         p = np.asarray(p, dtype=float)
@@ -110,20 +114,7 @@ class PlaneWaveSpinorState:
         x has shape (n, 3) for one particle, (n, 6) for two; returns
         (4, n) or (16, n).
         """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[1] != 3 * self.n_particles:
-            raise ShapeError("configuration dimension mismatch")
-        dim = 4 ** self.n_particles
-        out = np.zeros((dim, x.shape[0]), dtype=complex)
-        for c, ps, es, us in self._spinors:
-            if self.n_particles == 1:
-                phase = np.exp(1j * (x @ ps[0] - es[0] * t))
-                out += c * us[0][:, None] * phase[None, :]
-            else:
-                phase = np.exp(1j * (x[:, :3] @ ps[0] + x[:, 3:] @ ps[1]
-                                     - (es[0] + es[1]) * t))
-                out += c * np.kron(us[0], us[1])[:, None] * phase[None, :]
-        return out
+        return PlaneWaveSum.value(self.wave, x, t)
 
 
 def _alpha_for(particle, n_particles):
@@ -151,8 +142,7 @@ def dirac_velocity(state, x, t, rho_floor_rel=RHO_FLOOR_REL):
         raise ShapeError("use dirac2_velocity for two-particle states")
     psi = state.amplitude(x, t)
     rho = np.real(np.einsum("sn,sn->n", psi.conj(), psi))
-    scale = _state_scale(state)
-    if np.any(rho <= rho_floor_rel * scale):
+    if np.any(rho <= rho_floor_rel * PlaneWaveSum.scale(state.wave)):
         raise NodeError("density at or below floor at the requested point")
     alphas = _alpha_for(0, 1)
     v = np.stack([np.real(np.einsum("sn,st,tn->n", psi.conj(), a, psi))
@@ -177,8 +167,7 @@ def dirac2_velocity(state, x1, x2, t, rho_floor_rel=RHO_FLOOR_REL):
     x = np.concatenate([x1, x2], axis=1)
     psi = state.amplitude(x, t)
     rho = np.real(np.einsum("sn,sn->n", psi.conj(), psi))
-    scale = _state_scale(state)
-    if np.any(rho <= rho_floor_rel * scale):
+    if np.any(rho <= rho_floor_rel * PlaneWaveSum.scale(state.wave)):
         raise NodeError("density at or below floor (antisymmetrized zero?)")
     vs = []
     for r in (0, 1):
@@ -204,80 +193,21 @@ def tensor_current_causal(state, x1, x2, t):
     return out[0], out[1]
 
 
-def _state_scale(state):
-    """Typical density scale: sum of |c|^2 u^dag u over terms."""
-    total = 0.0
-    for c, ps, es, us in state._spinors:
-        w = abs(c) ** 2
-        for u in us:
-            w *= float(np.real(u.conj() @ u))
-        total += w
-    return total
-
-
-def nonrelativistic_pauli_state(state, hbar=1.0):
+def nonrelativistic_pauli_state(state):
     """The 2-spinor Pauli state matching a positive-energy superposition.
 
     Each term c u(p) exp(i(p.x - E t)) maps onto c chi exp(i(p.x -
     (E - m) t)) with the rest energy removed; valid for |p| << m where
-    the small components decouple.  Returns a ParametricWaveFunction
-    ('superposition' of spinor_product plane waves is overkill here: the
-    Pauli spinor is assembled directly as closed-form terms).
+    the small components decouple.  The upper components of u are
+    sqrt(E + m) times the unit rest spinor chi.  Returns a
+    `plane_wave_sum` ParametricWaveFunction.
     """
-    from .wavefunction import ParametricWaveFunction
-
     if state.n_particles != 1:
         raise ShapeError("one-particle states only")
-    for c, (p,), (e,), (u,) in state._spinors:
-        if e < 0:
-            raise PhysicsError("non-relativistic limit needs positive energies")
-    return _PauliLimitState(state, hbar)
-
-
-class _PauliLimitState:
-    """Minimal wavefunction adapter: 2-spinor plane-wave superposition with
-    the relativistic dispersion minus the rest energy."""
-
-    representation = "parametric"
-    spin_dim = 2
-
-    def __init__(self, state, hbar=1.0):
-        from .units import NATURAL
-        self.state = state
-        self.masses = (state.mass,)
-        self.units = NATURAL
-        self.time = 0.0
-        self.config_dim = 3
-        self.particle_axes = ((0, 1, 2),)
-
-    def at_time(self, t):
-        out = _PauliLimitState(self.state)
-        out.time = t
-        return out
-
-    def _terms(self):
-        for c, (p,), (e,), (u,) in self.state._spinors:
-            # upper components are proportional to the exact rest spinor
-            chi = u[:2] / np.linalg.norm(u[:2])
-            yield c, p, e - self.state.mass, chi
-
-    def evaluate(self, x, t=None):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        tt = self.time if t is None else t
-        out = np.zeros((2, x.shape[0]), dtype=complex)
-        for c, p, w, chi in self._terms():
-            out += c * chi[:, None] * np.exp(1j * (x @ p - w * tt))[None, :]
-        return out
-
-    def gradient(self, x, t=None):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        tt = self.time if t is None else t
-        out = np.zeros((2, 3, x.shape[0]), dtype=complex)
-        for c, p, w, chi in self._terms():
-            ph = np.exp(1j * (x @ p - w * tt))
-            out += c * chi[:, None, None] * (1j * p)[None, :, None] * ph[None, None, :]
-        return out
-
-    def density(self, x, t=None):
-        v = self.evaluate(x, t)
-        return np.sum(np.abs(v) ** 2, axis=0)
+    wave = state.wave
+    if np.any(wave["omega"] < 0):
+        raise PhysicsError("non-relativistic limit needs positive energies")
+    return ParametricWaveFunction("plane_wave_sum", {
+        "k": wave["k"], "omega": wave["omega"] - state.mass,
+        "amps": wave["amps"][:, :2]
+        / np.sqrt(wave["omega"] + state.mass)[:, None]}, [state.mass])

@@ -1,7 +1,7 @@
 """Unit systems.
 
 All internal computation uses natural units (hbar = 1, and c = 1 in the
-relativistic modules); SI conversion happens only at CLI boundaries.
+relativistic modules).
 """
 
 from dataclasses import dataclass
@@ -21,7 +21,3 @@ class UnitSystem:
 
 
 NATURAL = UnitSystem()
-
-# SI values, used by the CLI when converting user-facing lengths/energies.
-HBAR_SI = 1.054571817e-34   # J s
-C_SI = 299792458.0          # m / s

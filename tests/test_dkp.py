@@ -7,10 +7,12 @@ from pilotwave.dkp import (TIME_OBSERVER, DkpState, ObserverVector,
                            build_dkp_state, charge_current,
                            constraint_residual, dkp2_tensor_causal,
                            dkp2_velocity, energy_momentum_current,
-                           nonrel_limit_check, theta_tensor,
-                           total_energy_momentum)
+                           nonrel_limit_check, reduced_nonrel_state,
+                           theta_tensor, total_energy_momentum)
 from pilotwave.errors import (ConfigurationError, DegenerateObserverError,
                               NodeError, PhysicsError)
+from pilotwave.guide import (BeableConfig, IntegrationControls,
+                            ParametricVelocity, integrate_trajectory)
 from pilotwave.matrices import build_matrix_set
 
 
@@ -144,6 +146,24 @@ class TestEnergyMomentumCurrent:
             assert np.all(np.sum(v**2, axis=-1) <= 1 + 1e-10)
             checked += len(pts)
 
+    @pytest.mark.parametrize("rep", ["spin0", "spin1"])
+    def test_normalization_independence(self, rep):
+        """Scaling every coefficient by one complex factor leaves the
+        energy-flow velocities unchanged (spin0 ignores the polarization)."""
+        rng = np.random.default_rng(9)
+        specs = [{"coef": rng.normal() + 1j * rng.normal(),
+                  "p": rng.normal(size=3),
+                  "polarization": rng.normal(size=3) + 1j * rng.normal(size=3)}
+                 for _ in range(3)]
+        scaled = [dict(spec, coef=spec["coef"] * (17.0 - 4.0j))
+                  for spec in specs]
+        pts = rng.normal(size=(10, 3))
+        _, v1 = energy_momentum_current(build_dkp_state(rep, 0.9, specs),
+                                        TIME_OBSERVER, pts, 0.4)
+        _, v2 = energy_momentum_current(build_dkp_state(rep, 0.9, scaled),
+                                        TIME_OBSERVER, pts, 0.4)
+        np.testing.assert_allclose(v1, v2, rtol=1e-12)
+
     def test_bad_observer_rejected(self):
         with pytest.raises(PhysicsError):
             ObserverVector(np.array([1.0, 2.0, 0.0, 0.0]))   # spacelike
@@ -205,6 +225,17 @@ class TestNonRelLimit:
         f = current(red, SpinSpec(0), at=[[0.1, 0.2, 0.3]], t=0.5)
         np.testing.assert_allclose(v, 0.0, atol=1e-15)
         np.testing.assert_allclose(f.j[0], 0.0, atol=1e-15)
+
+    def test_reduced_state_guides_straight_line(self):
+        """The reduced state is a guidance source: a single term moves at
+        p / m in a straight line."""
+        p = np.array([0.05, -0.02, 0.03])
+        st = spin0_state([{"coef": 0.7j, "p": p}], mass=1.4)
+        rec = integrate_trajectory(BeableConfig(positions=np.zeros((1, 3))),
+                                   ParametricVelocity(reduced_nonrel_state(st)),
+                                   3.0, IntegrationControls(dt=0.05))
+        assert rec.status == "ok"
+        np.testing.assert_allclose(rec.configs[-1], 3.0 * p / 1.4, atol=1e-12)
 
 
 class TestTwoParticle:

@@ -5,7 +5,8 @@ import pytest
 
 from pilotwave.currents import SpinSpec, current
 from pilotwave.errors import NodeError, PhysicsError, ShapeError
-from pilotwave.guide import BeableConfig, IntegrationControls, integrate_trajectory
+from pilotwave.guide import (BeableConfig, IntegrationControls,
+                             ParametricVelocity, integrate_trajectory)
 from pilotwave.reldirac import (PlaneWaveSpinorState, dirac2_velocity,
                                 dirac_velocity, free_spinor,
                                 nonrelativistic_pauli_state,
@@ -109,6 +110,13 @@ class TestSpinors:
         v1, _ = dirac_velocity(st1, x, t)
         v2, _ = dirac_velocity(st2, x, t)
         np.testing.assert_allclose(v1, v2, rtol=1e-12)
+
+    def test_massless_plane_wave_moves_at_light_speed(self):
+        p = np.array([0.6, -0.2, 0.1])
+        st = PlaneWaveSpinorState((one(1.0, p),), mass=0.0)
+        v, _ = dirac_velocity(st, [[0.1, 0.2, 0.3], [-1.0, 2.0, 0.5]], 0.4)
+        np.testing.assert_allclose(v, np.tile(p / np.linalg.norm(p), (2, 1)),
+                                   rtol=1e-14)
 
 
 class TestTwoParticle:
@@ -214,6 +222,18 @@ class TestNonRelativisticLimit:
         st = PlaneWaveSpinorState((one(1.0, [0.1, 0, 0], -1),), mass=1.0)
         with pytest.raises(PhysicsError):
             nonrelativistic_pauli_state(st)
+
+    def test_pauli_state_guides_straight_line(self):
+        """The Pauli state is a guidance source (spin branch): a single
+        term has uniform density, no spin current, and moves at p / m."""
+        p = np.array([0.04, 0.01, -0.03])
+        st = PlaneWaveSpinorState((one(0.6, p, +1, 1),), mass=0.9)
+        src = ParametricVelocity(nonrelativistic_pauli_state(st),
+                                 spin=SpinSpec(0.5, g=2.0))
+        rec = integrate_trajectory(BeableConfig(positions=np.zeros((1, 3))),
+                                   src, 3.0, IntegrationControls(dt=0.05))
+        assert rec.status == "ok"
+        np.testing.assert_allclose(rec.configs[-1], 3.0 * p / 0.9, atol=1e-12)
 
 
 class TestTrajectories:

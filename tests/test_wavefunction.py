@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from pilotwave.dkp import build_dkp_state
 from pilotwave.errors import ConfigurationError, DomainError
 from pilotwave.grid import Grid
+from pilotwave.reldirac import PlaneWaveSpinorState, free_spinor
 from pilotwave.wavefunction import (GridWaveFunction, ParametricWaveFunction,
                                     evaluate)
 
@@ -137,6 +139,99 @@ class TestSuperpositionAndSpinor:
         v = psi.evaluate(np.zeros((3, 2)))
         assert v.shape == (2, 3)
         np.testing.assert_allclose(v[1], 0.0)
+
+
+def _dirac_one():
+    rng = np.random.default_rng(11)
+    terms = tuple((rng.normal() + 1j * rng.normal(), rng.normal(size=3),
+                   sign, lab) for sign, lab in ((1, 0), (-1, 1), (1, 1)))
+    st = PlaneWaveSpinorState(terms, mass=0.8)
+
+    def reference(x, t):
+        out = np.zeros((4, len(x)), dtype=complex)
+        for c, p, sign, lab in terms:
+            u, e = free_spinor(p, 0.8, sign, lab)
+            out += c * u[:, None] * np.exp(1j * (x @ p - e * t))[None, :]
+        return out
+    return st.wave, st.amplitude, reference
+
+
+def _dirac_two_antisymmetrized():
+    rng = np.random.default_rng(12)
+    terms = tuple((rng.normal() + 1j * rng.normal(),
+                   (rng.normal(size=3), 1, 0), (rng.normal(size=3), -1, 1))
+                  for _ in range(2))
+    st = PlaneWaveSpinorState(terms, mass=1.1, n_particles=2).antisymmetrized()
+
+    def reference(x, t):
+        out = np.zeros((16, len(x)), dtype=complex)
+        for c, one, two in st.terms:
+            (u1, e1), (u2, e2) = (free_spinor(p, 1.1, sign, lab)
+                                  for p, sign, lab in (one, two))
+            phase = np.exp(1j * (x[:, :3] @ one[0] + x[:, 3:] @ two[0]
+                                 - (e1 + e2) * t))
+            out += c * np.kron(u1, u2)[:, None] * phase[None, :]
+        return out
+    return st.wave, st.amplitude, reference
+
+
+def _dkp_spin1():
+    rng = np.random.default_rng(13)
+    st = build_dkp_state("spin1", 1.3, [
+        {"coef": rng.normal() + 1j * rng.normal(), "p": rng.normal(size=3),
+         "polarization": rng.normal(size=3) + 1j * rng.normal(size=3)}
+        for _ in range(3)])
+
+    def reference(x, t):
+        out = np.zeros((10, len(x)), dtype=complex)
+        for c, p, e, comp in st.terms:
+            out += c * comp[:, None] * np.exp(1j * (x @ p - e * t))[None, :]
+        return out
+    return st.wave, st.evaluate, reference
+
+
+PLANE_WAVE_SUMS = [_dirac_one, _dirac_two_antisymmetrized, _dkp_spin1]
+
+
+class TestPlaneWaveSum:
+    """The `plane_wave_sum` family against per-term sums written out here."""
+
+    @pytest.mark.parametrize("make", PLANE_WAVE_SUMS)
+    def test_evaluate_matches_per_term_sum(self, make):
+        params, own, reference = make()
+        wave = ParametricWaveFunction("plane_wave_sum", params, [1.0])
+        x = np.random.default_rng(0).normal(size=(40, wave.config_dim))
+        got = wave.evaluate(x, 0.7)
+        ref = reference(x, 0.7)
+        assert got.flags.c_contiguous
+        np.testing.assert_allclose(got, ref, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(ref)))
+        # the state evaluates through the same sum; its own time is the default
+        np.testing.assert_array_equal(own(x, 0.7), got)
+        np.testing.assert_array_equal(wave.at_time(0.7).evaluate(x), got)
+
+    @pytest.mark.parametrize("make", PLANE_WAVE_SUMS)
+    def test_gradient_matches_central_difference(self, make):
+        params, _, _ = make()
+        wave = ParametricWaveFunction("plane_wave_sum", params, [1.0])
+        x = np.random.default_rng(1).normal(size=(20, wave.config_dim))
+        h = 1e-6
+        fd = np.stack([(wave.evaluate(x + h * e, 0.3)
+                        - wave.evaluate(x - h * e, 0.3)) / (2 * h)
+                       for e in np.eye(wave.config_dim)], axis=1)
+        grad = wave.gradient(x, 0.3)
+        assert grad.shape == (wave.spin_dim, wave.config_dim, len(x))
+        np.testing.assert_allclose(grad, fd, rtol=0,
+                                   atol=1e-7 * np.max(np.abs(grad)))
+
+    def test_in_phase_density_is_squared_sum_of_moduli(self):
+        params, _, _ = _dirac_one()
+        wave = ParametricWaveFunction("plane_wave_sum", params, [0.8])
+        x = np.random.default_rng(2).normal(size=(5, 3))
+        expect = np.sum(np.sum(np.abs(params["amps"]), axis=0) ** 2)
+        np.testing.assert_allclose(wave.in_phase_density(x, 0.4),
+                                   np.full(5, expect), rtol=1e-14)
+        assert np.all(wave.density(x, 0.4) <= expect * (1 + 1e-12))
 
 
 class TestGridState:
