@@ -183,11 +183,16 @@ def theta_tensor(state, x, t):
     th = np.empty((npts, 4, 4))
     for mu in range(4):
         for nu in range(mu, 4):
-            m = state.mats.theta_matrix(mu, nu, massless=state.massless)
-            val = state.mass * np.real(np.einsum("sn,st,tn->n", psi.conj(), m, psi))
+            val = _theta_component(state, psi, mu, nu)
             th[:, mu, nu] = val
             th[:, nu, mu] = val
     return th
+
+
+def _theta_component(state, psi, mu, nu):
+    """Theta^{mu nu} (mu <= nu) at the points of psi = state.evaluate(...)."""
+    m = state.mats.theta_matrix(mu, nu, massless=state.massless)
+    return state.mass * np.real(np.einsum("sn,st,tn->n", psi.conj(), m, psi))
 
 
 def energy_momentum_current(state, n, x, t, rho_floor_rel=RHO_FLOOR_REL):
@@ -221,9 +226,10 @@ def total_energy_momentum(state, box, points_per_axis=64):
             for lo, hi in box]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    th = theta_tensor(state, pts, 0.0)
+    psi = state.evaluate(pts, 0.0)
     cell = np.prod([(hi - lo) / points_per_axis for lo, hi in box])
-    p_mu = th[:, :, 0].sum(axis=0) * cell
+    p_mu = np.array([_theta_component(state, psi, 0, mu).sum()
+                     for mu in range(4)]) * cell
     p_sq = p_mu @ METRIC @ p_mu
     if p_sq <= 1e-8 * (p_mu @ p_mu):
         raise DegenerateObserverError(

@@ -5,20 +5,21 @@ Two methods:
 * ``analytic``   exact closed-form evolution for registered parametric
                  families (free motion; families carry the full time
                  dependence, so a step just advances the time stamp).
-* ``split-step`` Strang-split spectral propagation for grid states:
-                 kinetic half step in momentum space, full potential and
-                 spin-B step in position space, kinetic half step.
+* ``split-step`` Strang-split spectral propagation for grid states
+                 (Strang 1968): kinetic half step in momentum space, full
+                 coupling, potential and spin-B step, kinetic half step.
 
-The potential step covers the scalar potential V, the electric
-potential e V0 and the Zeeman coupling -(e g / 2 m c) S.B, the latter
-exponentiated exactly with the (2s+1)x(2s+1) matrix exponential at each
-grid point.  Vector-potential terms in the kinetic operator are not
-supported by the split-step path (none of the shipped experiments needs
-them); the boundary is periodic.
+The mid step covers a coupling term g(x) p_a with g constant along axis
+a (a von Neumann pointer coupling), exact in the (x, k_a) representation,
+the scalar potential V, the electric potential e V0 and the Zeeman
+coupling -(e g / 2 m c) S.B, the latter exponentiated exactly with the
+(2s+1)x(2s+1) matrix exponential at each grid point.  Vector-potential
+terms in the kinetic operator are not supported by the split-step path
+(none of the shipped experiments needs them); the boundary is periodic.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,19 +32,24 @@ NORM_DRIFT_TOL = 1e-10
 
 @dataclass
 class Propagator:
-    """Propagation recipe: method, time step, optional potentials, spin."""
+    """Propagation recipe: method, time step, optional potentials, spin,
+    coupling term."""
     method: str
     dt: float
     spin: SpinSpec = field(default_factory=lambda: SpinSpec(0))
     potential: object = None          # V(x, t) -> (n,) scalar
     em: object = None                 # EmPotential, used for V0 and B
-    _kin: dict = field(default_factory=dict, repr=False)
+    coupling: tuple = None            # (axis, g): g(x) p_axis, g on the nodes
 
     def __post_init__(self):
         if self.method not in ("analytic", "split-step"):
             raise ShapeError(f"unknown propagation method {self.method!r}")
         if not self.dt > 0:
             raise StabilityError("dt must be positive")
+        if self.coupling is not None:
+            axis, g = self.coupling
+            if np.ptp(np.asarray(g, dtype=float), axis=axis).any():
+                raise ShapeError("coupling g must be constant along its axis")
 
 
 def _kinetic_phase(psi, dt):
@@ -85,6 +91,19 @@ def _potential_factor(psi, prop, t_mid):
     return np.exp(-1j * prop.dt * v / psi.units.hbar).reshape(grid.shape)
 
 
+def _coupling_step(psi, prop, values):
+    """Apply exp(-i g k_a dt) in the (x, k_a) representation: the exact
+    step of g(x) p_a for g constant along a (hbar cancels)."""
+    axis, g = prop.coupling
+    grid = psi.grid
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.points[axis], d=grid.spacing[axis])
+    shape = [1] * grid.ndim
+    shape[axis] = -1
+    vals = np.fft.fft(values, axis=axis + 1)
+    vals *= np.exp(-1j * np.asarray(g) * k.reshape(shape) * prop.dt)
+    return np.fft.ifft(vals, axis=axis + 1)
+
+
 def _zeeman_step(psi, prop, values, t_mid):
     """Apply exp(+i e g dt S.B / (2 m c hbar)) pointwise (exact, unitary)."""
     spin = prop.spin
@@ -115,9 +134,9 @@ def step(psi, prop):
     if prop.method == "analytic":
         if psi.representation != "parametric":
             raise UnsupportedFamilyError("analytic method needs a parametric state")
-        if prop.potential is not None or prop.em is not None:
-            raise UnsupportedFamilyError(
-                "registered families evolve freely; potentials need split-step")
+        if any(x is not None for x in (prop.potential, prop.em, prop.coupling)):
+            raise UnsupportedFamilyError("registered families evolve freely; "
+                                         "potentials and couplings need split-step")
         return psi.at_time(psi.time + prop.dt)
 
     if psi.representation != "grid":
@@ -137,7 +156,11 @@ def step(psi, prop):
         vals = vals * ph[None, ...]
     vals = np.fft.ifftn(vals, axes=axes)
 
-    vals = vals * _potential_factor(psi, prop, t_mid)[None, ...]
+    if prop.coupling is not None:
+        vals = _coupling_step(psi, prop, vals)
+    if prop.potential is not None or (prop.em is not None
+                                      and prop.em.v0 is not None):
+        vals = vals * _potential_factor(psi, prop, t_mid)[None, ...]
     vals = _zeeman_step(psi, prop, vals, t_mid)
 
     vals = np.fft.fftn(vals, axes=axes)
@@ -172,8 +195,6 @@ def propagate_to(psi, prop, t_final, snapshot_times=()):
             if remaining >= prop.dt * (1 + 1e-12):
                 state = step(state, prop)
             else:
-                partial = Propagator(prop.method, remaining, spin=prop.spin,
-                                     potential=prop.potential, em=prop.em)
-                state = step(state, partial)
+                state = step(state, replace(prop, dt=remaining))
         out.append(state)
     return out

@@ -21,6 +21,7 @@ Gaussian (or uniform) envelope using the counter-based Philox generator,
 so runs are reproducible across platforms from the recorded seed.
 """
 
+import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -31,6 +32,8 @@ from .currents import current, configuration_velocity, grid_current_nodes
 from .errors import (NoFluxError, NotSeparatedError, PilotWaveError,
                      SamplerFailureError, ShapeError)
 from .evolve import Propagator, propagate_to, step
+from .grid import Grid
+from .wavefunction import GridWaveFunction, grid_gradient
 
 KS_CRITICAL_1PCT = 1.628  # sup|F_n - F| * sqrt(n) at the 1% level
 RHO_FLOOR_REL = 1e-12
@@ -124,31 +127,31 @@ class ParametricVelocity:
 
 class SnapshotVelocity:
     """rho and j sampled on grids at snapshot times; multilinear in space
-    and linear in time between snapshots."""
+    and linear in time between snapshots.  `snapshots` is a time-ordered
+    iterable of grid states, read once (only the stacked (rho, j) arrays
+    are kept); `extra_j(state)` is added to each snapshot's current."""
 
     def __init__(self, snapshots, spin=None, em=None, extra_j=None):
-        if len(snapshots) < 1:
-            raise ShapeError("need at least one snapshot")
-        self.grid = snapshots[0].grid
-        self.domain = self.grid
-        self.times = np.array([s.time for s in snapshots])
-        if np.any(np.diff(self.times) <= 0):
-            raise ShapeError("snapshots must be strictly time ordered")
-        self.rho = []
-        self.j = []
+        self.grid = None
+        times, self.fields = [], []
         for s in snapshots:
-            if s.grid.shape != self.grid.shape:
+            if self.grid is None:
+                self.grid = s.grid
+            elif s.grid.shape != self.grid.shape:
                 raise ShapeError("snapshots on mismatched grids")
-            rho = s.density_nodes()
-            if s.spin_dim == 1 and len(s.masses) >= 1:
-                j = _config_current_nodes(s)
-            else:
-                j = grid_current_nodes(s, spin, em)
+            j = (_config_current_nodes(s) if s.spin_dim == 1
+                 else grid_current_nodes(s, spin, em))
             if extra_j is not None:
                 j = j + extra_j(s)
-            self.rho.append(rho)
-            self.j.append(j)
-        self.rho_scale = max(float(np.max(r)) for r in self.rho)
+            times.append(s.time)
+            self.fields.append(np.concatenate([s.density_nodes()[None], j]))
+        if not self.fields:
+            raise ShapeError("need at least one snapshot")
+        self.domain = self.grid
+        self.times = np.array(times)
+        if np.any(np.diff(self.times) <= 0):
+            raise ShapeError("snapshots must be strictly time ordered")
+        self.rho_scale = max(float(np.max(f[0])) for f in self.fields)
 
     def _pair(self, t):
         if t <= self.times[0]:
@@ -161,15 +164,16 @@ class SnapshotVelocity:
         return lo, hi, w
 
     def velocity(self, configs, t, rho_floor_rel=RHO_FLOOR_REL):
-        lo, hi, w = self._pair(t)
-        rho = (1 - w) * self.rho[lo] + w * self.rho[hi] if hi != lo else self.rho[lo]
-        j = (1 - w) * self.j[lo] + w * self.j[hi] if hi != lo else self.j[lo]
         inside = self.grid.contains(configs)
         v = np.full_like(np.asarray(configs, dtype=float), np.nan)
         if np.any(inside):
             pts = configs[inside]
-            rho_p = self.grid.interpolate(rho, pts)
-            j_p = self.grid.interpolate(j, pts)      # (ndim, npts)
+            # interpolate at the points first, then blend in time
+            lo, hi, w = self._pair(t)
+            f = self.grid.interpolate(self.fields[lo], pts)
+            if w:
+                f = (1 - w) * f + w * self.grid.interpolate(self.fields[hi], pts)
+            rho_p, j_p = f[0], f[1:]                 # j_p: (ndim, npts)
             floor = rho_floor_rel * self.rho_scale
             vv = np.where(rho_p > floor, 1.0, np.nan)[None, :] * j_p \
                 / np.where(rho_p > floor, rho_p, 1.0)[None, :]
@@ -180,7 +184,6 @@ class SnapshotVelocity:
 def _config_current_nodes(psi):
     """Configuration-space current of a scalar grid state: per-axis
     (hbar / m_axis) Im(psi* d psi)."""
-    from .wavefunction import grid_gradient
     grad = grid_gradient(psi.values[0], psi.grid)
     j = np.imag(psi.values[0].conj() * grad)
     for k, axes in enumerate(psi.particle_axes):
@@ -533,10 +536,6 @@ def measurement_branching(coefficients, packet_centers, n, seed=20250101,
     Raises NotSeparatedError when the pointer packets still overlap at
     read-out (inter-channel overlap integral above overlap_tol).
     """
-    from .families import get_family
-    from .grid import Grid
-    from .wavefunction import GridWaveFunction, grid_gradient
-
     coefficients = np.asarray(coefficients, dtype=complex)
     coefficients = coefficients / np.linalg.norm(coefficients)
     centers = np.asarray(packet_centers, dtype=float)
@@ -555,125 +554,66 @@ def measurement_branching(coefficients, packet_centers, n, seed=20250101,
     grid = Grid([(x_lo, x_hi), (y_lo, y_hi)], list(grid_points))
     xg, yg = grid.meshgrid()
 
-    sysx = np.zeros_like(xg, dtype=complex)
-    for c, x0 in zip(coefficients, centers):
-        sysx += c * np.exp(-(xg - x0) ** 2 / (4 * packet_sigma**2)
-                           + 1j * packet_k0 * xg)
+    # branch i is c_i phi_i(x) chi0(y); the dynamics is linear, so only
+    # the branches are propagated (for the separation check at read-out)
+    # and the total wave is their sum
     chi0 = np.exp(-yg**2 / (4 * pointer_sigma**2))
-    raw = sysx * chi0
-    raw = raw / np.sqrt(np.sum(np.abs(raw) ** 2) * grid.cell_volume())
-    # axis masses differ (system vs pointer); currents below are computed
-    # per axis by hand, the state's mass list is not used for dynamics
-    psi0 = GridWaveFunction(grid, raw, [system_mass], particle_axes=((0, 1),))
+    waves = [c * np.exp(-(xg - x0) ** 2 / (4 * packet_sigma**2)
+                        + 1j * packet_k0 * xg) * chi0
+             for c, x0 in zip(coefficients, centers)]
+    norm = np.sqrt(np.sum(np.abs(sum(waves)) ** 2) * grid.cell_volume())
+    branches = [GridWaveFunction(grid, w / norm, [system_mass, pointer_mass])
+                for w in waves]
+
+    def total():
+        return branches[0].with_values(sum(b.values for b in branches))
 
     # channel label on the x axis: Voronoi cells of the packet centers
     edges = (centers[1:] + centers[:-1]) / 2
-    a_of_x = np.searchsorted(edges, grid.axes[0]).astype(float)
-    a_col = a_of_x[:, None]
-
-    ky = 2 * np.pi * np.fft.fftfreq(grid.points[1], d=grid.spacing[1])
-    kx = 2 * np.pi * np.fft.fftfreq(grid.points[0], d=grid.spacing[0])
-    hbar = psi0.units.hbar
-
-    def kinetic_half(vals, dt):
-        f = np.fft.fft2(vals)
-        f *= np.exp(-1j * hbar * kx[:, None] ** 2 * dt / (4 * system_mass))
-        f *= np.exp(-1j * hbar * ky[None, :] ** 2 * dt / (4 * pointer_mass))
-        return np.fft.ifft2(f)
-
-    def coupling_step(vals, dt):
-        f = np.fft.fft(vals, axis=1)
-        f *= np.exp(-1j * coupling * a_col * ky[None, :] * dt)
-        return np.fft.ifft(f, axis=1)
-
-    def snapshot_current(state, with_coupling):
-        rho = state.density_nodes()
-        grad = grid_gradient(state.values[0], grid)
-        j = np.empty((2,) + grid.shape)
-        j[0] = (hbar / system_mass) * np.imag(state.values[0].conj() * grad[0])
-        j[1] = (hbar / pointer_mass) * np.imag(state.values[0].conj() * grad[1])
-        if with_coupling:
-            j[1] += coupling * a_of_x[:, None] * rho
-        return rho, j
-
-    # evolve the total wave and, since the dynamics is linear, each branch
-    # c_i phi_i chi0 separately (for the separation check at read-out)
-    dt_imp = impulse_time / impulse_substeps
-    vals = psi0.values[0]
-    branches = []
-    for c, x0 in zip(coefficients, centers):
-        b = c * np.exp(-(xg - x0) ** 2 / (4 * packet_sigma**2)
-                       + 1j * packet_k0 * xg) * chi0
-        branches.append(b / np.sqrt(np.sum(np.abs(sysx * chi0) ** 2)
-                                    * grid.cell_volume()))
-    t = 0.0
-    snaps_t, snaps_rho, snaps_j = [], [], []
-
-    def stash(with_coupling):
-        state = psi0.with_values(vals[None], time=t)
-        rho, j = snapshot_current(state, with_coupling)
-        snaps_t.append(t)
-        snaps_rho.append(rho)
-        snaps_j.append(j)
-
-    def substep(dt, coupled):
-        nonlocal vals, t
-        vals = kinetic_half(vals, dt)
-        if coupled:
-            vals = coupling_step(vals, dt)
-        vals = kinetic_half(vals, dt)
-        for i in range(k):
-            branches[i] = kinetic_half(branches[i], dt)
-            if coupled:
-                branches[i] = coupling_step(branches[i], dt)
-            branches[i] = kinetic_half(branches[i], dt)
-        t += dt
-        stash(coupled)
-
-    stash(True)
-    for _ in range(impulse_substeps):
-        substep(dt_imp, True)
+    drag = coupling * np.searchsorted(edges, grid.axes[0]).astype(float)[:, None]
+    impulse = Propagator("split-step", impulse_time / impulse_substeps,
+                         coupling=(1, drag))
+    stages = [(impulse, impulse_substeps)]
     if free_flight > 0:
         nfree = max(4, impulse_substeps // 2)
-        for _ in range(nfree):
-            substep(free_flight / nfree, False)
+        stages.append((Propagator("split-step", free_flight / nfree), nfree))
+
+    psi0 = total()
+
+    def snapshots():
+        nonlocal branches
+        yield psi0
+        for prop, nsteps in stages:
+            for _ in range(nsteps):
+                branches = [step(b, prop) for b in branches]
+                yield total()
+
+    # pointer drift kappa a(x) rho along y while the coupling is on, up to
+    # and including the snapshot that ends the impulse
+    drift = np.array([0.0, 1.0])[:, None, None] * drag
+    t_off = impulse_time * (1 + 1e-9)
+    source = SnapshotVelocity(
+        snapshots(),
+        extra_j=lambda s: drift * s.density_nodes() if s.time <= t_off else 0.0)
 
     # read-out separation: pairwise Bhattacharyya overlap of branch waves
-    vol = grid.cell_volume()
-    for i in range(k):
-        for jdx in range(i + 1, k):
-            ni = np.sum(np.abs(branches[i]) ** 2) * vol
-            nj = np.sum(np.abs(branches[jdx]) ** 2) * vol
-            ov = np.sum(np.abs(branches[i]) * np.abs(branches[jdx])) * vol \
-                / np.sqrt(ni * nj)
-            if ov > overlap_tol:
-                raise NotSeparatedError(
-                    f"channels {i} and {jdx} overlap {ov:.2e} > {overlap_tol}")
+    mods = [np.abs(b.values[0]) for b in branches]
+    for i, jdx in itertools.combinations(range(k), 2):
+        ov = np.sum(mods[i] * mods[jdx]) / np.sqrt(
+            np.sum(mods[i] ** 2) * np.sum(mods[jdx] ** 2))
+        if ov > overlap_tol:
+            raise NotSeparatedError(
+                f"channels {i} and {jdx} overlap {ov:.2e} > {overlap_tol}")
 
-    source = _RawSnapshotSource(grid, snaps_t, snaps_rho, snaps_j)
     ens = sample_equilibrium(psi0, n, seed)
-    controls = IntegrationControls(dt=dt_imp / 4)
-    final, status = integrate_ensemble(ens, source, t, controls)
+    controls = IntegrationControls(dt=impulse.dt / 4)
+    t_read = impulse_time + max(free_flight, 0.0)
+    final, status = integrate_ensemble(ens, source, t_read, controls)
 
     y_end = final[:, 1]
     windows = shift * np.arange(k)
     channel = np.argmin(np.abs(y_end[:, None] - windows[None, :]), axis=1)
     fractions = np.array([(channel == i).sum() for i in range(k)]) / n
     return {"fractions": fractions, "born": born, "n": n,
-            "statuses": status, "readout_time": t,
+            "statuses": status, "readout_time": t_read,
             "channel_centers": windows}
-
-
-class _RawSnapshotSource:
-    """Snapshot source over precomputed (t, rho, j) arrays."""
-
-    def __init__(self, grid, times, rhos, js):
-        self.grid = grid
-        self.domain = grid
-        self.times = np.asarray(times)
-        self.rho = rhos
-        self.j = js
-        self.rho_scale = max(float(np.max(r)) for r in rhos)
-
-    velocity = SnapshotVelocity.velocity
-    _pair = SnapshotVelocity._pair

@@ -183,6 +183,22 @@ class TestTotalEnergyMomentum:
                                    rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(obs.n, np.concatenate([[e], p]) / m, rtol=1e-10)
 
+    def test_equals_theta_tensor_column_sum(self):
+        """P^mu is the box sum of the Theta^{mu 0} column of theta_tensor."""
+        st = spin1_state([{"coef": 1.0, "p": [1.0, 0.0, -1.0],
+                           "polarization": [0.3, 1.0j, 0.2]},
+                          {"coef": 0.5j, "p": [0.0, 2.0, 0.0],
+                           "polarization": [1.0, 0.0, 0.4j]}])
+        box = [(0.0, 2 * np.pi)] * 3
+        p_mu, _ = total_energy_momentum(st, box, points_per_axis=16)
+        axes = [np.linspace(0.0, 2 * np.pi, 16, endpoint=False)] * 3
+        pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")],
+                       axis=-1)
+        th = theta_tensor(st, pts, 0.0)
+        expected = th[:, :, 0].sum(axis=0) * (2 * np.pi / 16) ** 3
+        np.testing.assert_allclose(p_mu, expected, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(expected)))
+
     def test_rest_state_observer(self):
         st = spin0_state([{"coef": 1.0, "p": [0, 0, 0]}], mass=1.0)
         _, obs = total_energy_momentum(st, [(0, 1), (0, 1), (0, 1)])

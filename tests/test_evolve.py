@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pilotwave.currents import EmPotential, SpinSpec, continuity_residual
-from pilotwave.errors import StabilityError, UnsupportedFamilyError
+from pilotwave.errors import ShapeError, StabilityError, UnsupportedFamilyError
 from pilotwave.evolve import Propagator, propagate_to, step
 from pilotwave.grid import Grid
 from pilotwave.wavefunction import GridWaveFunction, ParametricWaveFunction
@@ -41,6 +41,11 @@ class TestAnalytic:
         with pytest.raises(UnsupportedFamilyError):
             step(gaussian(), Propagator("analytic", 0.1,
                                         potential=lambda x, t: x[:, 0] ** 2))
+
+    def test_coupling_rejected(self):
+        with pytest.raises(UnsupportedFamilyError):
+            step(gaussian(n_axes=2),
+                 Propagator("analytic", 0.1, coupling=(1, np.ones((4, 1)))))
 
 
 def split_prop(dt, **kw):
@@ -171,6 +176,35 @@ class TestSplitStep:
             _, mx, _ = continuity_residual(state, nxt, SpinSpec(0))
             norms.append(mx)
         assert norms[0] / norms[1] >= 3.5
+
+
+class TestCoupling:
+    def test_uniform_drag_rolls_free_evolution(self):
+        """A uniform g p_y commutes with the kinetic term, so it only
+        shifts the freely evolved wave by g t along y; with g t a whole
+        number of cells the spectral shift is an exact roll.  t_final is
+        not a multiple of dt, so the partial last step is covered too."""
+        grid = Grid([(-6.0, 6.0), (-8.0, 8.0)], [64, 128])
+        psi = GridWaveFunction.sample(
+            ParametricWaveFunction(
+                "gaussian_packet",
+                {"center": [0.5, -2.0], "sigma": 0.7, "k0": [0.4, 0.3],
+                 "m": 1.0}, [1.0]), grid)
+        t_final, cells = 0.55, 8
+        g = cells * grid.spacing[1] / t_final
+        dragged = propagate_to(
+            psi, split_prop(0.1, coupling=(1, np.full(grid.shape, g))),
+            t_final)[-1]
+        free = propagate_to(psi, split_prop(0.1), t_final)[-1]
+        assert dragged.time == pytest.approx(t_final)
+        np.testing.assert_allclose(dragged.values,
+                                   np.roll(free.values, cells, axis=2),
+                                   rtol=0, atol=1e-10)
+
+    def test_g_varying_along_its_axis_rejected(self):
+        g = np.outer(np.ones(8), np.linspace(0.0, 1.0, 16))
+        with pytest.raises(ShapeError):
+            split_prop(0.1, coupling=(1, g))
 
 
 class TestPropagateTo:

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from pilotwave.currents import SpinSpec
+from pilotwave.currents import SpinSpec, grid_current_nodes
 from pilotwave.errors import NoFluxError, SamplerFailureError, ShapeError
-from pilotwave.evolve import Propagator
+from pilotwave.evolve import Propagator, propagate_to
 from pilotwave.grid import Grid
 from pilotwave.guide import (BeableConfig, Ensemble, IntegrationControls,
                              KS_CRITICAL_1PCT, ParametricVelocity,
+                             SnapshotVelocity,
                              arrival_time_stats, equivariance_check,
                              integrate_ensemble, integrate_trajectory,
                              ks_statistic, marginal_cdf_by_quadrature,
@@ -173,6 +174,45 @@ class TestTrajectories:
             assert np.all(np.diff(snap[:, 0]) > 0)
 
 
+class TestSnapshotVelocity:
+    @staticmethod
+    def snapshots():
+        grid = Grid([(-6.0, 6.0), (-6.0, 6.0)], [64, 64])
+        psi = GridWaveFunction.sample(
+            ParametricWaveFunction(
+                "gaussian_packet",
+                {"center": [0.3, -0.2], "sigma": [0.8, 1.1], "k0": [0.9, -0.5],
+                 "m": 1.0}, [1.0]), grid)
+        return propagate_to(psi, Propagator("split-step", 0.05), 0.6,
+                            snapshot_times=[0.0, 0.2, 0.4, 0.6])
+
+    POINTS = np.array([[0.1, 0.2], [-1.0, 0.7], [1.3, -1.1], [0.0, -0.4]])
+
+    def test_generator_equals_list(self):
+        snaps = self.snapshots()
+        from_list = SnapshotVelocity(snaps)
+        from_gen = SnapshotVelocity(s for s in snaps)
+        for t in (0.0, 0.13, 0.4, 0.55, 0.7):
+            np.testing.assert_array_equal(from_gen.velocity(self.POINTS, t),
+                                          from_list.velocity(self.POINTS, t))
+
+    def test_blend_matches_blend_then_interpolate(self):
+        """Interpolating each snapshot at the points and blending in time
+        equals blending the whole grids first, then interpolating."""
+        snaps = self.snapshots()
+        src = SnapshotVelocity(snaps)
+        grid = snaps[0].grid
+        t, lo, hi = 0.27, snaps[1], snaps[2]
+        w = (t - lo.time) / (hi.time - lo.time)
+        rho = (1 - w) * lo.density_nodes() + w * hi.density_nodes()
+        j = ((1 - w) * grid_current_nodes(lo, SpinSpec(0))
+             + w * grid_current_nodes(hi, SpinSpec(0)))
+        ref = (grid.interpolate(j, self.POINTS)
+               / grid.interpolate(rho, self.POINTS)).T
+        np.testing.assert_allclose(src.velocity(self.POINTS, t), ref,
+                                   rtol=1e-13, atol=0)
+
+
 class TestEquivariance:
     def test_free_gaussian_passes(self):
         sigma = 0.8
@@ -264,6 +304,14 @@ class TestMeasurementBranching:
     def test_single_channel_is_certain(self):
         out = measurement_branching([1.0], [0.0], n=500, seed=13)
         assert out["fractions"][0] == 1.0
+
+    def test_read_out_at_impulse_end(self):
+        """With no free flight the beables are read out as the impulse
+        ends, and every member is carried through it."""
+        out = measurement_branching([1.0, 1.0], [-1.5, 1.5], n=500, seed=14,
+                                    impulse_time=0.25, free_flight=0.0)
+        assert out["readout_time"] == 0.25
+        assert list(out["statuses"]) == ["ok"] * 500
 
 
 class TestKsMachinery:
