@@ -128,8 +128,7 @@ def _state_arrays(psi, at, t):
     at = np.atleast_2d(np.asarray(at, dtype=float))
     if psi.representation == "grid":
         psi.grid.require_inside(at)
-    val = psi.evaluate(at, t=t)
-    grad = psi.gradient(at, t=t)
+    val, grad = psi.value_and_gradient(at, t=t)
     return at, val, grad
 
 

@@ -5,6 +5,17 @@ spatial gradients at any time, so `analytic` propagation is just a change
 of the time argument.  Families compute unnormalized or conventionally
 normalized values; sampling and norms only ever use |psi|^2 ratios.
 
+The family protocol (all static or class methods):
+
+* ``config_dim(params)``, ``spin_dim(params)``
+* ``value(params, x, t, hbar)``: psi, shape (spin_dim, n); what the
+  sampler and the quadratures need
+* ``value_and_gradient(params, x, t, hbar)``: (psi, grad psi), shapes
+  (spin_dim, n) and (spin_dim, config_dim, n), from one evaluation of
+  the exponentials, psi identical to ``value``; guidance velocities need
+  both at the same points, so there is no separate gradient kernel
+* ``moduli(params, x, t, hbar)``, optional (see below)
+
 Registered families:
 
 * ``plane_wave``          exp(i(k.x - w t)), w = hbar k^2 / 2m
@@ -92,10 +103,10 @@ class PlaneWave:
         return np.exp(1j * (x @ k - omega * t))[None, :]
 
     @classmethod
-    def gradient(cls, params, x, t, hbar=1.0):
+    def value_and_gradient(cls, params, x, t, hbar=1.0):
         k = np.atleast_1d(np.asarray(params["k"], dtype=float))
         val = cls.value(params, x, t, hbar)
-        return 1j * k[None, :, None] * val[:, None, :]
+        return val, 1j * k[None, :, None] * val[:, None, :]
 
 
 def _gauss_1d(x, t, x0, sigma, k0, m, hbar):
@@ -149,15 +160,15 @@ class GaussianPacket:
         return out[None, :]
 
     @classmethod
-    def gradient(cls, params, x, t, hbar=1.0):
+    def value_and_gradient(cls, params, x, t, hbar=1.0):
         c, s, k, m = cls._axis_params(params)
         x = _as_points(x, len(c))
-        val = cls.value(params, x, t, hbar)[0]
-        g = np.empty((1, len(c), x.shape[0]), dtype=complex)
+        val = np.ones(x.shape[0], dtype=complex)
+        dlog = np.empty((len(c), x.shape[0]), dtype=complex)
         for a in range(len(c)):
-            _, dlog = _gauss_1d(x[:, a], t, c[a], s[a], k[a], m, hbar)
-            g[0, a] = dlog * val
-        return g
+            psi, dlog[a] = _gauss_1d(x[:, a], t, c[a], s[a], k[a], m, hbar)
+            val = val * psi
+        return val[None, :], (dlog * val)[None]
 
 
 def _pair_beta(alpha, t, mu):
@@ -199,16 +210,16 @@ class DecayingPair:
         return val[None, :]
 
     @classmethod
-    def gradient(cls, params, x, t, hbar=1.0):
+    def value_and_gradient(cls, params, x, t, hbar=1.0):
         d, mu = cls._geom(params)
         x = _as_points(x, 2 * d)
         beta = _pair_beta(params["alpha"], t, mu)
-        val = cls.value(params, x, t, hbar)[0]
+        val = cls.value(params, x, t, hbar)
         r = (x[:, :d] - x[:, d:]).T   # (d, n)
         g = np.empty((1, 2 * d, x.shape[0]), dtype=complex)
-        g[0, :d] = -r / (2.0 * hbar * beta) * val
-        g[0, d:] = +r / (2.0 * hbar * beta) * val
-        return g
+        g[0, :d] = -r / (2.0 * hbar * beta) * val[0]
+        g[0, d:] = +r / (2.0 * hbar * beta) * val[0]
+        return val, g
 
 
 @register("post_collapse_pair")
@@ -239,15 +250,14 @@ class PostCollapsePair:
         return val[None, :]
 
     @classmethod
-    def gradient(cls, params, x, t, hbar=1.0):
+    def value_and_gradient(cls, params, x, t, hbar=1.0):
         a = np.atleast_1d(np.asarray(params["a"], dtype=float))
         x = _as_points(x, len(a))
         beta = complex(params["alpha0"]) + 0.5j * (t - params.get("t0", 0.0)) / params["m"]
-        val = cls.value(params, x, t, hbar)[0]
+        val = cls.value(params, x, t, hbar)
         u = (a[None, :] - x).T
-        g = np.empty((1, len(a), x.shape[0]), dtype=complex)
-        g[0] = u / (2.0 * hbar * beta) * val   # d/dx of -(a-x)^2 term
-        return g
+        # d/dx of the -(a-x)^2 term
+        return val, (u / (2.0 * hbar * beta) * val[0])[None]
 
 
 @register("correlated_pair")
@@ -302,15 +312,14 @@ class CorrelatedPair:
         return (params.get("N", 1.0) * com * rel)[None, :]
 
     @classmethod
-    def gradient(cls, params, x, t, hbar=1.0):
+    def value_and_gradient(cls, params, x, t, hbar=1.0):
         com, dlc, rel, dlr, (d, m1, m2, M) = cls._factors(params, x, t, hbar)
         val = params.get("N", 1.0) * com * rel
-        n = val.shape[0]
-        g = np.empty((1, 2 * d, n), dtype=complex)
+        g = np.empty((1, 2 * d, val.shape[0]), dtype=complex)
         # chain rule: d/dx1 = (m1/M) d/dX + d/dr, d/dx2 = (m2/M) d/dX - d/dr
         g[0, :d] = ((m1 / M) * dlc + dlr) * val
         g[0, d:] = ((m2 / M) * dlc - dlr) * val
-        return g
+        return val[None, :], g
 
 
 @register("superposition")
@@ -354,13 +363,13 @@ class Superposition:
         return out
 
     @classmethod
-    def gradient(cls, params, x, t, hbar=1.0):
-        parts = cls._parts(params)
-        out = None
-        for c, fam, p in parts:
-            v = c * fam.gradient(p, x, t, hbar)
-            out = v if out is None else out + v
-        return out
+    def value_and_gradient(cls, params, x, t, hbar=1.0):
+        val = grad = None
+        for c, fam, p in cls._parts(params):
+            v, g = fam.value_and_gradient(p, x, t, hbar)
+            v, g = c * v, c * g
+            val, grad = (v, g) if val is None else (val + v, grad + g)
+        return val, grad
 
     @classmethod
     def moduli(cls, params, x, t, hbar=1.0):
@@ -390,19 +399,24 @@ class SpinorProduct:
     def spin_dim(cls, params):
         return len(cls._parts(params)[2])
 
+    @staticmethod
+    def _scalar_only(scalar):
+        if scalar.shape[0] != 1:
+            raise UnsupportedFamilyError("spinor_product wraps scalar families only")
+        return scalar[0]
+
     @classmethod
     def value(cls, params, x, t, hbar=1.0):
         fam, p, chi = cls._parts(params)
-        scalar = fam.value(p, x, t, hbar)
-        if scalar.shape[0] != 1:
-            raise UnsupportedFamilyError("spinor_product wraps scalar families only")
-        return chi[:, None] * scalar[0][None, :]
+        scalar = cls._scalar_only(fam.value(p, x, t, hbar))
+        return chi[:, None] * scalar[None, :]
 
     @classmethod
-    def gradient(cls, params, x, t, hbar=1.0):
+    def value_and_gradient(cls, params, x, t, hbar=1.0):
         fam, p, chi = cls._parts(params)
-        gs = fam.gradient(p, x, t, hbar)
-        return chi[:, None, None] * gs[0][None, :, :]
+        v, g = fam.value_and_gradient(p, x, t, hbar)
+        return (chi[:, None] * cls._scalar_only(v)[None, :],
+                chi[:, None, None] * g[0][None, :, :])
 
     @classmethod
     def moduli(cls, params, x, t, hbar=1.0):
@@ -447,10 +461,11 @@ class PlaneWaveSum:
         return np.asarray(params["amps"]).T @ cls._phases(params, x, t)
 
     @classmethod
-    def gradient(cls, params, x, t, hbar=1.0):
-        return np.einsum("ts,td,tn->sdn", params["amps"],
-                         1j * np.asarray(params["k"], dtype=float),
-                         cls._phases(params, x, t))
+    def value_and_gradient(cls, params, x, t, hbar=1.0):
+        phases = cls._phases(params, x, t)
+        return (np.asarray(params["amps"]).T @ phases,
+                np.einsum("ts,td,tn->sdn", params["amps"],
+                          1j * np.asarray(params["k"], dtype=float), phases))
 
     @classmethod
     def moduli(cls, params, x, t, hbar=1.0):

@@ -111,13 +111,13 @@ class ParametricVelocity:
         self.domain = None
 
     def velocity(self, configs, t, rho_floor_rel=RHO_FLOOR_REL):
-        state = self.psi.at_time(t)
-        in_phase = state.in_phase_density(configs)
+        psi = self.psi
+        in_phase = psi.in_phase_density(configs, t)
         floor = 0.0 if in_phase is None else rho_floor_rel * in_phase
-        if state.spin_dim == 1:
-            v, rho = configuration_velocity(state, configs, rho_floor=floor)
+        if psi.spin_dim == 1:
+            v, rho = configuration_velocity(psi, configs, t, rho_floor=floor)
             return v
-        f = current(state, self.spin, em=self.em, at=configs)
+        f = current(psi, self.spin, em=self.em, at=configs, t=t)
         d = configs.shape[1]
         with np.errstate(divide="ignore", invalid="ignore"):
             v = f.j[:, :d] / f.rho[:, None]

@@ -158,8 +158,9 @@ def dirac_velocity(state, x, t, rho_floor_rel=RHO_FLOOR_REL):
     return (v[0], u[0] if u is not None else None) if v.shape[0] == 1 else (v, u)
 
 
-def dirac2_velocity(state, x1, x2, t, rho_floor_rel=RHO_FLOOR_REL):
-    """Per-particle velocities of a two-particle plane-wave state."""
+def _dirac2_flow(state, x1, x2, t, rho_floor_rel):
+    """Density (n,) and the two per-particle velocities (n, 3) of a
+    two-particle state, from one amplitude evaluation."""
     if state.n_particles != 2:
         raise ShapeError("state is not two-particle")
     x1 = np.atleast_2d(np.asarray(x1, dtype=float))
@@ -169,28 +170,24 @@ def dirac2_velocity(state, x1, x2, t, rho_floor_rel=RHO_FLOOR_REL):
     rho = np.real(np.einsum("sn,sn->n", psi.conj(), psi))
     if np.any(rho <= rho_floor_rel * PlaneWaveSum.scale(state.wave)):
         raise NodeError("density at or below floor (antisymmetrized zero?)")
-    vs = []
-    for r in (0, 1):
-        alphas = _alpha_for(r, 2)
-        v = np.stack([np.real(np.einsum("sn,st,tn->n", psi.conj(), a, psi))
-                      for a in alphas], axis=-1) / rho[:, None]
-        vs.append(v[0] if v.shape[0] == 1 else v)
-    return vs[0], vs[1]
+    vs = [np.stack([np.real(np.einsum("sn,st,tn->n", psi.conj(), a, psi))
+                    for a in _alpha_for(r, 2)], axis=-1) / rho[:, None]
+          for r in (0, 1)]
+    return rho, vs[0], vs[1]
+
+
+def dirac2_velocity(state, x1, x2, t, rho_floor_rel=RHO_FLOOR_REL):
+    """Per-particle velocities of a two-particle plane-wave state."""
+    _, v1, v2 = _dirac2_flow(state, x1, x2, t, rho_floor_rel)
+    return (v1[0], v2[0]) if v1.shape[0] == 1 else (v1, v2)
 
 
 def tensor_current_causal(state, x1, x2, t):
     """j^{0 mu_r 0} j_{0 mu_r 0} >= 0 check for both particles; returns the
     two Minkowski norms (they must be nonnegative for valid states)."""
-    v1, v2 = dirac2_velocity(state, x1, x2, t)
-    x = np.concatenate([np.atleast_2d(x1), np.atleast_2d(x2)], axis=1)
-    psi = state.amplitude(x, t)
-    rho = np.real(np.einsum("sn,sn->n", psi.conj(), psi))
-    out = []
-    for v in (np.atleast_2d(v1), np.atleast_2d(v2)):
-        j0 = rho
-        ji = v * rho[:, None]
-        out.append(j0**2 - np.sum(ji**2, axis=-1))
-    return out[0], out[1]
+    rho, v1, v2 = _dirac2_flow(state, x1, x2, t, RHO_FLOOR_REL)
+    return tuple(rho**2 - np.sum((v * rho[:, None]) ** 2, axis=-1)
+                 for v in (v1, v2))
 
 
 def nonrelativistic_pauli_state(state):

@@ -53,11 +53,16 @@ class ParametricWaveFunction:
         return fam.value(self.params, configs, self.time if t is None else t,
                          hbar=self.units.hbar)
 
+    def value_and_gradient(self, configs, t=None):
+        """(evaluate, gradient) at the same points from one family pass."""
+        fam = families.get_family(self.family)
+        return fam.value_and_gradient(self.params, configs,
+                                      self.time if t is None else t,
+                                      hbar=self.units.hbar)
+
     def gradient(self, configs, t=None):
         """Spatial gradient, shape (spin_dim, config_dim, npoints)."""
-        fam = families.get_family(self.family)
-        return fam.gradient(self.params, configs, self.time if t is None else t,
-                            hbar=self.units.hbar)
+        return self.value_and_gradient(configs, t)[1]
 
     def density(self, configs, t=None):
         v = self.evaluate(configs, t)
@@ -162,6 +167,10 @@ class GridWaveFunction:
         flat = self.grid.interpolate(
             g.reshape((self.spin_dim * self.config_dim,) + self.grid.shape), configs)
         return flat.reshape(self.spin_dim, self.config_dim, -1)
+
+    def value_and_gradient(self, configs, t=None):
+        """(evaluate, gradient) at the same points."""
+        return self.evaluate(configs), self.gradient(configs)
 
     def density(self, configs, t=None):
         v = self.evaluate(configs)

@@ -6,6 +6,7 @@ import pytest
 from pilotwave.currents import SpinSpec, grid_current_nodes
 from pilotwave.errors import NoFluxError, SamplerFailureError, ShapeError
 from pilotwave.evolve import Propagator, propagate_to
+from pilotwave.families import CorrelatedPair
 from pilotwave.grid import Grid
 from pilotwave.guide import (BeableConfig, Ensemble, IntegrationControls,
                              KS_CRITICAL_1PCT, ParametricVelocity,
@@ -14,7 +15,7 @@ from pilotwave.guide import (BeableConfig, Ensemble, IntegrationControls,
                              integrate_ensemble, integrate_trajectory,
                              ks_statistic, marginal_cdf_by_quadrature,
                              measurement_branching, sample_equilibrium,
-                             velocity_source)
+                             thread_count, velocity_source)
 from pilotwave.wavefunction import GridWaveFunction, ParametricWaveFunction
 
 
@@ -22,6 +23,12 @@ def gaussian(sigma=1.0, k0=0.0, m=1.0, center=0.0):
     return ParametricWaveFunction(
         "gaussian_packet",
         {"center": [center], "sigma": sigma, "k0": [k0], "m": m}, [m])
+
+
+def correlated_pair(m1=1.0, m2=2.0):
+    return ParametricWaveFunction(
+        "correlated_pair", {"alpha": 0.5, "m1": m1, "m2": m2, "d": 1,
+                            "sigma_x": 0.9}, [m1, m2])
 
 
 class TestSampler:
@@ -172,6 +179,34 @@ class TestTrajectories:
             ens, src, 2.0, IntegrationControls(dt=5e-3), record=True)
         for snap in track:
             assert np.all(np.diff(snap[:, 0]) > 0)
+
+    def test_velocity_evaluates_the_state_once(self, monkeypatch):
+        """One velocity call makes one pass over the closed form."""
+        calls = []
+        factors = CorrelatedPair._factors
+
+        def counted(cls, *args, **kwargs):
+            calls.append(1)
+            return factors(*args, **kwargs)
+
+        monkeypatch.setattr(CorrelatedPair, "_factors", classmethod(counted))
+        pts = np.random.default_rng(0).normal(size=(16, 2))
+        ParametricVelocity(correlated_pair()).velocity(pts, 0.4)
+        assert len(calls) == 1
+
+    def test_threads_bit_identical(self, monkeypatch):
+        """PILOTWAVE_THREADS changes the schedule, never the result."""
+        src = ParametricVelocity(correlated_pair())
+        ens = Ensemble(configs=np.random.default_rng(1).normal(size=(65, 2)),
+                       seed=1)
+        runs = []
+        for threads in (1, 2):
+            monkeypatch.setenv("PILOTWAVE_THREADS", str(threads))
+            assert thread_count() == threads
+            runs.append(integrate_ensemble(ens, src, 1.0,
+                                           IntegrationControls(dt=0.02)))
+        np.testing.assert_array_equal(runs[0][0], runs[1][0])
+        assert list(runs[0][1]) == list(runs[1][1])
 
 
 class TestSnapshotVelocity:

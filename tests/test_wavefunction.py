@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from pilotwave.dkp import build_dkp_state
 from pilotwave.errors import ConfigurationError, DomainError
+from pilotwave.families import family_names, get_family
 from pilotwave.grid import Grid
 from pilotwave.reldirac import PlaneWaveSpinorState, free_spinor
 from pilotwave.wavefunction import (GridWaveFunction, ParametricWaveFunction,
@@ -279,3 +282,60 @@ class TestGridState:
         psi.density(np.array([[0.1]]))
         np.testing.assert_array_equal(psi.values, before)
         assert abs(psi.norm() - 1.0) < 1e-9
+
+
+# one small valid parameter set per registered family, all on a 2-D
+# configuration space
+_GAUSS_2D = {"center": [0.1, -0.2], "sigma": [0.8, 1.1], "k0": [0.5, -0.3],
+             "m": 1.2}
+_PLANE_2D = {"k": [1.2, -0.4], "m": 1.3}
+FAMILY_PARAMS = {
+    "plane_wave": _PLANE_2D,
+    "gaussian_packet": _GAUSS_2D,
+    "decaying_pair": {"alpha": 0.5, "m1": 1.0, "m2": 2.0, "d": 1, "N": 0.7},
+    "post_collapse_pair": {"a": [0.3, -0.1], "alpha0": 0.4 + 0.2j, "t0": 0.1,
+                           "m": 1.5},
+    "correlated_pair": {"alpha": 0.5, "m1": 1.0, "m2": 2.0, "d": 1,
+                        "sigma_x": 0.9, "center": 0.2},
+    "superposition": {"components": [(0.7, "gaussian_packet", _GAUSS_2D),
+                                     (0.4 - 0.3j, "plane_wave", _PLANE_2D)]},
+    "spinor_product": {"scalar": "gaussian_packet", "scalar_params": _GAUSS_2D,
+                       "chi": [0.6, 0.8j]},
+    "plane_wave_sum": {"k": [[1.0, 0.5], [-0.7, 0.2], [0.3, -1.1]],
+                       "omega": [0.9, 1.4, -0.6],
+                       "amps": [[1.0, 0.5j], [0.3 - 0.2j, 0.0], [-0.4, 0.8]]},
+}
+
+_POINT = hst.tuples(hst.floats(-2, 2), hst.floats(-2, 2))
+
+
+class TestFamilyProtocol:
+    """Every registered family: `value` and one fused `value_and_gradient`."""
+
+    @pytest.mark.parametrize("name", family_names())
+    def test_fused_value_equals_value(self, name):
+        fam, params = get_family(name), FAMILY_PARAMS[name]
+        x = np.random.default_rng(6).normal(size=(30, 2))
+        for t in (0.0, 0.45, 2.0):
+            val, grad = fam.value_and_gradient(params, x, t)
+            np.testing.assert_array_equal(val, fam.value(params, x, t))
+            assert grad.shape == (fam.spin_dim(params), 2, len(x))
+
+    @pytest.mark.parametrize("name", family_names())
+    @settings(max_examples=25, deadline=None)
+    @given(pts=hst.lists(_POINT, min_size=1, max_size=4),
+           t=hst.floats(0.0, 3.0))
+    def test_gradient_matches_central_difference(self, name, pts, t):
+        fam, params = get_family(name), FAMILY_PARAMS[name]
+        x = np.array(pts)
+        h = 1e-6
+        fd = np.stack([(fam.value(params, x + h * e, t)
+                        - fam.value(params, x - h * e, t)) / (2 * h)
+                       for e in np.eye(2)], axis=1)
+        val, grad = fam.value_and_gradient(params, x, t)
+        scale = np.max(np.abs(val)) + np.max(np.abs(grad))
+        np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-7 * scale)
+
+    def test_no_family_keeps_a_separate_gradient(self):
+        assert [n for n in family_names()
+                if hasattr(get_family(n), "gradient")] == []
