@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NormalizationError, ShapeError
+from .matrices import bilinears
 from .units import NATURAL
 from .wavefunction import grid_gradient
 
@@ -134,10 +135,10 @@ def _state_arrays(psi, at, t):
 
 def _magnetization_terms(val, grad, gens):
     """m_a = psi^dag S_a psi and its spatial derivatives d_i m_a."""
-    m = np.einsum("sn,asb,bn->an", val.conj(), gens, val)
+    m = bilinears(val, gens)
     # d_i (psi^dag S_a psi) = 2 Re[(d_i psi)^dag S_a psi] for Hermitian S_a
     dm = 2.0 * np.real(np.einsum("sin,asb,bn->ian", grad.conj(), gens, val))
-    return np.real(m), dm
+    return m, dm
 
 
 def current(psi, spin, em=None, at=None, t=None):
@@ -201,7 +202,7 @@ def spin_eigenstate_current(phi_scalar, chi, spin, at=None, t=None):
     at, val, grad = _state_arrays(phi_scalar, at, tt)
     n, d = at.shape
     rho = np.abs(val[0]) ** 2
-    svec = np.real(np.einsum("a,iab,b->i", chi.conj(), spin.generators, chi))
+    svec = bilinears(chi[:, None], spin.generators)[:, 0]
 
     j = np.zeros((n, 3))
     j[:, :d] = (hbar / m) * np.imag(val[0].conj() * grad[0]).T
@@ -273,8 +274,8 @@ def grid_current_nodes(psi, spin, em=None):
         for a in range(nd):
             j[a] -= (em.charge / (m * psi.units.c)) * vvec[..., a] * rho
     if spin.s != 0 and spin.g != 0 and nd >= 2:
-        gens = spin.generators
-        mag = np.real(np.einsum("s...,asb,b...->a...", val.conj(), gens, val))
+        mag = bilinears(val.reshape(len(val), -1), spin.generators).reshape(
+            (3,) + val.shape[1:])
         dmag = np.stack([grid_gradient(mag[a], psi.grid) for a in range(3)])
         # curl components along grid axes; missing axes contribute nothing
         def dd(a, i):
@@ -289,9 +290,12 @@ def configuration_velocity(psi, at=None, t=None, rho_floor=0.0):
     """Spin-0 N-particle guidance velocity in configuration space.
 
     v_k = (hbar / m_k) Im(grad_k psi / psi), returned flattened over the
-    configuration axes, shape (n, config_dim).  Points where the density
-    is at or below rho_floor (a scalar or one value per point) get NaN
-    velocity (node encounter), as do points where psi = 0.
+    configuration axes, shape (n, config_dim).  Points where the velocity
+    is not finite (psi = 0) get NaN velocity (node encounter), as do
+    points where the density is at or below a positive rho_floor (a
+    scalar or one value per point).  Where the floor is 0 (a single
+    closed-form term) there is no density test: far in a Gaussian tail
+    |psi|^2 underflows to 0 while grad psi / psi is still exact.
     """
     if psi.spin_dim != 1:
         raise ShapeError("configuration_velocity covers scalar states")
@@ -300,12 +304,14 @@ def configuration_velocity(psi, at=None, t=None, rho_floor=0.0):
     hbar = psi.units.hbar
     rho = np.abs(val[0]) ** 2
     v = np.empty_like(at)
-    # psi = 0 divides by zero; the NaN it leaves is the node signal
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # psi = 0 divides by zero, a subnormal psi may overflow; the NaN or
+    # inf left behind is the node signal
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         dlog = grad[0] / val[0]
     for k, axes in enumerate(psi.particle_axes):
         for a in axes:
             v[:, a] = (hbar / psi.masses[k]) * np.imag(dlog[a])
-    bad = ~(rho > rho_floor) | ~np.all(np.isfinite(v), axis=1)
+    bad = (~np.all(np.isfinite(v), axis=1)
+           | (rho_floor > 0) & ~(rho > rho_floor))
     v[bad] = np.nan
     return v, rho

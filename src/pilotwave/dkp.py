@@ -25,7 +25,7 @@ from .errors import (ConfigurationError, DegenerateObserverError,
                      InvariantViolationError, NodeError, PhysicsError,
                      ShapeError)
 from .families import PlaneWaveSum
-from .matrices import METRIC, build_matrix_set
+from .matrices import METRIC, bilinears, build_matrix_set
 from .wavefunction import ParametricWaveFunction
 
 _SETS = {"spin0": build_matrix_set("dkp5"), "spin1": build_matrix_set("dkp10")}
@@ -114,12 +114,6 @@ class DkpState:
         """Field amplitude, shape (dim, npoints)."""
         return PlaneWaveSum.value(self.wave, x, t)
 
-    def projected(self, psi_vals):
-        """gamma psi for massless states, psi unchanged for massive."""
-        if not self.massless:
-            return psi_vals
-        return self.mats.gamma_proj @ psi_vals
-
     def scale(self):
         return PlaneWaveSum.scale(self.wave)
 
@@ -179,20 +173,16 @@ def theta_tensor(state, x, t):
     Massive: m psi^dag eta0 (b^mu b^nu + b^nu b^mu - g^{mu nu}) psi;
     massless: the same sandwich around gamma psi.  Returns (n, 4, 4)."""
     psi = state.evaluate(x, t)
-    npts = psi.shape[1]
-    th = np.empty((npts, 4, 4))
-    for mu in range(4):
-        for nu in range(mu, 4):
-            val = _theta_component(state, psi, mu, nu)
-            th[:, mu, nu] = val
-            th[:, nu, mu] = val
-    return th
+    mats = state.mats.theta_matrices(state.massless)
+    th = state.mass * bilinears(psi, mats.reshape(16, state.dim, state.dim))
+    return th.T.reshape(-1, 4, 4)
 
 
-def _theta_component(state, psi, mu, nu):
-    """Theta^{mu nu} (mu <= nu) at the points of psi = state.evaluate(...)."""
-    m = state.mats.theta_matrix(mu, nu, massless=state.massless)
-    return state.mass * np.real(np.einsum("sn,st,tn->n", psi.conj(), m, psi))
+def _flow_matrices(state, lower):
+    """G^mu = m M^{mu nu} n_nu, shape (4, dim, dim): psi^dag G^mu psi is
+    Theta^{mu nu} n_nu for the observer's lower-index vector n_nu."""
+    return state.mass * np.tensordot(
+        state.mats.theta_matrices(state.massless), lower, axes=(1, 0))
 
 
 def energy_momentum_current(state, n, x, t, rho_floor_rel=RHO_FLOOR_REL):
@@ -203,8 +193,7 @@ def energy_momentum_current(state, n, x, t, rho_floor_rel=RHO_FLOOR_REL):
     valid states; kept as a test hook)."""
     if not isinstance(n, ObserverVector):
         n = ObserverVector(np.asarray(n, dtype=float))
-    th = theta_tensor(state, x, t)
-    j = th @ n.lower
+    j = bilinears(state.evaluate(x, t), _flow_matrices(state, n.lower)).T
     j0 = j[:, 0]
     if np.any(j0 < -1e-12 * state.scale()):
         raise InvariantViolationError("j^0 < 0 on a supposedly valid state")
@@ -228,8 +217,9 @@ def total_energy_momentum(state, box, points_per_axis=64):
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
     psi = state.evaluate(pts, 0.0)
     cell = np.prod([(hi - lo) / points_per_axis for lo, hi in box])
-    p_mu = np.array([_theta_component(state, psi, 0, mu).sum()
-                     for mu in range(4)]) * cell
+    # Theta^{0 mu} = Theta^{mu 0}: the tensor is symmetric
+    column = state.mats.theta_matrices(state.massless)[0]
+    p_mu = state.mass * bilinears(psi, column).sum(axis=1) * cell
     p_sq = p_mu @ METRIC @ p_mu
     if p_sq <= 1e-8 * (p_mu @ p_mu):
         raise DegenerateObserverError(
@@ -242,13 +232,9 @@ def charge_current(state, x, t):
 
     Indefinite: superpositions can make s^0 locally negative, which is
     exactly why the energy-momentum route is used for trajectories."""
-    psi = state.evaluate(x, t)
-    bar = state.mats.eta0 @ psi
-    out = np.empty((psi.shape[1], 4))
-    for mu in range(4):
-        out[:, mu] = np.real(np.einsum("sn,st,tn->n", bar.conj(),
-                                       state.mats.generators[mu], psi))
-    return out
+    mats = state.mats
+    return bilinears(state.evaluate(x, t),
+                     mats.eta0 @ np.array(mats.generators)).T
 
 
 # ---------------------------------------------------------------------------
@@ -325,46 +311,40 @@ def dkp2_velocity(state_a, state_b, x1, x2, t, a=None, symmetrized=False,
     optionally symmetrized.  With the rank-2 contraction tensor
     n^{mu1 mu2} = a^{mu1} a^{mu2} (a future-causal, default the time
     observer), j^{mu1 mu2} = psi^dag G^{mu1} x G^{mu2} psi with
-    G^mu = m Theta^{mu nu} a_nu (the unprojected `theta_matrix`), and
-    v_r = j^{(r: i)} / j^{00}."""
+    G^mu = m M^{mu nu} a_nu from `MatrixSet.theta_matrices` (gamma-projected
+    for massless states), and v_r = j^{(r: i)} / j^{00}."""
     if state_a.rep != state_b.rep or state_a.massless != state_b.massless:
         raise ShapeError("two-particle states must share representation")
     if a is None:
         a = TIME_OBSERVER
     elif not isinstance(a, ObserverVector):
         a = ObserverVector(np.asarray(a, dtype=float))
-    mats = state_a.mats
-    low = a.lower
-    # G^mu for each particle, contracted on the second index
-    g_mu = {}
-    for which, st in (("a", state_a), ("b", state_b)):
-        g_mu[which] = [st.mass * sum(mats.theta_matrix(mu, nu) * low[nu]
-                                     for nu in range(4)) for mu in range(4)]
+    # the seven j^{mu1 mu2} the velocities need, as operators on the
+    # flattened (dim^2, n) pair amplitude
+    ga, gb = (_flow_matrices(s, a.lower) for s in (state_a, state_b))
+    ops = [np.kron(ga[m1], gb[m2])
+           for m1, m2 in ((0, 0), (1, 0), (2, 0), (3, 0),
+                          (0, 1), (0, 2), (0, 3))]
 
     x1 = np.atleast_2d(np.asarray(x1, dtype=float))
     x2 = np.atleast_2d(np.asarray(x2, dtype=float))
 
-    def amp(y1, y2):
-        va = state_a.projected(state_a.evaluate(y1, t))
-        vb = state_b.projected(state_b.evaluate(y2, t))
-        out = np.einsum("sn,tn->stn", va, vb)
-        return out
+    def amp(s1, y1, s2, y2):
+        v1, v2 = s1.evaluate(y1, t), s2.evaluate(y2, t)
+        return (v1[:, None] * v2[None, :]).reshape(-1, v1.shape[1])
 
-    psi = amp(x1, x2)
+    psi = amp(state_a, x1, state_b, x2)
     if symmetrized:
-        psi = (psi + np.transpose(amp(x2, x1), (1, 0, 2))) / np.sqrt(2.0)
+        psi = (psi + amp(state_b, x1, state_a, x2)) / np.sqrt(2.0)
 
-    def bilinear(mu1, mu2):
-        return np.real(np.einsum("stn,su,tv,uvn->n", psi.conj(),
-                                 g_mu["a"][mu1], g_mu["b"][mu2], psi))
-
-    j00 = bilinear(0, 0)
+    j = bilinears(psi, ops)
+    j00 = j[0]
     if np.any(j00 < -1e-12 * state_a.scale() * state_b.scale()):
         raise InvariantViolationError("j^{00} < 0 on a valid state")
     if np.any(j00 <= rho_floor_rel * state_a.scale() * state_b.scale()):
         raise NodeError("two-particle density at or below floor")
-    v1 = np.stack([bilinear(i, 0) for i in (1, 2, 3)], axis=-1) / j00[:, None]
-    v2 = np.stack([bilinear(0, i) for i in (1, 2, 3)], axis=-1) / j00[:, None]
+    v1 = j[1:4].T / j00[:, None]
+    v2 = j[4:7].T / j00[:, None]
     if j00.shape[0] == 1:
         return v1[0], v2[0]
     return v1, v2

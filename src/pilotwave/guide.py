@@ -11,10 +11,11 @@ The floor is a property of the wave at the evaluated point, never of
 other members: a closed-form superposition has a node where
 |psi|^2 <= rho_floor_rel * (sum_i |c_i phi_i|)^2, i.e. where its terms
 cancel (which is also where Im(grad psi / psi) loses its digits); a
-single closed-form term is a node only where rho = 0 or the velocity is
-not finite, so far Gaussian tails are never cut.  Grid snapshots have no
-terms to compare against and use rho_floor_rel times the largest
-snapshot density.
+single closed-form term has no floor and is a node only where the
+velocity is not finite, so a Gaussian tail is followed past the point
+where rho = |psi|^2 underflows to 0, until psi itself does.  Grid
+snapshots have no terms to compare against and use rho_floor_rel times
+the largest snapshot density.
 
 The ensemble sampler draws from |psi|^2 by rejection against a fitted
 Gaussian (or uniform) envelope using the counter-based Philox generator,

@@ -12,6 +12,9 @@ All entries are exact (0, +-1, +-i) so the defining algebra identities
 hold in exact arithmetic.  The DKP kinds also carry the idempotent
 projector ``gamma_proj`` of the massless (Harish-Chandra) theory, which
 keeps the mass-independent components of the wavefunction.
+
+Every current built from these sets is a Hermitian bilinear psi^dag M psi
+or a stack of them; ``bilinears`` is the one kernel that evaluates them.
 """
 
 from dataclasses import dataclass, field
@@ -21,6 +24,22 @@ import numpy as np
 from .errors import ConfigurationError
 
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
+
+# points per block in `bilinears`: bounds the (k, dim, block) product
+# M_k psi, which for a whole 64^3 box would triple the peak memory
+BLOCK = 16384
+
+
+def bilinears(psi, mats):
+    """Re psi^dag M_k psi at every point, shape (k, n), for psi of shape
+    (dim, n) and a stack of k (dim, dim) matrices."""
+    mats = np.asarray(mats)
+    out = np.empty((mats.shape[0], psi.shape[1]))
+    for lo in range(0, psi.shape[1], BLOCK):
+        blk = psi[:, lo:lo + BLOCK]
+        out[:, lo:lo + BLOCK] = np.real(
+            np.einsum("sn,ksn->kn", blk.conj(), mats @ blk))
+    return out
 
 
 def _from_entries(dim, entries):
@@ -102,19 +121,20 @@ class MatrixSet:
             return bp @ b0sq + mass * (eye - b0sq) @ self.gamma_proj
         return bp @ b0sq + mass * (eye - b0sq)
 
-    def theta_matrix(self, mu, nu, massless=False):
-        """Sandwich matrix of the symmetrized energy-momentum tensor:
-        Theta^{mu nu} = m psi^dag M psi with M = eta0 (b^mu b^nu + b^nu b^mu
-        - g^{mu nu}); gamma-projected on both sides in the massless case."""
-        key = (mu, nu, massless)
-        if key not in self._cache:
-            b = self.generators
-            m = self.eta0 @ (b[mu] @ b[nu] + b[nu] @ b[mu]
-                             - METRIC[mu, nu] * np.eye(self.dim))
+    def theta_matrices(self, massless=False):
+        """Sandwich matrices of the symmetrized energy-momentum tensor,
+        shape (4, 4, dim, dim): Theta^{mu nu} = m psi^dag M^{mu nu} psi with
+        M^{mu nu} = eta0 (b^mu b^nu + b^nu b^mu - g^{mu nu}); gamma-projected
+        on both sides in the massless case."""
+        if massless not in self._cache:
+            b = np.array(self.generators)
+            bb = b[:, None] @ b[None, :]
+            m = self.eta0 @ (bb + bb.transpose(1, 0, 2, 3)
+                             - METRIC[:, :, None, None] * np.eye(self.dim))
             if massless:
                 m = self.gamma_proj.conj().T @ m @ self.gamma_proj
-            self._cache[key] = m
-        return self._cache[key]
+            self._cache[massless] = m
+        return self._cache[massless]
 
 
 def _check_dirac(gammas):

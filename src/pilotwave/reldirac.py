@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (CausalityViolationError, NodeError, PhysicsError,
                      ShapeError)
 from .families import PlaneWaveSum
-from .matrices import build_matrix_set
+from .matrices import bilinears, build_matrix_set
 from .wavefunction import ParametricWaveFunction
 
 _DIRAC = build_matrix_set("dirac4")
@@ -117,18 +117,12 @@ class PlaneWaveSpinorState:
         return PlaneWaveSum.value(self.wave, x, t)
 
 
-def _alpha_for(particle, n_particles):
-    eye = np.eye(4)
-    mats = []
-    for i in range(3):
-        a = _DIRAC.beta_tilde[i]
-        if n_particles == 1:
-            mats.append(a)
-        elif particle == 0:
-            mats.append(np.kron(a, eye))
-        else:
-            mats.append(np.kron(eye, a))
-    return mats
+# [1, alpha^i of each particle] on the one- (4) and two-particle (16)
+# amplitude: psi^dag M psi is rho followed by the currents rho v_r
+_FLOW = {1: np.array([np.eye(4), *_DIRAC.beta_tilde]),
+         2: np.array([np.eye(16)]
+                     + [np.kron(a, np.eye(4)) for a in _DIRAC.beta_tilde]
+                     + [np.kron(np.eye(4), a) for a in _DIRAC.beta_tilde])}
 
 
 def dirac_velocity(state, x, t, rho_floor_rel=RHO_FLOOR_REL):
@@ -140,13 +134,10 @@ def dirac_velocity(state, x, t, rho_floor_rel=RHO_FLOOR_REL):
     """
     if state.n_particles != 1:
         raise ShapeError("use dirac2_velocity for two-particle states")
-    psi = state.amplitude(x, t)
-    rho = np.real(np.einsum("sn,sn->n", psi.conj(), psi))
+    rho, *j = bilinears(state.amplitude(x, t), _FLOW[1])
     if np.any(rho <= rho_floor_rel * PlaneWaveSum.scale(state.wave)):
         raise NodeError("density at or below floor at the requested point")
-    alphas = _alpha_for(0, 1)
-    v = np.stack([np.real(np.einsum("sn,st,tn->n", psi.conj(), a, psi))
-                  for a in alphas], axis=-1) / rho[:, None]
+    v = np.transpose(j) / rho[:, None]
     jsq = rho**2 - np.sum((v * rho[:, None]) ** 2, axis=-1)
     if np.any(jsq < -1e-10 * rho**2):
         raise CausalityViolationError("spacelike Dirac current encountered")
@@ -166,14 +157,11 @@ def _dirac2_flow(state, x1, x2, t, rho_floor_rel):
     x1 = np.atleast_2d(np.asarray(x1, dtype=float))
     x2 = np.atleast_2d(np.asarray(x2, dtype=float))
     x = np.concatenate([x1, x2], axis=1)
-    psi = state.amplitude(x, t)
-    rho = np.real(np.einsum("sn,sn->n", psi.conj(), psi))
+    rho, *j = bilinears(state.amplitude(x, t), _FLOW[2])
     if np.any(rho <= rho_floor_rel * PlaneWaveSum.scale(state.wave)):
         raise NodeError("density at or below floor (antisymmetrized zero?)")
-    vs = [np.stack([np.real(np.einsum("sn,st,tn->n", psi.conj(), a, psi))
-                    for a in _alpha_for(r, 2)], axis=-1) / rho[:, None]
-          for r in (0, 1)]
-    return rho, vs[0], vs[1]
+    v = np.transpose(j) / rho[:, None]
+    return rho, v[:, :3], v[:, 3:]
 
 
 def dirac2_velocity(state, x1, x2, t, rho_floor_rel=RHO_FLOOR_REL):

@@ -1,0 +1,92 @@
+"""Hypothesis strategies for random relativistic states and observers.
+
+Shared by the DKP and Dirac property tests.  Coefficients and
+polarizations are bounded away from zero so a drawn state is never
+identically zero; everything else (momenta, signs, spins, term counts,
+observer boosts) ranges freely.
+"""
+
+import numpy as np
+from hypothesis import assume
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from pilotwave.dkp import ObserverVector, build_dkp_state
+from pilotwave.reldirac import PlaneWaveSpinorState
+
+N_POINTS = 20
+
+_real = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+vectors = arrays(float, 3, elements=_real)
+points = arrays(float, (N_POINTS, 3),
+                elements=st.floats(-4.0, 4.0, allow_nan=False,
+                                   allow_infinity=False))
+times = st.floats(0.0, 3.0)
+masses = st.floats(0.3, 2.0)
+coefficients = st.builds(lambda r, phi: r * np.exp(1j * phi),
+                         st.floats(0.1, 2.0), st.floats(0.0, 2 * np.pi))
+
+
+@st.composite
+def complex_vectors(draw):
+    v = draw(vectors) + 1j * draw(vectors)
+    assume(np.linalg.norm(v) > 0.1)
+    return v
+
+
+@st.composite
+def observers(draw):
+    """Future-causal n^mu = (|s| + u, s) with a boost s and u > 0."""
+    s = draw(vectors)
+    u = draw(st.floats(0.01, 2.0))
+    return ObserverVector(np.concatenate([[np.linalg.norm(s) + u], s]))
+
+
+@st.composite
+def dkp_states(draw, rep, massless, mass):
+    """A 1-3 term DKP (massive) or Harish-Chandra (massless) state."""
+    waves = []
+    for _ in range(draw(st.integers(1, 3))):
+        p = draw(vectors)
+        spec = {"coef": draw(coefficients), "p": p}
+        if rep == "spin1":
+            pol = draw(complex_vectors())
+            if massless:
+                assume(p @ p > 0.01)
+                pol = pol - p * (p @ pol) / (p @ p)
+                assume(np.linalg.norm(pol) > 0.1)
+            spec["polarization"] = pol
+        elif massless:
+            assume(p @ p > 0.01)
+        waves.append(spec)
+    return build_dkp_state(rep, mass, waves, massless=massless)
+
+
+@st.composite
+def dkp_kinds(draw):
+    """(rep, massless, mass) shared by the states of one test case."""
+    return (draw(st.sampled_from(["spin0", "spin1"])), draw(st.booleans()),
+            draw(masses))
+
+
+def _dirac_particle(draw):
+    return (draw(vectors), draw(st.sampled_from([-1, 1])),
+            draw(st.integers(0, 1)))
+
+
+@st.composite
+def dirac_states(draw, n_particles=1):
+    """A 1-3 term plane-wave spinor state, one or two particles, with
+    both energy signs; two-particle states may be antisymmetrized."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        if n_particles == 1:
+            terms.append((draw(coefficients), *_dirac_particle(draw)))
+        else:
+            terms.append((draw(coefficients), _dirac_particle(draw),
+                          _dirac_particle(draw)))
+    state = PlaneWaveSpinorState(tuple(terms), mass=draw(masses),
+                                 n_particles=n_particles)
+    if n_particles == 2 and draw(st.booleans()):
+        state = state.antisymmetrized()
+    return state

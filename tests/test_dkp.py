@@ -2,6 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+
+import strategies as rs
 
 from pilotwave.dkp import (TIME_OBSERVER, DkpState, ObserverVector,
                            build_dkp_state, charge_current,
@@ -13,7 +17,7 @@ from pilotwave.errors import (ConfigurationError, DegenerateObserverError,
                               NodeError, PhysicsError)
 from pilotwave.guide import (BeableConfig, IntegrationControls,
                             ParametricVelocity, integrate_trajectory)
-from pilotwave.matrices import build_matrix_set
+from pilotwave.matrices import METRIC, build_matrix_set
 
 
 def spin0_state(specs, mass=1.0, massless=False):
@@ -309,6 +313,96 @@ class TestTwoParticle:
             assert np.all(n1 >= -1e-10)
             assert np.all(n2 >= -1e-10)
             checked += 50
+
+
+def _dkp2_four_operand(sa, sb, x1, x2, t, low, symmetrized):
+    """Reference j^{mu1 mu2} contraction: the rank-4 einsum over the
+    (dim, dim, n) pair amplitude, one bilinear at a time."""
+    mats = sa.mats
+    b, eye = mats.generators, np.eye(mats.dim)
+
+    def g(st):
+        return [st.mass * sum(
+            mats.eta0 @ (b[mu] @ b[nu] + b[nu] @ b[mu] - METRIC[mu, nu] * eye)
+            * low[nu] for nu in range(4)) for mu in range(4)]
+
+    def proj(v):
+        return mats.gamma_proj @ v if sa.massless else v
+
+    def amp(y1, y2):
+        return np.einsum("sn,tn->stn", proj(sa.evaluate(y1, t)),
+                         proj(sb.evaluate(y2, t)))
+
+    psi = amp(x1, x2)
+    if symmetrized:
+        psi = (psi + np.transpose(amp(x2, x1), (1, 0, 2))) / np.sqrt(2.0)
+    ga, gb = g(sa), g(sb)
+
+    def bilinear(mu1, mu2):
+        return np.real(np.einsum("stn,su,tv,uvn->n", psi.conj(),
+                                 ga[mu1], gb[mu2], psi))
+
+    j00 = bilinear(0, 0)
+    return (np.stack([bilinear(i, 0) for i in (1, 2, 3)], axis=-1) / j00[:, None],
+            np.stack([bilinear(0, i) for i in (1, 2, 3)], axis=-1) / j00[:, None])
+
+
+@pytest.mark.parametrize("rep", ["spin0", "spin1"])
+@pytest.mark.parametrize("massless", [False, True])
+@pytest.mark.parametrize("symmetrized", [False, True])
+def test_dkp2_velocity_matches_four_operand_contraction(rep, massless,
+                                                        symmetrized):
+    rng = np.random.default_rng(12)
+
+    def mk():
+        specs = []
+        for _ in range(2):
+            p = rng.normal(size=3)
+            spec = {"coef": rng.normal() + 1j * rng.normal(), "p": p}
+            pol = rng.normal(size=3) + 1j * rng.normal(size=3)
+            spec["polarization"] = pol - p * (p @ pol) / (p @ p)
+            specs.append(spec)
+        return build_dkp_state(rep, 0.8, specs, massless=massless)
+
+    sa, sb = mk(), mk()
+    sp = rng.normal(size=3) * 0.4
+    a = ObserverVector(np.concatenate([[1.1 + np.linalg.norm(sp)], sp]))
+    x1, x2 = rng.normal(size=(40, 3)), rng.normal(size=(40, 3))
+    got = dkp2_velocity(sa, sb, x1, x2, 0.3, a=a, symmetrized=symmetrized)
+    ref = _dkp2_four_operand(sa, sb, x1, x2, 0.3, a.lower, symmetrized)
+    for g, r in zip(got, ref):
+        np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-14)
+
+
+class TestCausalityProperties:
+    """j^0 >= 0 and |v| <= 1 over random states and causal observers."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), kind=rs.dkp_kinds(), n=rs.observers(),
+           pts=rs.points, t=rs.times)
+    def test_energy_momentum_current(self, data, kind, n, pts, t):
+        state = data.draw(rs.dkp_states(*kind))
+        try:
+            j, v = energy_momentum_current(state, n, pts, t)
+        except NodeError:
+            reject()
+        assert np.all(j[:, 0] >= 0)
+        assert np.all(np.sum(v**2, axis=-1) <= 1 + 1e-10)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), kind=rs.dkp_kinds(), a=rs.observers(),
+           x1=rs.points, x2=rs.points, t=rs.times, symmetrized=st.booleans())
+    def test_dkp2_velocity(self, data, kind, a, x1, x2, t, symmetrized):
+        sa = data.draw(rs.dkp_states(*kind))
+        sb = data.draw(rs.dkp_states(*kind))
+        try:
+            # raises InvariantViolationError if j^{00} < 0 anywhere
+            v1, v2 = dkp2_velocity(sa, sb, x1, x2, t, a=a,
+                                   symmetrized=symmetrized)
+        except NodeError:
+            reject()
+        for v in (v1, v2):
+            assert np.all(np.sum(v**2, axis=-1) <= 1 + 1e-10)
 
 
 class TestChargeCurrentDiagnostic:

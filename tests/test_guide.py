@@ -121,6 +121,23 @@ class TestTrajectories:
         np.testing.assert_allclose(final[:, 0], k0 * t / m + starts * st / sigma,
                                    rtol=1e-7)
 
+    def test_far_tail_members_follow_closed_form(self):
+        """At 40-50 sigma |psi|^2 underflows to 0 while grad psi / psi is
+        still exact: those members stay on the closed form.  At 54 sigma
+        psi itself underflows and the member is a node."""
+        sigma, m, k0 = 0.8, 1.0, 0.5
+        psi = gaussian(sigma=sigma, k0=k0, m=m)
+        starts = np.array([40.0, 45.0, 50.0, 54.0]) * sigma
+        assert np.all(psi.density(starts[:, None]) == 0)
+        t = 0.5
+        final, status = integrate_ensemble(
+            Ensemble(configs=starts[:, None], seed=0), velocity_source(psi),
+            t, IntegrationControls(dt=2e-3))
+        assert list(status) == ["ok"] * 3 + ["node_encounter"]
+        st = sigma * np.sqrt(1 + (t / (2 * m * sigma**2)) ** 2)
+        np.testing.assert_allclose(
+            final[:3, 0], k0 * t / m + starts[:3] * st / sigma, rtol=1e-13)
+
     @pytest.mark.parametrize("spinor", [False, True])
     def test_superposition_nodes_detected(self, spinor):
         """Standing wave e^{ikx} - e^{-ikx}, bare or times a spinor: a

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pilotwave.errors import ConfigurationError
-from pilotwave.matrices import METRIC, build_matrix_set
+from pilotwave.matrices import BLOCK, METRIC, bilinears, build_matrix_set
 
 
 @pytest.fixture(scope="module")
@@ -92,3 +92,39 @@ def test_constraint_compatible_with_motion(sets, kind):
         h = s.hamiltonian(p, m)
         c = np.eye(s.dim) - h @ s.beta0 / m
         np.testing.assert_allclose(c @ h, 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 10, 16, 100])
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1,
+                               5 * BLOCK // 2 + 3])
+def test_bilinears_match_per_matrix_einsum(dim, n):
+    """Re psi^dag M_k psi against one explicit einsum per matrix, with
+    point counts on both sides of the block seams."""
+    rng = np.random.default_rng(dim * 7919 + n)
+    psi = rng.normal(size=(dim, n)) + 1j * rng.normal(size=(dim, n))
+    mats = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
+    got = bilinears(psi, mats)
+    assert got.shape == (3, n)
+    for k in range(3):
+        ref = np.real(np.einsum("sn,st,tn->n", psi.conj(), mats[k], psi,
+                                optimize=True))
+        np.testing.assert_allclose(got[k], ref, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("kind", ["dkp5", "dkp10"])
+@pytest.mark.parametrize("massless", [False, True])
+def test_theta_matrices_match_definition(sets, kind, massless):
+    """M^{mu nu} = eta0 (b^mu b^nu + b^nu b^mu - g^{mu nu}), gamma-projected
+    on both sides when massless; exact, and symmetric in (mu, nu)."""
+    s = sets[kind]
+    b = s.generators
+    gam = s.gamma_proj if massless else np.eye(s.dim)
+    stack = s.theta_matrices(massless)
+    assert stack.shape == (4, 4, s.dim, s.dim)
+    for mu in range(4):
+        for nu in range(4):
+            m = s.eta0 @ (b[mu] @ b[nu] + b[nu] @ b[mu]
+                          - METRIC[mu, nu] * np.eye(s.dim))
+            assert np.array_equal(stack[mu, nu], gam.conj().T @ m @ gam)
+            assert np.array_equal(stack[mu, nu], stack[nu, mu])

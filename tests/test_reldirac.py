@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+
+import strategies as rs
 
 from pilotwave.currents import SpinSpec, current
 from pilotwave.errors import NodeError, PhysicsError, ShapeError
@@ -178,6 +181,34 @@ class TestTwoParticle:
             assert np.all(n2 >= -1e-10 * np.max(n2))
             checked += 25
         assert checked >= 500
+
+
+class TestCausalityProperties:
+    """j^0 >= 0 and |v| <= 1 over random one- and two-particle states,
+    both energy signs, antisymmetrized or not."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(state=rs.dirac_states(), pts=rs.points, t=rs.times)
+    def test_dirac_velocity(self, state, pts, t):
+        try:
+            # raises CausalityViolationError on a spacelike current
+            v, u = dirac_velocity(state, pts, t)
+        except NodeError:
+            reject()
+        assert np.all(np.sum(v**2, axis=-1) <= 1 + 1e-10)
+        if u is not None:
+            assert np.all(u[:, 0] >= 1.0 - 1e-10)
+
+    @settings(max_examples=25, deadline=None)
+    @given(state=rs.dirac_states(n_particles=2), x1=rs.points, x2=rs.points,
+           t=rs.times)
+    def test_dirac2_velocity(self, state, x1, x2, t):
+        try:
+            v1, v2 = dirac2_velocity(state, x1, x2, t)
+        except NodeError:
+            reject()
+        for v in (v1, v2):
+            assert np.all(np.sum(v**2, axis=-1) <= 1 + 1e-10)
 
 
 class TestNonRelativisticLimit:
