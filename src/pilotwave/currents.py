@@ -22,7 +22,6 @@ from .matrices import bilinears
 from .units import NATURAL
 from .wavefunction import grid_gradient
 
-RHO_FLOOR_REL = 1e-300
 
 
 def spin_generators(s, hbar=1.0):

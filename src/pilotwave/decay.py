@@ -20,10 +20,14 @@ from dataclasses import dataclass, field
 
 from .bessel import j1
 from .errors import ConfigurationError, PhysicsError, ShapeError
-from .guide import (BeableConfig, Ensemble, IntegrationControls,
-                    ParametricVelocity, integrate_ensemble,
-                    integrate_trajectory, sample_equilibrium)
+from .guide import (STATUS_EXITED, BeableConfig, Box, Ensemble,
+                    IntegrationControls, ParametricVelocity,
+                    integrate_ensemble, integrate_trajectory,
+                    sample_equilibrium)
 from .wavefunction import ParametricWaveFunction
+
+# stride of the imaging tracks; lens hits and endpoints do not depend on it
+IMAGING_RECORD_EVERY = 4
 
 
 @dataclass(frozen=True)
@@ -265,7 +269,8 @@ def variance_evolution(spec, times, monte_carlo_n=0, seed=20250101):
     Var(0) and Var(p1+p2) come from quadrature over |psi(0)|^2 and F.
     With monte_carlo_n > 0 the formula is cross-validated by propagating
     an equilibrium ensemble with the exact guidance velocities and
-    measuring the empirical variance at each requested time."""
+    measuring the empirical variance at each requested time: one pass
+    through the sorted times, with the step max(times) / 400."""
     times = np.asarray(times, dtype=float)
     var_p = _momentum_variance(spec)
     var_x0 = _position_variance0(spec)
@@ -278,17 +283,19 @@ def variance_evolution(spec, times, monte_carlo_n=0, seed=20250101):
         lim = 6.0 * spec.sigma_x + 6.0 * np.sqrt(spec.hbar * spec.alpha)
         ens = sample_equilibrium(psi, monte_carlo_n, seed,
                                  box=[(-lim, lim)] * 2)
+        if np.any(times < 0):
+            raise ShapeError("Monte Carlo times must be >= 0 (the decay time)")
         src = ParametricVelocity(psi)
-        mc = []
-        for t in times:
-            if t == 0:
-                cfg = ens.configs
-            else:
-                cfg, _ = integrate_ensemble(
-                    ens, src, float(t), IntegrationControls(dt=float(t) / 400))
-            q = spec.m1 * cfg[:, 0] + spec.m2 * cfg[:, 1]
-            mc.append(float(np.var(q)))
-        out["monte_carlo"] = np.array(mc)
+        controls = IntegrationControls(dt=float(np.max(times)) / 400)
+        mc = np.empty(len(times))
+        for i in np.argsort(times, kind="stable"):
+            t = float(times[i])
+            if t > ens.t:
+                cfg, _ = integrate_ensemble(ens, src, t, controls)
+                ens = Ensemble(configs=cfg, seed=seed, t=t)
+            q = spec.m1 * ens.configs[:, 0] + spec.m2 * ens.configs[:, 1]
+            mc[i] = np.var(q)
+        out["monte_carlo"] = mc
     return out
 
 
@@ -377,8 +384,6 @@ class _ConvergingGaussianSource:
     offset * sigma'/sigma (the exact Bohmian velocity field of a
     contracting Gaussian factor)."""
 
-    domain = None
-
     def __init__(self, axis_point, axis_dir, v, w, t_focus, m, hbar):
         self.p0 = axis_point
         self.u = axis_dir / np.linalg.norm(axis_dir)
@@ -397,7 +402,7 @@ class _ConvergingGaussianSource:
         s = self.sigma(t)
         return self.w**2 * self.spread**2 * (t - self.t_focus) / s
 
-    def velocity(self, configs, t, rho_floor_rel=0.0):
+    def velocity(self, configs, t):
         configs = np.atleast_2d(configs)
         off = configs - self.center(t)[None, :]
         off_par = (off @ self.u)[:, None] * self.u[None, :]
@@ -406,23 +411,22 @@ class _ConvergingGaussianSource:
         return self.v * self.u[None, :] + off_perp * rate
 
 
-def _plane_crossings(track, x_plane, where):
-    """First crossing of the plane x = x_plane by each run of a recorded
-    track (T, n, d) moving toward -x, interpolated linearly between the
-    records around it.  Returns the crossing points (n, d) and, per run,
-    the index of the first record at or past the plane."""
-    crossed = track[:, :, 0] <= x_plane
-    if not np.all(crossed.any(axis=0)):
+def _run_to_plane(source, x_plane, starts, horizon, dt, where):
+    """Recorded runs toward -x in the domain x >= x_plane: the landing
+    points (n, 3) and the record (times, track).  PhysicsError if a run
+    has not reached the plane by the horizon."""
+    source.domain = Box([x_plane, -np.inf, -np.inf], [np.inf] * 3)
+    hits, status, rec = integrate_ensemble(
+        Ensemble(configs=starts, seed=0), source, horizon,
+        IntegrationControls(dt=dt, record_every=IMAGING_RECORD_EVERY),
+        record=True)
+    if np.any(status != STATUS_EXITED):
         raise PhysicsError(f"some runs never reached the {where}")
-    k = np.argmax(crossed, axis=0)
-    runs = np.arange(track.shape[1])
-    lo, hi = track[k - 1, runs], track[k, runs]
-    frac = (x_plane - lo[:, 0]) / (hi[:, 0] - lo[:, 0])
-    return lo + frac[:, None] * (hi - lo), k
+    return hits, rec
 
 
 def imaging_trajectories(spec, lens, a, n, seed=20250101, sigma_com=None,
-                         speed=None, record_every=4):
+                         speed=None):
     """Beable-2 trajectories of the massive-particle imaging experiment.
 
     Geometry (equal masses, axis x): lens plane at x = 0, detector-1
@@ -442,12 +446,13 @@ def imaging_trajectories(spec, lens, a, n, seed=20250101, sigma_com=None,
     endpoint statistics and figures use, are unaffected).  `a` is the
     3-vector detection point with a[0] == S.
 
-    `endpoints` (n, 3) are the runs' crossings of the image plane,
-    interpolated on the recorded track as `lens_hits` are for the lens
-    plane; PhysicsError if a run misses either plane.  `post_lens_times`
-    and `post_lens_track` (T, n, 3) hold the recorded post-lens
-    integration, from the lens hits until every run is past the image
-    plane, so its last rows lie beyond x = -S'.
+    `lens_hits` and `endpoints` (n, 3) are where the runs stop: the
+    phases' domains end at x = 0 and x = -S', so a run lands where its
+    RK4 step crosses the plane, with x set to it exactly.  The horizons
+    are only caps (PhysicsError if a run has not landed by then).
+    `post_lens_times` and `post_lens_track` (T, n, 3) record the
+    post-lens phase up to its cap; rows after a run lands repeat its
+    landing point.
     """
     if abs(spec.m1 - spec.m2) > 1e-12 * spec.m1:
         raise PhysicsError("the imaging geometry assumes equal masses")
@@ -479,26 +484,19 @@ def imaging_trajectories(spec, lens, a, n, seed=20250101, sigma_com=None,
     g = s / (s - decay[:, 0])
     dt = tau / 100
     horizon = dt * np.ceil(1.5 * tau * np.sqrt(np.max(g) ** 2 - 1.0) / dt)
-    ens = Ensemble(configs=decay.copy(), seed=seed)
-    final, status, (rtimes, track) = integrate_ensemble(
-        ens, src, horizon, IntegrationControls(dt=dt,
-                                               record_every=record_every),
-        record=True)
-    lens_hit, k_lens = _plane_crossings(track, 0.0, "lens plane")
-    pre_lens = [np.vstack([track[:k, i], lens_hit[i]])
-                for i, k in enumerate(k_lens)]
+    lens_hit, (_, track) = _run_to_plane(src, 0.0, decay, horizon, dt,
+                                         "lens plane")
+    # each run's track up to its landing row, the first with x = 0
+    k_lens = np.argmax(track[:, :, 0] <= 0.0, axis=0)
+    pre_lens = [track[:k + 1, i] for i, k in enumerate(k_lens)]
 
-    # straightness of the pre-lens paths (integrated, not assumed)
-    straight_dev = 0.0
-    for i in range(n):
-        path = pre_lens[i]
-        chord = path[-1] - path[0]
-        length = np.linalg.norm(chord)
-        u = chord / length
-        rel = path - path[0]
-        perp = rel - (rel @ u)[:, None] * u[None, :]
-        straight_dev = max(straight_dev,
-                           float(np.max(np.linalg.norm(perp, axis=1))) / length)
+    # straightness of the pre-lens paths (integrated, not assumed); the
+    # rows after a run lands repeat its lens hit, which is on its chord
+    length = np.linalg.norm(lens_hit - decay, axis=1)
+    u = (lens_hit - decay) / length[:, None]
+    rel = track - decay
+    perp = rel - np.sum(rel * u, axis=2)[..., None] * u
+    straight_dev = float(np.max(np.linalg.norm(perp, axis=2) / length))
 
     # the chief ray through the lens center maps a to the image point
     image_point = np.concatenate([[-s_im], -a[1:] * (s_im / s)])
@@ -514,12 +512,8 @@ def imaging_trajectories(spec, lens, a, n, seed=20250101, sigma_com=None,
     # center has moved (S' + 2 r) / |u_x|.
     reach = np.max(np.linalg.norm(lens_hit, axis=1))
     t_end = (s_im + 2.0 * reach) / (v * abs(beam.u[0]))
-    ens2 = Ensemble(configs=lens_hit.copy(), seed=seed)
-    _, _, (ptimes, ptrack) = integrate_ensemble(
-        ens2, beam, t_end, IntegrationControls(dt=t_focus / 2000,
-                                               record_every=record_every),
-        record=True)
-    endpoints, _ = _plane_crossings(ptrack, -s_im, "image plane")
+    endpoints, (ptimes, ptrack) = _run_to_plane(
+        beam, -s_im, lens_hit, t_end, t_focus / 2000, "image plane")
     mean_end = endpoints.mean(axis=0)
     return {"decay_points": decay, "lens_hits": lens_hit,
             "pre_lens": pre_lens, "post_lens_times": ptimes,

@@ -185,7 +185,7 @@ def _flow_matrices(state, lower):
         state.mats.theta_matrices(state.massless), lower, axes=(1, 0))
 
 
-def energy_momentum_current(state, n, x, t, rho_floor_rel=RHO_FLOOR_REL):
+def energy_momentum_current(state, n, x, t):
     """j^mu = Theta^{mu nu} n_nu and the velocity v = j / j^0.
 
     Raises NodeError where j^0 falls below the floor and
@@ -197,7 +197,7 @@ def energy_momentum_current(state, n, x, t, rho_floor_rel=RHO_FLOOR_REL):
     j0 = j[:, 0]
     if np.any(j0 < -1e-12 * state.scale()):
         raise InvariantViolationError("j^0 < 0 on a supposedly valid state")
-    if np.any(j0 <= rho_floor_rel * state.scale()):
+    if np.any(j0 <= RHO_FLOOR_REL * state.scale()):
         raise NodeError("energy density at or below floor")
     v = j[:, 1:] / j0[:, None]
     if j.shape[0] == 1:
@@ -303,8 +303,7 @@ def nonrel_limit_check(rep, epsilons, mass=1.0, seed=0, n_points=16,
 # two-particle tensor current
 
 
-def dkp2_velocity(state_a, state_b, x1, x2, t, a=None, symmetrized=False,
-                  rho_floor_rel=RHO_FLOOR_REL):
+def dkp2_velocity(state_a, state_b, x1, x2, t, a=None, symmetrized=False):
     """Two-particle energy-flow velocities from the rank-2 tensor current.
 
     The two-particle wave is the product state_a(x1) state_b(x2),
@@ -341,7 +340,7 @@ def dkp2_velocity(state_a, state_b, x1, x2, t, a=None, symmetrized=False,
     j00 = j[0]
     if np.any(j00 < -1e-12 * state_a.scale() * state_b.scale()):
         raise InvariantViolationError("j^{00} < 0 on a valid state")
-    if np.any(j00 <= rho_floor_rel * state_a.scale() * state_b.scale()):
+    if np.any(j00 <= RHO_FLOOR_REL * state_a.scale() * state_b.scale()):
         raise NodeError("two-particle density at or below floor")
     v1 = j[1:4].T / j00[:, None]
     v2 = j[4:7].T / j00[:, None]

@@ -48,14 +48,6 @@ class Grid:
     def cell_volume(self):
         return float(np.prod(self.spacing))
 
-    def contains(self, configs):
-        """Boolean mask of configurations inside the grid extents."""
-        configs = np.atleast_2d(configs)
-        ok = np.ones(configs.shape[0], dtype=bool)
-        for a, (lo, hi) in enumerate(self.extents):
-            ok &= (configs[:, a] >= lo) & (configs[:, a] <= hi)
-        return ok
-
     def require_inside(self, config):
         config = np.asarray(config, dtype=float)
         for a, (lo, hi) in enumerate(self.extents):

@@ -7,14 +7,19 @@ wavefunction (density below floor, velocity singular) are truncated and
 reported with status ``node_encounter``; leaving the domain gives
 ``exited``.
 
-The floor is a property of the wave at the evaluated point, never of
-other members: a closed-form superposition has a node where
-|psi|^2 <= rho_floor_rel * (sum_i |c_i phi_i|)^2, i.e. where its terms
-cancel (which is also where Im(grad psi / psi) loses its digits); a
-single closed-form term has no floor and is a node only where the
-velocity is not finite, so a Gaussian tail is followed past the point
-where rho = |psi|^2 underflows to 0, until psi itself does.  Grid
-snapshots have no terms to compare against and use rho_floor_rel times
+A source's ``domain`` is a `Box`, or None for all of space.  A member
+whose full RK4 step leaves the box stops where that step first crosses a
+face, on the bound exactly; one whose intermediate stage probes outside
+(NaN velocity) stops at its last position.  Both are ``exited``.
+
+The node floor is the constant RHO_FLOOR_REL, relative to the wave at
+the evaluated point, never to other members: a closed-form superposition
+has a node where |psi|^2 <= RHO_FLOOR_REL * (sum_i |c_i phi_i|)^2, i.e.
+where its terms cancel (which is also where Im(grad psi / psi) loses its
+digits); a single closed-form term has no floor and is a node only where
+the velocity is not finite, so a Gaussian tail is followed past the
+point where rho = |psi|^2 underflows to 0, until psi itself does.  Grid
+snapshots have no terms to compare against and use RHO_FLOOR_REL times
 the largest snapshot density.
 
 The ensemble sampler draws from |psi|^2 by rejection against a fitted
@@ -82,20 +87,42 @@ class TrajectoryRecord:
 
 @dataclass(frozen=True)
 class IntegrationControls:
-    """RK4 step, node floor and recording stride.
-
-    rho_floor_rel is relative to the wave at the evaluated point: to
-    (sum_i |c_i phi_i|)^2 for a closed-form superposition, to the
-    largest snapshot density for grid snapshots (see the module
-    docstring); a single closed-form term has no floor.
-    """
+    """RK4 step and recording stride.  A recorded run keeps every
+    record_every-th step and the last one; a member that has stopped (at
+    a node, the floor RHO_FLOOR_REL, or its source's domain) repeats its
+    final position."""
     dt: float
-    rho_floor_rel: float = RHO_FLOOR_REL
     record_every: int = 1
 
 
 # ---------------------------------------------------------------------------
 # velocity sources
+
+
+class Box:
+    """Domain lo <= x <= hi per axis; a bound may be infinite."""
+
+    def __init__(self, lo, hi):
+        self.lo = np.asarray(lo, dtype=float)
+        self.hi = np.asarray(hi, dtype=float)
+
+    def contains(self, configs):
+        """Boolean mask of the configurations (n, d) inside the box."""
+        return np.all((configs >= self.lo) & (configs <= self.hi), axis=1)
+
+    def land(self, inside, outside):
+        """Where each segment `inside` -> `outside` (n, d) first leaves the
+        box; the crossed coordinate is set to its bound exactly."""
+        d = outside - inside
+        bound = np.where(outside < self.lo, self.lo, self.hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = np.where((outside < self.lo) | (outside > self.hi),
+                         (bound - inside) / d, np.inf)
+        rows = np.arange(len(d))
+        face = np.argmin(s, axis=1)
+        out = np.clip(inside + s[rows, face][:, None] * d, self.lo, self.hi)
+        out[rows, face] = bound[rows, face]
+        return out
 
 
 class ParametricVelocity:
@@ -111,10 +138,10 @@ class ParametricVelocity:
         self.em = em
         self.domain = None
 
-    def velocity(self, configs, t, rho_floor_rel=RHO_FLOOR_REL):
+    def velocity(self, configs, t):
         psi = self.psi
         in_phase = psi.in_phase_density(configs, t)
-        floor = 0.0 if in_phase is None else rho_floor_rel * in_phase
+        floor = 0.0 if in_phase is None else RHO_FLOOR_REL * in_phase
         if psi.spin_dim == 1:
             v, rho = configuration_velocity(psi, configs, t, rho_floor=floor)
             return v
@@ -148,11 +175,11 @@ class SnapshotVelocity:
             self.fields.append(np.concatenate([s.density_nodes()[None], j]))
         if not self.fields:
             raise ShapeError("need at least one snapshot")
-        self.domain = self.grid
+        self.domain = Box(*zip(*self.grid.extents))
         self.times = np.array(times)
         if np.any(np.diff(self.times) <= 0):
             raise ShapeError("snapshots must be strictly time ordered")
-        self.rho_scale = max(float(np.max(f[0])) for f in self.fields)
+        self.floor = RHO_FLOOR_REL * max(float(np.max(f[0])) for f in self.fields)
 
     def _pair(self, t):
         if t <= self.times[0]:
@@ -164,8 +191,8 @@ class SnapshotVelocity:
         w = (t - self.times[lo]) / (self.times[hi] - self.times[lo])
         return lo, hi, w
 
-    def velocity(self, configs, t, rho_floor_rel=RHO_FLOOR_REL):
-        inside = self.grid.contains(configs)
+    def velocity(self, configs, t):
+        inside = self.domain.contains(configs)
         v = np.full_like(np.asarray(configs, dtype=float), np.nan)
         if np.any(inside):
             pts = configs[inside]
@@ -175,9 +202,8 @@ class SnapshotVelocity:
             if w:
                 f = (1 - w) * f + w * self.grid.interpolate(self.fields[hi], pts)
             rho_p, j_p = f[0], f[1:]                 # j_p: (ndim, npts)
-            floor = rho_floor_rel * self.rho_scale
-            vv = np.where(rho_p > floor, 1.0, np.nan)[None, :] * j_p \
-                / np.where(rho_p > floor, rho_p, 1.0)[None, :]
+            vv = np.where(rho_p > self.floor, 1.0, np.nan)[None, :] * j_p \
+                / np.where(rho_p > self.floor, rho_p, 1.0)[None, :]
             v[inside] = vv.T
         return v
 
@@ -296,11 +322,37 @@ def sample_equilibrium(psi, n, seed, box=None, envelope="auto",
 # trajectory integration
 
 
+def _rk4_step(xa, source, t, h):
+    """One RK4 step of the members xa: their new positions, and the masks
+    of those that hit a node (not moved) and that left the domain."""
+    def probe(stage, frac):
+        # a NaN stage (node hit) must not poison the next stage's
+        # evaluation point; the member is flagged via dx below
+        return xa + frac * h * np.where(np.isfinite(stage), stage, 0.0)
+
+    k1 = source.velocity(xa, t)
+    k2 = source.velocity(probe(k1, 0.5), t + 0.5 * h)
+    k3 = source.velocity(probe(k2, 0.5), t + 0.5 * h)
+    k4 = source.velocity(probe(k3, 1.0), t + h)
+    dx = (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    # NaN at the member's own point means a node; NaN only at an
+    # intermediate stage means the step probed past the boundary.
+    node = ~np.all(np.isfinite(k1), axis=1)
+    moved = np.all(np.isfinite(dx), axis=1)
+    new = np.where(moved[:, None], xa + dx, xa)
+    domain = source.domain
+    if domain is None:
+        return new, ~moved, np.zeros_like(node)
+    left = moved & ~domain.contains(new)
+    if left.any():
+        new[left] = domain.land(xa[left], new[left])
+    return new, node, ~moved & ~node | left
+
+
 def _rk4_many(starts, source, t0, t_final, controls, record=False):
     x = np.array(starts, dtype=float)
-    n, dim = x.shape
-    status = np.array([STATUS_OK] * n, dtype=object)
-    active = np.ones(n, dtype=bool)
+    status = np.array([STATUS_OK] * len(x), dtype=object)
+    active = np.ones(len(x), dtype=bool)
     nsteps = max(1, int(np.ceil((t_final - t0) / controls.dt - 1e-12)))
     h_last = (t_final - t0) - (nsteps - 1) * controls.dt
     times = [t0]
@@ -309,52 +361,18 @@ def _rk4_many(starts, source, t0, t_final, controls, record=False):
     t = t0
     for istep in range(nsteps):
         h = controls.dt if istep < nsteps - 1 else h_last
-        if not np.any(active):
-            t = t + h
-            if record:
-                times.append(t)
-                track.append(x.copy())
-            continue
-        xa = x[active]
-
-        def probe(base, stage, frac):
-            # a NaN stage (node hit) must not poison the next stage's
-            # evaluation point; the member is flagged via dx below
-            step = np.where(np.isfinite(stage), stage, 0.0)
-            return base + frac * h * step
-
-        k1 = source.velocity(xa, t, controls.rho_floor_rel)
-        k2 = source.velocity(probe(xa, k1, 0.5), t + 0.5 * h,
-                             controls.rho_floor_rel)
-        k3 = source.velocity(probe(xa, k2, 0.5), t + 0.5 * h,
-                             controls.rho_floor_rel)
-        k4 = source.velocity(probe(xa, k3, 1.0), t + h, controls.rho_floor_rel)
-        dx = (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        # NaN at the member's own point means a node; NaN only at an
-        # intermediate stage means the step probed past the boundary.
-        node = ~np.all(np.isfinite(k1), axis=1)
-        stage_bad = ~np.all(np.isfinite(dx), axis=1) & ~node
-        if source.domain is None:
-            node |= stage_bad
-            stage_bad[:] = False
-        new = xa + np.where(np.isfinite(dx), dx, 0.0)
-        exited = stage_bad.copy()
-        if source.domain is not None:
-            exited |= ~source.domain.contains(new) & ~node
-        idx = np.flatnonzero(active)
-        ok = ~node & ~exited
-        x[idx[ok]] = new[ok]
-        x[idx[exited & ~stage_bad]] = new[exited & ~stage_bad]
-        status[idx[node]] = STATUS_NODE
-        status[idx[exited]] = STATUS_EXITED
-        active[idx[node | exited]] = False
+        if active.any():
+            idx = np.flatnonzero(active)
+            new, node, exited = _rk4_step(x[idx], source, t, h)
+            x[idx[~node]] = new[~node]
+            status[idx[node]] = STATUS_NODE
+            status[idx[exited]] = STATUS_EXITED
+            active[idx[node | exited]] = False
         t = t + h
-        if record and (istep + 1) % controls.record_every == 0:
+        if record and ((istep + 1) % controls.record_every == 0
+                       or istep == nsteps - 1):
             times.append(t)
             track.append(x.copy())
-    if record and times[-1] != t:
-        times.append(t)
-        track.append(x.copy())
     return x, status, (np.array(times), np.array(track)) if record else None
 
 
@@ -373,29 +391,27 @@ def integrate_ensemble(ensemble, source, t_final, controls, record=False):
     """Propagate every member; embarrassingly parallel across members.
 
     Returns (final_configs, statuses) or (final, statuses, (times, track))
-    when record is set.  Results are gathered by member index, so the
-    output is deterministic regardless of the worker count.
+    when record is set.  Members go in at most PILOTWAVE_THREADS chunks of
+    at least 4, gathered by member index, so the output does not depend on
+    the worker count; a single chunk runs in the calling thread.
     """
-    workers = thread_count()
     n = len(ensemble)
-    if record or workers == 1 or n < 4 * workers:
-        final, status, rec = _rk4_many(ensemble.configs, source, ensemble.t,
-                                       t_final, controls, record=record)
-        return (final, status, rec) if record else (final, status)
-    chunks = np.array_split(np.arange(n), workers)
-    final = np.empty_like(ensemble.configs)
-    status = np.empty(n, dtype=object)
+    chunks = np.array_split(np.arange(n), max(1, min(thread_count(), n // 4)))
 
     def work(idx):
-        f, s, _ = _rk4_many(ensemble.configs[idx], source, ensemble.t,
-                            t_final, controls, record=False)
-        return idx, f, s
+        return _rk4_many(ensemble.configs[idx], source, ensemble.t, t_final,
+                         controls, record=record)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for idx, f, s in pool.map(work, chunks):
-            final[idx] = f
-            status[idx] = s
-    return final, status
+    if len(chunks) == 1:
+        final, status, rec = work(chunks[0])
+    else:
+        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+            parts = list(pool.map(work, chunks))
+        final = np.concatenate([p[0] for p in parts])
+        status = np.concatenate([p[1] for p in parts])
+        rec = record and (parts[0][2][0],
+                          np.concatenate([p[2][1] for p in parts], axis=1))
+    return (final, status, rec) if record else (final, status)
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +495,8 @@ class _ScaledSource:
         self.scale = scale
         self.domain = inner.domain
 
-    def velocity(self, configs, t, rho_floor_rel=RHO_FLOOR_REL):
-        return self.scale * self.inner.velocity(configs, t, rho_floor_rel)
+    def velocity(self, configs, t):
+        return self.scale * self.inner.velocity(configs, t)
 
 
 # ---------------------------------------------------------------------------

@@ -125,7 +125,7 @@ _FLOW = {1: np.array([np.eye(4), *_DIRAC.beta_tilde]),
                      + [np.kron(np.eye(4), a) for a in _DIRAC.beta_tilde])}
 
 
-def dirac_velocity(state, x, t, rho_floor_rel=RHO_FLOOR_REL):
+def dirac_velocity(state, x, t):
     """Guidance velocity v^i = psi^dag alpha^i psi / psi^dag psi and the
     normalized 4-velocity u^mu = j^mu / sqrt(j.j) (None when j is null).
 
@@ -135,7 +135,7 @@ def dirac_velocity(state, x, t, rho_floor_rel=RHO_FLOOR_REL):
     if state.n_particles != 1:
         raise ShapeError("use dirac2_velocity for two-particle states")
     rho, *j = bilinears(state.amplitude(x, t), _FLOW[1])
-    if np.any(rho <= rho_floor_rel * PlaneWaveSum.scale(state.wave)):
+    if np.any(rho <= RHO_FLOOR_REL * PlaneWaveSum.scale(state.wave)):
         raise NodeError("density at or below floor at the requested point")
     v = np.transpose(j) / rho[:, None]
     jsq = rho**2 - np.sum((v * rho[:, None]) ** 2, axis=-1)
@@ -149,7 +149,7 @@ def dirac_velocity(state, x, t, rho_floor_rel=RHO_FLOOR_REL):
     return (v[0], u[0] if u is not None else None) if v.shape[0] == 1 else (v, u)
 
 
-def _dirac2_flow(state, x1, x2, t, rho_floor_rel):
+def _dirac2_flow(state, x1, x2, t):
     """Density (n,) and the two per-particle velocities (n, 3) of a
     two-particle state, from one amplitude evaluation."""
     if state.n_particles != 2:
@@ -158,22 +158,22 @@ def _dirac2_flow(state, x1, x2, t, rho_floor_rel):
     x2 = np.atleast_2d(np.asarray(x2, dtype=float))
     x = np.concatenate([x1, x2], axis=1)
     rho, *j = bilinears(state.amplitude(x, t), _FLOW[2])
-    if np.any(rho <= rho_floor_rel * PlaneWaveSum.scale(state.wave)):
+    if np.any(rho <= RHO_FLOOR_REL * PlaneWaveSum.scale(state.wave)):
         raise NodeError("density at or below floor (antisymmetrized zero?)")
     v = np.transpose(j) / rho[:, None]
     return rho, v[:, :3], v[:, 3:]
 
 
-def dirac2_velocity(state, x1, x2, t, rho_floor_rel=RHO_FLOOR_REL):
+def dirac2_velocity(state, x1, x2, t):
     """Per-particle velocities of a two-particle plane-wave state."""
-    _, v1, v2 = _dirac2_flow(state, x1, x2, t, rho_floor_rel)
+    _, v1, v2 = _dirac2_flow(state, x1, x2, t)
     return (v1[0], v2[0]) if v1.shape[0] == 1 else (v1, v2)
 
 
 def tensor_current_causal(state, x1, x2, t):
     """j^{0 mu_r 0} j_{0 mu_r 0} >= 0 check for both particles; returns the
     two Minkowski norms (they must be nonnegative for valid states)."""
-    rho, v1, v2 = _dirac2_flow(state, x1, x2, t, RHO_FLOOR_REL)
+    rho, v1, v2 = _dirac2_flow(state, x1, x2, t)
     return tuple(rho**2 - np.sum((v * rho[:, None]) ** 2, axis=-1)
                  for v in (v1, v2))
 

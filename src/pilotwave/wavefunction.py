@@ -12,7 +12,6 @@ from .errors import ConfigurationError, ShapeError, UnsupportedFamilyError
 from .grid import Grid
 from .units import NATURAL
 
-NORM_TOL = 1e-9
 
 
 def _particle_axes(config_dim, n_particles):

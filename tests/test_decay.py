@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pilotwave import decay
 from pilotwave.decay import (DecayPairSpec, EnergyShellSpec, LensSpec,
                              MomentumCorrelationSpec, alignment_analysis,
                              energy_shell_density, energy_shell_profile,
@@ -116,6 +117,28 @@ class TestVarianceEvolution:
         out = variance_evolution(self.SPEC, ts, monte_carlo_n=10_000, seed=3)
         for formula, mc in zip(out["variance"], out["monte_carlo"]):
             assert abs(mc - formula) / formula < 0.05
+
+    def test_monte_carlo_single_pass(self, monkeypatch):
+        """One pass through the sorted times: 3 / (3 / 400) = 400 RK4
+        steps of 4 velocity calls, not a fresh run per time."""
+        monkeypatch.setenv("PILOTWAVE_THREADS", "1")
+        calls = []
+        velocity = decay.ParametricVelocity.velocity
+
+        def counted(self, configs, t):
+            calls.append(1)
+            return velocity(self, configs, t)
+
+        monkeypatch.setattr(decay.ParametricVelocity, "velocity", counted)
+        ts = np.array([0.0, 1.5, 3.0])
+        out = variance_evolution(self.SPEC, ts, monte_carlo_n=200, seed=3)
+        assert len(calls) == 1600
+        perm = [2, 0, 1]
+        shuffled = variance_evolution(self.SPEC, ts[perm], monte_carlo_n=200,
+                                      seed=3)
+        np.testing.assert_array_equal(shuffled["monte_carlo"],
+                                      out["monte_carlo"][perm])
+        np.testing.assert_array_equal(shuffled["variance"], out["variance"][perm])
 
     def test_asymmetric_density_rejected(self):
         with pytest.raises(PhysicsError):
@@ -237,6 +260,34 @@ class TestImaging:
         lens = LensSpec(f=1.0, S=2.0, S_image=2.0, waist=0.05)
         out = imaging_trajectories(self.SPEC, lens, [2.0, 0.1, 0.1], n=50, seed=4)
         np.testing.assert_allclose(out["endpoints"][:, 0], -2.0, atol=1e-9)
+
+    def test_runs_stop_on_the_planes(self, monkeypatch):
+        """Lens hits and endpoints lie on their planes exactly and do not
+        depend on the recording stride."""
+        lens = LensSpec(f=1.0, S=2.0, S_image=2.0, waist=0.05)
+        out = imaging_trajectories(self.SPEC, lens, [2.0, 0.1, 0.1], n=50, seed=4)
+        assert np.all(out["lens_hits"][:, 0] == 0.0)
+        assert np.all(out["endpoints"][:, 0] == -2.0)
+        assert np.all(out["post_lens_track"][:, :, 0] >= -2.0)
+        np.testing.assert_array_equal(out["post_lens_track"][-1], out["endpoints"])
+        monkeypatch.setattr(decay, "IMAGING_RECORD_EVERY", 1)
+        every = imaging_trajectories(self.SPEC, lens, [2.0, 0.1, 0.1], n=50,
+                                     seed=4)
+        np.testing.assert_array_equal(every["lens_hits"], out["lens_hits"])
+        np.testing.assert_array_equal(every["endpoints"], out["endpoints"])
+
+    def test_threads_bit_identical(self, monkeypatch):
+        lens = LensSpec(f=1.0, S=2.0, S_image=2.0, waist=0.05)
+        runs = []
+        for threads in (1, 2):
+            monkeypatch.setenv("PILOTWAVE_THREADS", str(threads))
+            runs.append(imaging_trajectories(self.SPEC, lens, [2.0, 0.2, 0.0],
+                                             n=50, seed=3))
+        for key in ("lens_hits", "endpoints", "post_lens_times",
+                    "post_lens_track", "straightness", "focus_error"):
+            np.testing.assert_array_equal(runs[0][key], runs[1][key])
+        for a, b in zip(runs[0]["pre_lens"], runs[1]["pre_lens"]):
+            np.testing.assert_array_equal(a, b)
 
     def test_unequal_masses_rejected(self):
         lens = LensSpec(f=1.0, S=2.0)

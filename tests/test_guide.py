@@ -8,7 +8,7 @@ from pilotwave.errors import NoFluxError, SamplerFailureError, ShapeError
 from pilotwave.evolve import Propagator, propagate_to
 from pilotwave.families import CorrelatedPair
 from pilotwave.grid import Grid
-from pilotwave.guide import (BeableConfig, Ensemble, IntegrationControls,
+from pilotwave.guide import (BeableConfig, Box, Ensemble, IntegrationControls,
                              KS_CRITICAL_1PCT, ParametricVelocity,
                              SnapshotVelocity,
                              arrival_time_stats, equivariance_check,
@@ -224,6 +224,84 @@ class TestTrajectories:
                                            IntegrationControls(dt=0.02)))
         np.testing.assert_array_equal(runs[0][0], runs[1][0])
         assert list(runs[0][1]) == list(runs[1][1])
+
+
+class TestDomains:
+    def test_exited_runs_keep_the_record_stride(self):
+        """Rows after every member has left the grid still come every
+        record_every steps: t = 5 in 100 steps at stride 10 is 11 rows."""
+        grid = Grid([(-2.0, 2.0)], [128])
+        x = grid.axes[0]
+        vals = np.exp(-x**2 / 2 + 2.0j * x)       # strong rightward drift
+        snaps = [GridWaveFunction(grid, vals, [1.0], time=0.0).normalized(),
+                 GridWaveFunction(grid, vals, [1.0], time=10.0).normalized()]
+        final, status, (times, track) = integrate_ensemble(
+            Ensemble(configs=np.array([[1.8], [1.7]]), seed=0),
+            velocity_source(snaps), 5.0,
+            IntegrationControls(dt=0.05, record_every=10), record=True)
+        assert list(status) == ["exited", "exited"]
+        assert len(times) == 11 and track.shape == (11, 2, 1)
+        np.testing.assert_allclose(times, np.linspace(0.0, 5.0, 11),
+                                   atol=1e-12)
+        np.testing.assert_array_equal(track[-1], final)
+        assert np.all(final <= 2.0)
+
+    def test_constant_velocity_lands_on_the_plane(self):
+        """v = (-1, 0.3) toward the plane x = 0: each run ends at the
+        closed-form crossing (0, y0 + 0.3 x0), with x = 0 exactly, and the
+        final positions do not depend on recording."""
+        psi = ParametricWaveFunction("plane_wave", {"k": [-1.0, 0.3], "m": 1.0},
+                                     [1.0])
+        src = velocity_source(psi)
+        src.domain = Box([0.0, -np.inf], [np.inf, np.inf])
+        starts = np.array([[0.33, 0.1], [1.0, -0.4], [2.71, 0.0], [0.05, 2.0]])
+        ens = Ensemble(configs=starts, seed=0)
+        final, status = integrate_ensemble(ens, src, 5.0,
+                                           IntegrationControls(dt=0.07))
+        assert list(status) == ["exited"] * 4
+        assert np.all(final[:, 0] == 0.0)
+        np.testing.assert_allclose(final[:, 1],
+                                   starts[:, 1] + 0.3 * starts[:, 0],
+                                   rtol=0, atol=1e-14)
+        for stride in (1, 4):
+            rec_final, rec_status, (_, track) = integrate_ensemble(
+                ens, src, 5.0, IntegrationControls(dt=0.07, record_every=stride),
+                record=True)
+            np.testing.assert_array_equal(rec_final, final)
+            np.testing.assert_array_equal(track[-1], final)
+            assert list(rec_status) == list(status)
+
+    def test_box_first_face_crossed_wins(self):
+        box = Box([0.0, 0.0], [1.0, 1.0])
+        inside = np.array([[0.8, 0.5], [0.5, 0.8], [0.1, 0.5]])
+        outside = np.array([[1.6, 1.5], [1.5, 1.6], [-0.3, 1.5]])
+        assert np.all(box.contains(inside)) and not np.any(box.contains(outside))
+        out = box.land(inside, outside)
+        # x face at a quarter of the step, y face at half of it (and
+        # the other way round for the second segment)
+        np.testing.assert_allclose(out, [[1.0, 0.75], [0.75, 1.0], [0.0, 0.75]],
+                                   rtol=0, atol=1e-15)
+        assert out[0, 0] == 1.0 and out[1, 1] == 1.0 and out[2, 0] == 0.0
+        assert np.all(box.contains(out))
+
+    def test_threaded_recording_bit_identical(self, monkeypatch):
+        """Recording runs through the same chunked path for any
+        PILOTWAVE_THREADS, with the same result."""
+        src = ParametricVelocity(correlated_pair())
+        ens = Ensemble(configs=np.random.default_rng(1).normal(size=(65, 2)),
+                       seed=1)
+        runs = []
+        for threads in (1, 2):
+            monkeypatch.setenv("PILOTWAVE_THREADS", str(threads))
+            runs.append(integrate_ensemble(
+                ens, src, 1.0, IntegrationControls(dt=0.02, record_every=3),
+                record=True))
+        (f1, s1, (t1, tr1)), (f2, s2, (t2, tr2)) = runs
+        np.testing.assert_array_equal(f1, f2)
+        assert list(s1) == list(s2)
+        np.testing.assert_array_equal(t1, t2)
+        np.testing.assert_array_equal(tr1, tr2)
+        assert tr1.shape == (len(t1), 65, 2)
 
 
 class TestSnapshotVelocity:
