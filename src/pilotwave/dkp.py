@@ -25,6 +25,7 @@ from .errors import (ConfigurationError, DegenerateObserverError,
                      InvariantViolationError, NodeError, PhysicsError,
                      ShapeError)
 from .families import PlaneWaveSum
+from .guide import RHO_FLOOR_REL
 from .matrices import METRIC, bilinears, build_matrix_set
 from .wavefunction import ParametricWaveFunction
 
@@ -32,7 +33,6 @@ _SETS = {"spin0": build_matrix_set("dkp5"), "spin1": build_matrix_set("dkp10")}
 
 CONSTRAINT_TOL = 1e-10
 ONSHELL_TOL = 1e-9
-RHO_FLOOR_REL = 1e-12
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,20 @@ Two methods:
                  coupling, potential and spin-B step, kinetic half step.
 
 The mid step covers a coupling term g(x) p_a with g constant along axis
-a (a von Neumann pointer coupling), exact in the (x, k_a) representation,
-the scalar potential V, the electric potential e V0 and the Zeeman
-coupling -(e g / 2 m c) S.B, the latter exponentiated exactly with the
-(2s+1)x(2s+1) matrix exponential at each grid point.  Vector-potential
-terms in the kinetic operator are not supported by the split-step path
-(none of the shipped experiments needs them); the boundary is periodic.
+a (a von Neumann pointer coupling), the scalar potential V, the electric
+potential e V0 and the Zeeman coupling -(e g / 2 m c) S.B, the latter
+exponentiated exactly with the (2s+1)x(2s+1) matrix exponential at each
+grid point.  Vector-potential terms in the kinetic operator are not
+supported by the split-step path (none of the shipped experiments needs
+them); the boundary is periodic.
+
+Each factor is applied in the representation it is diagonal in (Feit,
+Fleck & Steiger, J. Comput. Phys. 47, 412 (1982)): the kinetic halves in
+full k space, the coupling in (x, k_a), the potential and the Zeeman
+factor in x.  Between factors only the axes whose representation
+differs are transformed.  On a d-dimensional grid a free step costs 2d
+one-axis FFT passes (fftn, K, ifftn), a coupled step 2d + 2(d - 1), and
+a step with a potential or Zeeman term 4d, with or without a coupling.
 """
 
 import warnings
@@ -40,6 +48,8 @@ class Propagator:
     potential: object = None          # V(x, t) -> (n,) scalar
     em: object = None                 # EmPotential, used for V0 and B
     coupling: tuple = None            # (axis, g): g(x) p_axis, g on the nodes
+    _coupling_factors: dict = field(default_factory=dict, init=False,
+                                    repr=False, compare=False)
 
     def __post_init__(self):
         if self.method not in ("analytic", "split-step"):
@@ -50,6 +60,19 @@ class Propagator:
             axis, g = self.coupling
             if np.ptp(np.asarray(g, dtype=float), axis=axis).any():
                 raise ShapeError("coupling g must be constant along its axis")
+
+    def coupling_factor(self, grid):
+        """exp(-i g k_a dt), the exact step of g(x) p_a in the (x, k_a)
+        representation (hbar cancels); built once per grid."""
+        if grid not in self._coupling_factors:
+            axis, g = self.coupling
+            k = 2.0 * np.pi * np.fft.fftfreq(grid.points[axis],
+                                             d=grid.spacing[axis])
+            shape = [1] * grid.ndim
+            shape[axis] = -1
+            self._coupling_factors[grid] = np.exp(
+                -1j * np.asarray(g) * k.reshape(shape) * self.dt)
+        return self._coupling_factors[grid]
 
 
 def _kinetic_phase(psi, dt):
@@ -91,24 +114,12 @@ def _potential_factor(psi, prop, t_mid):
     return np.exp(-1j * prop.dt * v / psi.units.hbar).reshape(grid.shape)
 
 
-def _coupling_step(psi, prop, values):
-    """Apply exp(-i g k_a dt) in the (x, k_a) representation: the exact
-    step of g(x) p_a for g constant along a (hbar cancels)."""
-    axis, g = prop.coupling
-    grid = psi.grid
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.points[axis], d=grid.spacing[axis])
-    shape = [1] * grid.ndim
-    shape[axis] = -1
-    vals = np.fft.fft(values, axis=axis + 1)
-    vals *= np.exp(-1j * np.asarray(g) * k.reshape(shape) * prop.dt)
-    return np.fft.ifft(vals, axis=axis + 1)
-
-
-def _zeeman_step(psi, prop, values, t_mid):
-    """Apply exp(+i e g dt S.B / (2 m c hbar)) pointwise (exact, unitary)."""
+def _zeeman_unitary(psi, prop, t_mid):
+    """Per-point exp(+i e g dt S.B / (2 m c hbar)) (exact, unitary), shaped
+    (npoints, 2s+1, 2s+1); None where there is no Zeeman term."""
     spin = prop.spin
     if spin.s == 0 or spin.g == 0 or prop.em is None:
-        return values
+        return None
     grid = psi.grid
     mesh = grid.meshgrid()
     pts3 = np.zeros(mesh[0].shape + (3,))
@@ -116,17 +127,62 @@ def _zeeman_step(psi, prop, values, t_mid):
         pts3[..., a] = mesh[a]
     b = prop.em.bfield(pts3.reshape(-1, 3), t_mid)
     if not np.any(b):
-        return values
+        return None
     m = psi.masses[0]
     hbar, c = psi.units.hbar, psi.units.c
     coef = 1j * prop.em.charge * spin.g * prop.dt / (2.0 * m * c * hbar)
     sdotb = np.einsum("iab,ni->nab", spin.generators, b)
     w, vecs = np.linalg.eigh(sdotb)   # Hermitian: exact exponential
     phase = np.exp(coef * w)
-    u = np.einsum("nab,nb,ncb->nac", vecs, phase, vecs.conj())
-    flat = values.reshape(psi.spin_dim, -1).T[:, :, None]
-    out = (u @ flat)[:, :, 0].T
-    return out.reshape(values.shape)
+    return np.einsum("nab,nb,ncb->nac", vecs, phase, vecs.conj())
+
+
+def _multiply(*factors):
+    def apply(vals):
+        for f in factors:
+            vals *= f
+        return vals
+    return apply
+
+
+def _rotate(u):
+    def apply(vals):
+        flat = vals.reshape(vals.shape[0], -1).T[:, :, None]
+        return (u @ flat)[:, :, 0].T.reshape(vals.shape)
+    return apply
+
+
+def _factors(psi, prop, t_mid):
+    """The Strang factors in order, each as (representation, apply):
+    representation[a] is True where grid axis a must be in k space, and
+    apply(vals) multiplies the factor in (in place where it can)."""
+    ndim = psi.grid.ndim
+    k_space, x_space = (True,) * ndim, (False,) * ndim
+    half = (k_space, _multiply(*_kinetic_phase(psi, prop.dt)))
+    mid = []
+    if prop.coupling is not None:
+        axis = prop.coupling[0]
+        mid.append((tuple(a == axis for a in range(ndim)),
+                    _multiply(prop.coupling_factor(psi.grid))))
+    if prop.potential is not None or (prop.em is not None
+                                      and prop.em.v0 is not None):
+        mid.append((x_space, _multiply(_potential_factor(psi, prop, t_mid))))
+    u = _zeeman_unitary(psi, prop, t_mid)
+    if u is not None:
+        mid.append((x_space, _rotate(u)))
+    return [half] + mid + [half]
+
+
+def _transform(vals, rep, want):
+    """Take vals (spin axis first) from representation `rep` to `want`,
+    transforming only the grid axes on which they differ."""
+    to_x = tuple(a + 1 for a, (r, w) in enumerate(zip(rep, want)) if r and not w)
+    to_k = tuple(a + 1 for a, (r, w) in enumerate(zip(rep, want)) if w and not r)
+    if to_x:
+        vals = np.fft.ifftn(vals, axes=to_x)
+    if to_k:
+        vals = np.fft.fftn(vals, axes=to_k)
+    return vals
 
 
 def step(psi, prop):
@@ -147,26 +203,14 @@ def step(psi, prop):
         warnings.warn("split-step grid points are not powers of two; FFTs "
                       "will be slower", stacklevel=2)
 
-    t_mid = psi.time + 0.5 * prop.dt
-    axes = tuple(range(1, psi.grid.ndim + 1))
-    kin = _kinetic_phase(psi, prop.dt)
-
-    vals = np.fft.fftn(psi.values, axes=axes)
-    for a, ph in enumerate(kin):
-        vals = vals * ph[None, ...]
-    vals = np.fft.ifftn(vals, axes=axes)
-
-    if prop.coupling is not None:
-        vals = _coupling_step(psi, prop, vals)
-    if prop.potential is not None or (prop.em is not None
-                                      and prop.em.v0 is not None):
-        vals = vals * _potential_factor(psi, prop, t_mid)[None, ...]
-    vals = _zeeman_step(psi, prop, vals, t_mid)
-
-    vals = np.fft.fftn(vals, axes=axes)
-    for a, ph in enumerate(kin):
-        vals = vals * ph[None, ...]
-    vals = np.fft.ifftn(vals, axes=axes)
+    # the first factor is in k space, so vals is a fresh array before any
+    # factor is multiplied in place
+    x_space = (False,) * psi.grid.ndim
+    vals, rep = psi.values, x_space
+    for want, apply in _factors(psi, prop, psi.time + 0.5 * prop.dt):
+        vals = apply(_transform(vals, rep, want))
+        rep = want
+    vals = _transform(vals, rep, x_space)
 
     out = psi.with_values(vals, time=psi.time + prop.dt)
     drift = abs(out.norm() - psi.norm())

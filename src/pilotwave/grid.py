@@ -82,20 +82,25 @@ class Grid:
         """Multilinear interpolation of node values at configurations.
 
         values has shape (..., *grid.shape); leading axes are carried along.
+        The grid axes are read as one flat axis: each of the 2^ndim cell
+        corners is one `take` at the lower corner's flat index plus the
+        corner's stride offset.
         """
         idx, frac = self.interp_weights(configs)
         npts = idx.shape[0]
         lead = values.shape[:values.ndim - self.ndim]
+        flat = values.reshape(lead + (-1,))
+        base = np.ravel_multi_index(tuple(idx.T), self.points)
+        strides = np.cumprod((1,) + self.points[:0:-1])[::-1]
         out = np.zeros(lead + (npts,), dtype=values.dtype)
         for corner in range(1 << self.ndim):
-            sel = []
+            offset = 0
             w = np.ones(npts)
             for a in range(self.ndim):
                 if corner >> a & 1:
-                    sel.append(idx[:, a] + 1)
+                    offset += strides[a]
                     w = w * frac[:, a]
                 else:
-                    sel.append(idx[:, a])
                     w = w * (1.0 - frac[:, a])
-            out += values[(Ellipsis, *sel)] * w
+            out += np.take(flat, base + offset, axis=-1) * w
         return out

@@ -10,7 +10,9 @@ reported with status ``node_encounter``; leaving the domain gives
 A source's ``domain`` is a `Box`, or None for all of space.  A member
 whose full RK4 step leaves the box stops where that step first crosses a
 face, on the bound exactly; one whose intermediate stage probes outside
-(NaN velocity) stops at its last position.  Both are ``exited``.
+(NaN velocity) stops where the chord to the first such probe crosses a
+face.  Both are ``exited``.  A NaN stage inside the domain also stops
+the member, at its last position.
 
 The node floor is the constant RHO_FLOOR_REL, relative to the wave at
 the evaluated point, never to other members: a closed-form superposition
@@ -331,9 +333,12 @@ def _rk4_step(xa, source, t, h):
         return xa + frac * h * np.where(np.isfinite(stage), stage, 0.0)
 
     k1 = source.velocity(xa, t)
-    k2 = source.velocity(probe(k1, 0.5), t + 0.5 * h)
-    k3 = source.velocity(probe(k2, 0.5), t + 0.5 * h)
-    k4 = source.velocity(probe(k3, 1.0), t + h)
+    p2 = probe(k1, 0.5)
+    k2 = source.velocity(p2, t + 0.5 * h)
+    p3 = probe(k2, 0.5)
+    k3 = source.velocity(p3, t + 0.5 * h)
+    p4 = probe(k3, 1.0)
+    k4 = source.velocity(p4, t + h)
     dx = (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     # NaN at the member's own point means a node; NaN only at an
     # intermediate stage means the step probed past the boundary.
@@ -346,7 +351,16 @@ def _rk4_step(xa, source, t, h):
     left = moved & ~domain.contains(new)
     if left.any():
         new[left] = domain.land(xa[left], new[left])
-    return new, node, ~moved & ~node | left
+    stopped = ~moved & ~node
+    if stopped.any():
+        # land on the chord of the first stage probe that left the domain
+        # (later probes are landed first, so the earliest one wins); a
+        # member whose probes all stayed inside keeps its position
+        rows = np.flatnonzero(stopped)
+        for p in (p4, p3, p2):
+            out = rows[~domain.contains(p[rows])]
+            new[out] = domain.land(xa[out], p[out])
+    return new, node, stopped | left
 
 
 def _rk4_many(starts, source, t0, t_final, controls, record=False):

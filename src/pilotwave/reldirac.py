@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (CausalityViolationError, NodeError, PhysicsError,
                      ShapeError)
 from .families import PlaneWaveSum
+from .guide import RHO_FLOOR_REL
 from .matrices import bilinears, build_matrix_set
 from .wavefunction import ParametricWaveFunction
 
@@ -24,8 +25,6 @@ _DIRAC = build_matrix_set("dirac4")
 _SIGMA = np.array([[[0, 1], [1, 0]],
                    [[0, -1j], [1j, 0]],
                    [[1, 0], [0, -1]]], dtype=complex)
-
-RHO_FLOOR_REL = 1e-12
 
 
 def free_spinor(p, mass, energy_sign, spin_label):

@@ -234,3 +234,140 @@ class TestPropagateTo:
         psi = gaussian()
         out = propagate_to(psi, Propagator("analytic", 0.3), 1.0)
         assert out[-1].time == pytest.approx(1.0, abs=1e-12)
+
+
+def strang_reference(psi, dt, axis_mass, coupling=None, potential=None,
+                     zeeman=None):
+    """The Strang step as written before the mixed representations: both
+    kinetic halves from x to full k and back, the coupling from x along
+    its axis, the potential V(*mesh) and a uniform spin unitary in x."""
+    grid = psi.grid
+    axes = tuple(range(1, grid.ndim + 1))
+    kmesh = np.meshgrid(*[2 * np.pi * np.fft.fftfreq(n, d=h)
+                          for n, h in zip(grid.points, grid.spacing)],
+                        indexing="ij")
+    half = np.exp(-1j * dt * sum(k**2 / (4 * m) for k, m in zip(kmesh, axis_mass)))
+    vals = np.fft.ifftn(half * np.fft.fftn(psi.values, axes=axes), axes=axes)
+    if coupling is not None:
+        axis, g = coupling
+        vals = np.fft.ifft(np.exp(-1j * g * kmesh[axis] * dt)
+                           * np.fft.fft(vals, axis=axis + 1), axis=axis + 1)
+    if potential is not None:
+        vals = vals * np.exp(-1j * dt * potential(*grid.meshgrid()))
+    if zeeman is not None:
+        vals = np.tensordot(zeeman, vals, axes=1)
+    return np.fft.ifftn(half * np.fft.fftn(vals, axes=axes), axes=axes)
+
+
+def packet_2d(points=(32, 64), masses=(1.0, 3.0)):
+    grid = Grid([(-6.0, 6.0), (-8.0, 10.0)], list(points))
+    return GridWaveFunction.from_callable(
+        grid, lambda x, y: np.exp(-(x - 0.5)**2 / 2 - (y + 1.0)**2 / 3
+                                  + 1j * (0.4 * x - 0.7 * y)),
+        list(masses)).normalized()
+
+
+def drag(grid, axis):
+    """A coupling g(x) constant along `axis` and varying along the other."""
+    other = grid.axes[1 - axis]
+    return np.expand_dims(1.5 * np.sin(other), axis) * np.ones(grid.shape)
+
+
+def harmonic(x, y):
+    return 0.1 * x**2 + 0.05 * y
+
+
+class TestRepresentations:
+    """The step applies each factor in its own representation; it must
+    agree with the Strang formula that applies every mid factor in x."""
+
+    def run(self, psi, prop, nsteps=20, **ref):
+        state, vals = psi, psi.values
+        for _ in range(nsteps):
+            state = step(state, prop)
+            vals = strang_reference(psi.with_values(vals), prop.dt, **ref)
+        scale = np.max(np.abs(vals))
+        assert np.max(np.abs(state.values - vals)) <= 1e-12 * scale
+
+    def test_free_1d(self):
+        grid = Grid([(-10.0, 10.0)], [128])
+        x = grid.axes[0]
+        psi = GridWaveFunction(grid, np.exp(-x**2 / 2 + 1j * x), [2.0]).normalized()
+        self.run(psi, split_prop(0.05), axis_mass=[2.0])
+
+    def test_free_2d_non_square(self):
+        self.run(packet_2d(), split_prop(0.05), axis_mass=[1.0, 3.0])
+
+    @pytest.mark.parametrize("axis", [1, 0])
+    def test_coupling(self, axis):
+        psi = packet_2d()
+        g = drag(psi.grid, axis)
+        self.run(psi, split_prop(0.05, coupling=(axis, g)),
+                 axis_mass=[1.0, 3.0], coupling=(axis, g))
+
+    def test_potential_and_coupling(self):
+        psi = packet_2d()
+        g = drag(psi.grid, 1)
+        prop = split_prop(0.05, coupling=(1, g),
+                          potential=lambda p, t: harmonic(p[:, 0], p[:, 1]))
+        self.run(psi, prop, axis_mass=[1.0, 3.0], coupling=(1, g),
+                 potential=harmonic)
+
+    def test_zeeman_uniform_field(self):
+        grid = Grid([(-10.0, 10.0)], [128])
+        x = grid.axes[0]
+        packet = np.exp(-x**2 / 2 + 0.5j * x)
+        psi = GridWaveFunction(grid, np.stack([0.6 * packet, 0.8j * packet]),
+                               [1.0]).normalized()
+        b = np.array([0.3, -0.2, 0.8])
+        em = EmPotential(b=lambda pts, t: np.broadcast_to(b, (pts.shape[0], 3)).copy(),
+                         charge=1.0)
+        spin = SpinSpec(0.5, g=2.0)
+        dt = 0.05
+        # exp(+i e g dt S.B / 2 m c hbar), hbar = c = m = e = 1
+        w, vecs = np.linalg.eigh(np.einsum("iab,i->ab", spin.generators, b))
+        u = vecs @ np.diag(np.exp(1j * spin.g * dt * w / 2)) @ vecs.conj().T
+        self.run(psi, split_prop(dt, spin=spin, em=em), axis_mass=[1.0],
+                 zeeman=u)
+
+
+@pytest.fixture
+def fft_passes(monkeypatch):
+    """One-axis FFT passes made through numpy.fft while the test runs."""
+    passes = []
+
+    def counted(f, n_axes):
+        def wrapper(a, *args, **kwargs):
+            passes.append(n_axes(np.ndim(a), kwargs))
+            return f(a, *args, **kwargs)
+        return wrapper
+
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name,
+                            counted(getattr(np.fft, name), lambda nd, kw: 1))
+    for name in ("fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, counted(
+            getattr(np.fft, name),
+            lambda nd, kw: len(kw["axes"]) if "axes" in kw else nd))
+    return passes
+
+
+class TestTransformPasses:
+    @pytest.mark.parametrize("kind, expected", [
+        ("free", 4), ("coupled", 6), ("potential", 8),
+        ("potential+coupled", 8)])
+    def test_passes_per_2d_step(self, fft_passes, kind, expected):
+        """fftn K ifftn for a free step; the coupling adds one inverse and
+        one forward pass along the other axis; a potential costs the two
+        round trips it always did, and a coupling before it no more."""
+        psi = packet_2d()
+        kw = {}
+        if "coupled" in kind:
+            kw["coupling"] = (1, drag(psi.grid, 1))
+        if "potential" in kind:
+            kw["potential"] = lambda p, t: harmonic(p[:, 0], p[:, 1])
+        prop = split_prop(0.05, **kw)
+        step(psi, prop)              # builds the cached coupling factor
+        fft_passes.clear()
+        step(psi, prop)
+        assert sum(fft_passes) == expected

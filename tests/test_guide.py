@@ -284,6 +284,44 @@ class TestDomains:
         assert out[0, 0] == 1.0 and out[1, 1] == 1.0 and out[2, 0] == 0.0
         assert np.all(box.contains(out))
 
+    @pytest.mark.parametrize("dt", [0.05, 0.01])
+    def test_grid_exit_lands_on_the_face(self, dt):
+        """The last RK4 stage of the step that leaves the grid probes
+        outside it (NaN there): the member lands on the face on that
+        probe's chord, x = 2 exactly, not one step short of it."""
+        grid = Grid([(-2.0, 2.0)], [128])
+        x = grid.axes[0]
+        vals = np.exp(-x**2 / 2 + 2.0j * x)       # strong rightward drift
+        snaps = [GridWaveFunction(grid, vals, [1.0], time=0.0).normalized(),
+                 GridWaveFunction(grid, vals, [1.0], time=10.0).normalized()]
+        rec = integrate_trajectory(
+            BeableConfig(positions=np.array([[1.8]])), velocity_source(snaps),
+            5.0, IntegrationControls(dt=dt))
+        assert rec.status == "exited"
+        assert rec.configs[-1, 0] == 2.0
+
+    def test_first_stage_probe_outside_wins(self):
+        """v = 1 except on a hole (0.52, 0.6) and outside the box: from
+        x = 0.5 with dt = 0.1 the k2 probe (0.55) is NaN.  With the box
+        ending at 0.54 that probe is outside and the member lands on the
+        face; with the box ending at 10 it is a NaN inside the domain and
+        the member stops where it was."""
+        class Holed:
+            def __init__(self, hi):
+                self.domain = Box([-10.0], [hi])
+
+            def velocity(self, configs, t):
+                x = configs[:, 0]
+                bad = ((x > 0.52) & (x < 0.6)) | ~self.domain.contains(configs)
+                return np.where(bad, np.nan, 1.0)[:, None]
+
+        start = Ensemble(configs=np.array([[0.5]]), seed=0)
+        for hi, end in ((0.54, 0.54), (10.0, 0.5)):
+            final, status = integrate_ensemble(start, Holed(hi), 1.0,
+                                               IntegrationControls(dt=0.1))
+            assert list(status) == ["exited"]
+            assert final[0, 0] == end
+
     def test_threaded_recording_bit_identical(self, monkeypatch):
         """Recording runs through the same chunked path for any
         PILOTWAVE_THREADS, with the same result."""
