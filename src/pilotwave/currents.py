@@ -22,6 +22,8 @@ from .matrices import bilinears
 from .units import NATURAL
 from .wavefunction import grid_gradient
 
+# the relative node floor of every guidance velocity (see `guide`)
+RHO_FLOOR_REL = 1e-12
 
 
 def spin_generators(s, hbar=1.0):
@@ -116,20 +118,27 @@ class EmPotential:
 
 @dataclass(frozen=True)
 class CurrentField:
-    """Density and current at the evaluated points, with decomposition."""
+    """Density and current at the evaluated points, with decomposition.
+
+    in_phase is the density the state's closed-form terms would give if
+    they all added in phase, from the same pass (see
+    `ParametricWaveFunction.value_gradient_in_phase`); None for a single
+    term or a grid state."""
     rho: np.ndarray
     j: np.ndarray
     j_c: np.ndarray
     j_s: np.ndarray
+    in_phase: np.ndarray = None
 
 
 def _state_arrays(psi, at, t):
-    """psi values and gradients at points, from closed form or stencils."""
+    """psi values, gradients and in-phase density at points, from one
+    closed-form pass or from stencils (no in-phase density)."""
     at = np.atleast_2d(np.asarray(at, dtype=float))
     if psi.representation == "grid":
         psi.grid.require_inside(at)
-    val, grad = psi.value_and_gradient(at, t=t)
-    return at, val, grad
+        return (at, *psi.value_and_gradient(at, t=t), None)
+    return (at, *psi.value_gradient_in_phase(at, t=t))
 
 
 def _magnetization_terms(val, grad, gens):
@@ -155,7 +164,7 @@ def current(psi, spin, em=None, at=None, t=None):
     m = psi.masses[0]
     hbar = psi.units.hbar
     tt = psi.time if t is None else t
-    at, val, grad = _state_arrays(psi, at, tt)
+    at, val, grad, in_phase = _state_arrays(psi, at, tt)
     n, d = at.shape
 
     rho = np.sum(np.abs(val) ** 2, axis=0)
@@ -179,7 +188,8 @@ def current(psi, spin, em=None, at=None, t=None):
             if jb < d:
                 curl[:, i] -= dmag[jb, kb]
         j_s = (spin.g / (2.0 * m)) * curl
-    return CurrentField(rho=rho, j=j_c + j_s, j_c=j_c, j_s=j_s)
+    return CurrentField(rho=rho, j=j_c + j_s, j_c=j_c, j_s=j_s,
+                        in_phase=in_phase)
 
 
 def spin_eigenstate_current(phi_scalar, chi, spin, at=None, t=None):
@@ -198,7 +208,7 @@ def spin_eigenstate_current(phi_scalar, chi, spin, at=None, t=None):
     m = phi_scalar.masses[0]
     hbar = phi_scalar.units.hbar
     tt = phi_scalar.time if t is None else t
-    at, val, grad = _state_arrays(phi_scalar, at, tt)
+    at, val, grad, _ = _state_arrays(phi_scalar, at, tt)
     n, d = at.shape
     rho = np.abs(val[0]) ** 2
     svec = bilinears(chi[:, None], spin.generators)[:, 0]
@@ -285,32 +295,39 @@ def grid_current_nodes(psi, spin, em=None):
     return j
 
 
-def configuration_velocity(psi, at=None, t=None, rho_floor=0.0):
+def configuration_velocity(psi, at=None, t=None):
     """Spin-0 N-particle guidance velocity in configuration space.
 
     v_k = (hbar / m_k) Im(grad_k psi / psi), returned flattened over the
-    configuration axes, shape (n, config_dim).  Points where the velocity
-    is not finite (psi = 0) get NaN velocity (node encounter), as do
-    points where the density is at or below a positive rho_floor (a
-    scalar or one value per point).  Where the floor is 0 (a single
-    closed-form term) there is no density test: far in a Gaussian tail
-    |psi|^2 underflows to 0 while grad psi / psi is still exact.
+    configuration axes, shape (n, config_dim).  A single closed-form term
+    gives grad log psi in closed form (`log_gradient`), so psi, the
+    division and the density never enter: far in a Gaussian tail the
+    velocity stays exact where psi itself underflows.  Otherwise the
+    velocity is grad psi / psi, and a point is a node encounter (NaN
+    velocity) where it is not finite (psi = 0) or where the density is at
+    or below RHO_FLOOR_REL times the state's in-phase density (a sum whose
+    terms cancel; grid states have no floor).
     """
     if psi.spin_dim != 1:
         raise ShapeError("configuration_velocity covers scalar states")
     tt = psi.time if t is None else t
-    at, val, grad = _state_arrays(psi, at, tt)
+    at = np.atleast_2d(np.asarray(at, dtype=float))
+    dlog = (psi.log_gradient(at, tt) if psi.representation == "parametric"
+            else None)
+    node = False
+    if dlog is None:
+        at, val, grad, in_phase = _state_arrays(psi, at, tt)
+        # psi = 0 divides by zero, a subnormal psi may overflow; the NaN or
+        # inf left behind is the node signal
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            dlog = grad[0] / val[0]
+        if in_phase is not None:
+            floor = RHO_FLOOR_REL * in_phase
+            node = (floor > 0) & ~(np.abs(val[0]) ** 2 > floor)
     hbar = psi.units.hbar
-    rho = np.abs(val[0]) ** 2
     v = np.empty_like(at)
-    # psi = 0 divides by zero, a subnormal psi may overflow; the NaN or
-    # inf left behind is the node signal
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        dlog = grad[0] / val[0]
     for k, axes in enumerate(psi.particle_axes):
         for a in axes:
             v[:, a] = (hbar / psi.masses[k]) * np.imag(dlog[a])
-    bad = (~np.all(np.isfinite(v), axis=1)
-           | (rho_floor > 0) & ~(rho > rho_floor))
-    v[bad] = np.nan
-    return v, rho
+    v[~np.all(np.isfinite(v), axis=1) | node] = np.nan
+    return v

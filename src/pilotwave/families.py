@@ -12,9 +12,21 @@ The family protocol (all static or class methods):
   sampler and the quadratures need
 * ``value_and_gradient(params, x, t, hbar)``: (psi, grad psi), shapes
   (spin_dim, n) and (spin_dim, config_dim, n), from one evaluation of
-  the exponentials, psi identical to ``value``; guidance velocities need
-  both at the same points, so there is no separate gradient kernel
-* ``moduli(params, x, t, hbar)``, optional (see below)
+  the exponentials, psi identical to ``value``; there is no separate
+  gradient kernel
+* ``log_gradient(params, x, t, hbar)``, single scalar terms only:
+  grad log psi, shape (config_dim, n), a rational expression with no
+  exponential in it.  The five single-term families (``plane_wave``,
+  ``gaussian_packet``, ``decaying_pair``, ``post_collapse_pair``,
+  ``correlated_pair``) have it, and their gradient is
+  ``log_gradient * value`` (`_SingleTerm`).  Guidance reads
+  v = (hbar/m) Im grad log psi from it without evaluating psi, so the
+  velocity stays finite where psi underflows.  ``superposition``,
+  ``spinor_product`` and ``plane_wave_sum`` have none: the log-derivative
+  of a sum needs the sum itself, and a spinor component that vanishes
+  identically would make it 0/0, so guidance divides their gradient by
+  psi instead.
+* ``value_gradient_moduli(params, x, t, hbar)``, optional (see below)
 
 Registered families:
 
@@ -31,9 +43,10 @@ Registered families:
 * ``plane_wave_sum``      sum of spinor plane waves with given frequencies
                           (Dirac and DKP states and their reductions)
 
-Families that are sums of terms also provide ``moduli``, the per-spin
-sum of the moduli of their terms (see `term_moduli`), which is what
-guidance compares the density against to tell a node from a tail.
+Families that are sums of terms also provide ``value_gradient_moduli``:
+psi, grad psi and the per-spin sum of the moduli of their terms from the
+one pass that evaluates the terms (see `value_gradient_moduli`), which is
+what guidance compares the density against to tell a node from a tail.
 """
 
 import numpy as np
@@ -62,14 +75,27 @@ def family_names():
     return sorted(_REGISTRY)
 
 
-def term_moduli(fam, params, x, t, hbar=1.0):
-    """sum_i |c_i phi_i| per spin component, shape (spin_dim, n), over the
-    closed-form terms a sum family is built from (nested sums expanded).
+def value_gradient_moduli(fam, params, x, t, hbar=1.0):
+    """(psi, grad psi, moduli) from one pass over the family's terms.
 
-    None for a single closed-form term: it has nothing to cancel.
+    moduli is sum_i |c_i phi_i| per spin component, shape (spin_dim, n),
+    over the closed-form terms a sum family is built from (nested sums
+    expanded); None for a single closed-form term: it has nothing to
+    cancel.
     """
-    moduli = getattr(fam, "moduli", None)
-    return None if moduli is None else moduli(params, x, t, hbar)
+    fused = getattr(fam, "value_gradient_moduli", None)
+    if fused is None:
+        return (*fam.value_and_gradient(params, x, t, hbar), None)
+    return fused(params, x, t, hbar)
+
+
+class _SingleTerm:
+    """A single closed-form scalar term: grad psi = log_gradient * psi."""
+
+    @classmethod
+    def value_and_gradient(cls, params, x, t, hbar=1.0):
+        val = cls.value(params, x, t, hbar)
+        return val, (cls.log_gradient(params, x, t, hbar) * val[0])[None]
 
 
 def _as_points(x, dim):
@@ -83,7 +109,7 @@ def _as_points(x, dim):
 
 
 @register("plane_wave")
-class PlaneWave:
+class PlaneWave(_SingleTerm):
     """exp(i (k.x - omega t)) with the free dispersion omega = hbar k^2/2m."""
 
     @staticmethod
@@ -102,32 +128,39 @@ class PlaneWave:
         omega = hbar * (k @ k) / (2.0 * m)
         return np.exp(1j * (x @ k - omega * t))[None, :]
 
-    @classmethod
-    def value_and_gradient(cls, params, x, t, hbar=1.0):
+    @staticmethod
+    def log_gradient(params, x, t, hbar=1.0):
         k = np.atleast_1d(np.asarray(params["k"], dtype=float))
-        val = cls.value(params, x, t, hbar)
-        return val, 1j * k[None, :, None] * val[:, None, :]
+        n = _as_points(x, len(k)).shape[0]
+        return np.broadcast_to(1j * k[:, None], (len(k), n))
+
+
+def _gauss_width(x, t, x0, sigma, k0, m, hbar):
+    """B = s^2 + i hbar t / 2m and the offset x - xc from the drifting
+    center xc = x0 + hbar k0 t / m."""
+    return sigma**2 + 0.5j * hbar * t / m, x - (x0 + hbar * k0 * t / m)
 
 
 def _gauss_1d(x, t, x0, sigma, k0, m, hbar):
-    """1-D free Gaussian packet and its log-derivative factor.
+    """1-D free Gaussian packet
 
     psi = (2 pi s^2)^(-1/4) * s/sqrt(B) * exp(-(x-xc)^2/(4B) + i k0 (x-x0)
-          - i hbar k0^2 t / 2m),  B = s^2 + i hbar t / 2m.
-    Returns (psi, dlog) with dpsi/dx = dlog * psi.
+          - i hbar k0^2 t / 2m).
     """
-    B = sigma**2 + 0.5j * hbar * t / m
-    xc = x0 + hbar * k0 * t / m
-    xi = x - xc
+    B, xi = _gauss_width(x, t, x0, sigma, k0, m, hbar)
     amp = (2.0 * np.pi * sigma**2) ** -0.25 * sigma / np.sqrt(B)
-    psi = amp * np.exp(-xi**2 / (4.0 * B)
-                       + 1j * k0 * (x - x0) - 0.5j * hbar * k0**2 * t / m)
-    dlog = -xi / (2.0 * B) + 1j * k0
-    return psi, dlog
+    return amp * np.exp(-xi**2 / (4.0 * B)
+                        + 1j * k0 * (x - x0) - 0.5j * hbar * k0**2 * t / m)
+
+
+def _gauss_1d_dlog(x, t, x0, sigma, k0, m, hbar):
+    """d log psi / dx = -(x - xc) / 2B + i k0 of the `_gauss_1d` packet."""
+    B, xi = _gauss_width(x, t, x0, sigma, k0, m, hbar)
+    return -xi / (2.0 * B) + 1j * k0
 
 
 @register("gaussian_packet")
-class GaussianPacket:
+class GaussianPacket(_SingleTerm):
     """Free Gaussian packet, product over axes; exact drift and spreading.
 
     params: center (d,), sigma (scalar or (d,)), k0 (d,), m.
@@ -155,20 +188,17 @@ class GaussianPacket:
         x = _as_points(x, len(c))
         out = np.ones(x.shape[0], dtype=complex)
         for a in range(len(c)):
-            psi, _ = _gauss_1d(x[:, a], t, c[a], s[a], k[a], m, hbar)
-            out = out * psi
+            out = out * _gauss_1d(x[:, a], t, c[a], s[a], k[a], m, hbar)
         return out[None, :]
 
     @classmethod
-    def value_and_gradient(cls, params, x, t, hbar=1.0):
+    def log_gradient(cls, params, x, t, hbar=1.0):
         c, s, k, m = cls._axis_params(params)
         x = _as_points(x, len(c))
-        val = np.ones(x.shape[0], dtype=complex)
         dlog = np.empty((len(c), x.shape[0]), dtype=complex)
         for a in range(len(c)):
-            psi, dlog[a] = _gauss_1d(x[:, a], t, c[a], s[a], k[a], m, hbar)
-            val = val * psi
-        return val[None, :], (dlog * val)[None]
+            dlog[a] = _gauss_1d_dlog(x[:, a], t, c[a], s[a], k[a], m, hbar)
+        return dlog
 
 
 def _pair_beta(alpha, t, mu):
@@ -176,7 +206,7 @@ def _pair_beta(alpha, t, mu):
 
 
 @register("decaying_pair")
-class DecayingPair:
+class DecayingPair(_SingleTerm):
     """Two-particle wave of a decaying system, total momentum zero.
 
     psi = N (pi hbar / beta)^(d/2) exp(-(x1-x2)^2 / (4 hbar beta)),
@@ -210,20 +240,17 @@ class DecayingPair:
         return val[None, :]
 
     @classmethod
-    def value_and_gradient(cls, params, x, t, hbar=1.0):
+    def log_gradient(cls, params, x, t, hbar=1.0):
         d, mu = cls._geom(params)
         x = _as_points(x, 2 * d)
         beta = _pair_beta(params["alpha"], t, mu)
-        val = cls.value(params, x, t, hbar)
         r = (x[:, :d] - x[:, d:]).T   # (d, n)
-        g = np.empty((1, 2 * d, x.shape[0]), dtype=complex)
-        g[0, :d] = -r / (2.0 * hbar * beta) * val[0]
-        g[0, d:] = +r / (2.0 * hbar * beta) * val[0]
-        return val, g
+        return np.concatenate([-r / (2.0 * hbar * beta),
+                               r / (2.0 * hbar * beta)])
 
 
 @register("post_collapse_pair")
-class PostCollapsePair:
+class PostCollapsePair(_SingleTerm):
     """Effective wave of particle 2 after its partner is detected at `a`.
 
     psi = N (pi hbar / beta)^(d/2) exp(-(a - x)^2 / (4 hbar beta)) with
@@ -239,29 +266,30 @@ class PostCollapsePair:
     def spin_dim(params):
         return 1
 
-    @classmethod
-    def value(cls, params, x, t, hbar=1.0):
+    @staticmethod
+    def _offset(params, x, t):
+        """beta and a - x, shape (n, d)."""
         a = np.atleast_1d(np.asarray(params["a"], dtype=float))
         x = _as_points(x, len(a))
         beta = complex(params["alpha0"]) + 0.5j * (t - params.get("t0", 0.0)) / params["m"]
-        u = a[None, :] - x
-        pref = params.get("N", 1.0) * (np.pi * hbar / beta) ** (len(a) / 2.0)
+        return beta, a[None, :] - x
+
+    @classmethod
+    def value(cls, params, x, t, hbar=1.0):
+        beta, u = cls._offset(params, x, t)
+        pref = params.get("N", 1.0) * (np.pi * hbar / beta) ** (u.shape[1] / 2.0)
         val = pref * np.exp(-np.sum(u * u, axis=1) / (4.0 * hbar * beta))
         return val[None, :]
 
     @classmethod
-    def value_and_gradient(cls, params, x, t, hbar=1.0):
-        a = np.atleast_1d(np.asarray(params["a"], dtype=float))
-        x = _as_points(x, len(a))
-        beta = complex(params["alpha0"]) + 0.5j * (t - params.get("t0", 0.0)) / params["m"]
-        val = cls.value(params, x, t, hbar)
-        u = (a[None, :] - x).T
+    def log_gradient(cls, params, x, t, hbar=1.0):
+        beta, u = cls._offset(params, x, t)
         # d/dx of the -(a-x)^2 term
-        return val, (u / (2.0 * hbar * beta) * val[0])[None]
+        return u.T / (2.0 * hbar * beta)
 
 
 @register("correlated_pair")
-class CorrelatedPair:
+class CorrelatedPair(_SingleTerm):
     """Decaying pair with a finite center-of-mass width.
 
     Relative factor equals the decaying_pair wave; the weighted
@@ -286,40 +314,39 @@ class CorrelatedPair:
         return 1
 
     @classmethod
-    def _factors(cls, params, x, t, hbar):
-        d, m1, m2, M, mu = cls._geom(params)
+    def _coords(cls, params, x):
+        """Center of mass X and separation r = x1 - x2, shapes (n, d), and
+        the initial center X0 (d,)."""
+        d, m1, m2, M, _ = cls._geom(params)
         x = _as_points(x, 2 * d)
         x1, x2 = x[:, :d], x[:, d:]
-        X = (m1 * x1 + m2 * x2) / M
-        r = x1 - x2
         X0 = np.broadcast_to(np.asarray(params.get("center", 0.0), dtype=float), (d,))
-        sx = params["sigma_x"]
-        com = np.ones(x.shape[0], dtype=complex)
-        dlog_com = np.empty((d, x.shape[0]), dtype=complex)
-        for a in range(d):
-            f, dl = _gauss_1d(X[:, a], t, X0[a], sx, 0.0, M, hbar)
-            com = com * f
-            dlog_com[a] = dl
-        beta = _pair_beta(params["alpha"], t, mu)
-        rel = (np.pi * hbar / beta) ** (d / 2.0) * np.exp(
-            -np.sum(r * r, axis=1) / (4.0 * hbar * beta))
-        dlog_rel = -r.T / (2.0 * hbar * beta)   # d/dr
-        return com, dlog_com, rel, dlog_rel, (d, m1, m2, M)
+        return (m1 * x1 + m2 * x2) / M, x1 - x2, X0
 
     @classmethod
     def value(cls, params, x, t, hbar=1.0):
-        com, _, rel, _, _ = cls._factors(params, x, t, hbar)
+        d, _, _, M, mu = cls._geom(params)
+        X, r, X0 = cls._coords(params, x)
+        sx = params["sigma_x"]
+        com = np.ones(X.shape[0], dtype=complex)
+        for a in range(d):
+            com = com * _gauss_1d(X[:, a], t, X0[a], sx, 0.0, M, hbar)
+        beta = _pair_beta(params["alpha"], t, mu)
+        rel = (np.pi * hbar / beta) ** (d / 2.0) * np.exp(
+            -np.sum(r * r, axis=1) / (4.0 * hbar * beta))
         return (params.get("N", 1.0) * com * rel)[None, :]
 
     @classmethod
-    def value_and_gradient(cls, params, x, t, hbar=1.0):
-        com, dlc, rel, dlr, (d, m1, m2, M) = cls._factors(params, x, t, hbar)
-        val = params.get("N", 1.0) * com * rel
-        g = np.empty((1, 2 * d, val.shape[0]), dtype=complex)
+    def log_gradient(cls, params, x, t, hbar=1.0):
+        d, m1, m2, M, mu = cls._geom(params)
+        X, r, X0 = cls._coords(params, x)
+        sx = params["sigma_x"]
+        dlc = np.empty((d, X.shape[0]), dtype=complex)   # d/dX
+        for a in range(d):
+            dlc[a] = _gauss_1d_dlog(X[:, a], t, X0[a], sx, 0.0, M, hbar)
+        dlr = -r.T / (2.0 * hbar * _pair_beta(params["alpha"], t, mu))   # d/dr
         # chain rule: d/dx1 = (m1/M) d/dX + d/dr, d/dx2 = (m2/M) d/dX - d/dr
-        g[0, :d] = ((m1 / M) * dlc + dlr) * val
-        g[0, d:] = ((m2 / M) * dlc - dlr) * val
-        return val[None, :], g
+        return np.concatenate([(m1 / M) * dlc + dlr, (m2 / M) * dlc - dlr])
 
 
 @register("superposition")
@@ -364,21 +391,18 @@ class Superposition:
 
     @classmethod
     def value_and_gradient(cls, params, x, t, hbar=1.0):
-        val = grad = None
-        for c, fam, p in cls._parts(params):
-            v, g = fam.value_and_gradient(p, x, t, hbar)
-            v, g = c * v, c * g
-            val, grad = (v, g) if val is None else (val + v, grad + g)
-        return val, grad
+        return cls.value_gradient_moduli(params, x, t, hbar)[:2]
 
     @classmethod
-    def moduli(cls, params, x, t, hbar=1.0):
-        out = 0.0
+    def value_gradient_moduli(cls, params, x, t, hbar=1.0):
+        val = grad = mod = None
         for c, fam, p in cls._parts(params):
-            m = term_moduli(fam, p, x, t, hbar)
-            out = out + abs(c) * (np.abs(fam.value(p, x, t, hbar))
-                                  if m is None else m)
-        return out
+            v, g, m = value_gradient_moduli(fam, p, x, t, hbar)
+            m = abs(c) * (np.abs(v) if m is None else m)
+            v, g = c * v, c * g
+            val, grad, mod = ((v, g, m) if val is None
+                              else (val + v, grad + g, mod + m))
+        return val, grad, mod
 
 
 @register("spinor_product")
@@ -413,16 +437,15 @@ class SpinorProduct:
 
     @classmethod
     def value_and_gradient(cls, params, x, t, hbar=1.0):
-        fam, p, chi = cls._parts(params)
-        v, g = fam.value_and_gradient(p, x, t, hbar)
-        return (chi[:, None] * cls._scalar_only(v)[None, :],
-                chi[:, None, None] * g[0][None, :, :])
+        return cls.value_gradient_moduli(params, x, t, hbar)[:2]
 
     @classmethod
-    def moduli(cls, params, x, t, hbar=1.0):
+    def value_gradient_moduli(cls, params, x, t, hbar=1.0):
         fam, p, chi = cls._parts(params)
-        m = term_moduli(fam, p, x, t, hbar)
-        return None if m is None else np.abs(chi)[:, None] * m[0][None, :]
+        v, g, m = value_gradient_moduli(fam, p, x, t, hbar)
+        return (chi[:, None] * cls._scalar_only(v)[None, :],
+                chi[:, None, None] * g[0][None, :, :],
+                None if m is None else np.abs(chi)[:, None] * m[0][None, :])
 
 
 @register("plane_wave_sum")
@@ -468,10 +491,10 @@ class PlaneWaveSum:
                           1j * np.asarray(params["k"], dtype=float), phases))
 
     @classmethod
-    def moduli(cls, params, x, t, hbar=1.0):
-        n = np.atleast_2d(x).shape[0]
+    def value_gradient_moduli(cls, params, x, t, hbar=1.0):
+        val, grad = cls.value_and_gradient(params, x, t, hbar)
         mod = np.sum(np.abs(params["amps"]), axis=0)
-        return np.repeat(mod[:, None], n, axis=1)
+        return val, grad, np.repeat(mod[:, None], val.shape[1], axis=1)
 
     @staticmethod
     def scale(params):

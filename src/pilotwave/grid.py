@@ -78,21 +78,14 @@ class Grid:
             frac[:, a] = pos - i
         return idx, frac
 
-    def interpolate(self, values, configs):
-        """Multilinear interpolation of node values at configurations.
-
-        values has shape (..., *grid.shape); leading axes are carried along.
-        The grid axes are read as one flat axis: each of the 2^ndim cell
-        corners is one `take` at the lower corner's flat index plus the
-        corner's stride offset.
-        """
+    def corners(self, configs):
+        """The 2^ndim cell corners of multilinear interpolation at configs:
+        a list of (flat node index, weight) pairs, each shaped (npts,)."""
         idx, frac = self.interp_weights(configs)
         npts = idx.shape[0]
-        lead = values.shape[:values.ndim - self.ndim]
-        flat = values.reshape(lead + (-1,))
         base = np.ravel_multi_index(tuple(idx.T), self.points)
         strides = np.cumprod((1,) + self.points[:0:-1])[::-1]
-        out = np.zeros(lead + (npts,), dtype=values.dtype)
+        out = []
         for corner in range(1 << self.ndim):
             offset = 0
             w = np.ones(npts)
@@ -102,5 +95,22 @@ class Grid:
                     w = w * frac[:, a]
                 else:
                     w = w * (1.0 - frac[:, a])
-            out += np.take(flat, base + offset, axis=-1) * w
+            out.append((base + offset, w))
+        return out
+
+    def interpolate(self, values, configs, corners=None):
+        """Multilinear interpolation of node values at configurations.
+
+        values has shape (..., *grid.shape); leading axes are carried along.
+        The grid axes are read as one flat axis: each of the 2^ndim cell
+        corners is one `take` at its flat index.  `corners`, when given, is
+        `corners(configs)`, computed once for several value arrays.
+        """
+        if corners is None:
+            corners = self.corners(configs)
+        lead = values.shape[:values.ndim - self.ndim]
+        flat = values.reshape(lead + (-1,))
+        out = np.zeros(lead + corners[0][0].shape, dtype=values.dtype)
+        for index, w in corners:
+            out += np.take(flat, index, axis=-1) * w
         return out

@@ -18,11 +18,14 @@ The node floor is the constant RHO_FLOOR_REL, relative to the wave at
 the evaluated point, never to other members: a closed-form superposition
 has a node where |psi|^2 <= RHO_FLOOR_REL * (sum_i |c_i phi_i|)^2, i.e.
 where its terms cancel (which is also where Im(grad psi / psi) loses its
-digits); a single closed-form term has no floor and is a node only where
-the velocity is not finite, so a Gaussian tail is followed past the
-point where rho = |psi|^2 underflows to 0, until psi itself does.  Grid
-snapshots have no terms to compare against and use RHO_FLOOR_REL times
-the largest snapshot density.
+digits); the moduli |c_i phi_i| come from the pass that evaluates the
+terms.  A single closed-form scalar term has no floor and no division:
+its velocity is (hbar/m) Im grad log psi from the family's closed-form
+log-derivative, which never evaluates psi, so a Gaussian tail is followed
+also where psi itself underflows to 0.  A single-term spinor still
+divides j by rho and is a node where both underflow.  Grid snapshots
+have no terms to compare against and use RHO_FLOOR_REL times the
+largest snapshot density.
 
 The ensemble sampler draws from |psi|^2 by rejection against a fitted
 Gaussian (or uniform) envelope using the counter-based Philox generator,
@@ -36,7 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .currents import current, configuration_velocity, grid_current_nodes
+from .currents import (RHO_FLOOR_REL, current, configuration_velocity,
+                       grid_current_nodes)
 from .errors import (NoFluxError, NotSeparatedError, PilotWaveError,
                      SamplerFailureError, ShapeError)
 from .evolve import Propagator, propagate_to, step
@@ -44,7 +48,6 @@ from .grid import Grid
 from .wavefunction import GridWaveFunction, grid_gradient
 
 KS_CRITICAL_1PCT = 1.628  # sup|F_n - F| * sqrt(n) at the 1% level
-RHO_FLOOR_REL = 1e-12
 
 STATUS_OK = "ok"
 STATUS_NODE = "node_encounter"
@@ -142,15 +145,13 @@ class ParametricVelocity:
 
     def velocity(self, configs, t):
         psi = self.psi
-        in_phase = psi.in_phase_density(configs, t)
-        floor = 0.0 if in_phase is None else RHO_FLOOR_REL * in_phase
         if psi.spin_dim == 1:
-            v, rho = configuration_velocity(psi, configs, t, rho_floor=floor)
-            return v
+            return configuration_velocity(psi, configs, t)
         f = current(psi, self.spin, em=self.em, at=configs, t=t)
         d = configs.shape[1]
         with np.errstate(divide="ignore", invalid="ignore"):
             v = f.j[:, :d] / f.rho[:, None]
+        floor = 0.0 if f.in_phase is None else RHO_FLOOR_REL * f.in_phase
         v[~(f.rho > floor)] = np.nan
         return v
 
@@ -198,11 +199,14 @@ class SnapshotVelocity:
         v = np.full_like(np.asarray(configs, dtype=float), np.nan)
         if np.any(inside):
             pts = configs[inside]
-            # interpolate at the points first, then blend in time
+            # interpolate at the points first, then blend in time; both
+            # snapshots share the cell corners
             lo, hi, w = self._pair(t)
-            f = self.grid.interpolate(self.fields[lo], pts)
+            corners = self.grid.corners(pts)
+            f = self.grid.interpolate(self.fields[lo], pts, corners)
             if w:
-                f = (1 - w) * f + w * self.grid.interpolate(self.fields[hi], pts)
+                f = (1 - w) * f + w * self.grid.interpolate(
+                    self.fields[hi], pts, corners)
             rho_p, j_p = f[0], f[1:]                 # j_p: (ndim, npts)
             vv = np.where(rho_p > self.floor, 1.0, np.nan)[None, :] * j_p \
                 / np.where(rho_p > self.floor, rho_p, 1.0)[None, :]

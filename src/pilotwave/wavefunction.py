@@ -63,19 +63,35 @@ class ParametricWaveFunction:
         """Spatial gradient, shape (spin_dim, config_dim, npoints)."""
         return self.value_and_gradient(configs, t)[1]
 
+    def log_gradient(self, configs, t=None):
+        """grad log psi, shape (config_dim, npoints), without evaluating
+        psi; None unless the family is a single closed-form scalar term."""
+        fam = families.get_family(self.family)
+        if not hasattr(fam, "log_gradient"):
+            return None
+        return fam.log_gradient(self.params, configs,
+                                self.time if t is None else t,
+                                hbar=self.units.hbar)
+
+    def value_gradient_in_phase(self, configs, t=None):
+        """(evaluate, gradient, in-phase density) from one family pass.
+
+        The in-phase density (sum_i |c_i phi_i|)^2, summed over spin
+        components, shape (n,), is the density the state's terms would
+        give if they all added in phase.  None for a single closed-form
+        term (nothing can cancel)."""
+        val, grad, mod = families.value_gradient_moduli(
+            families.get_family(self.family), self.params, configs,
+            self.time if t is None else t, hbar=self.units.hbar)
+        return val, grad, None if mod is None else np.sum(mod**2, axis=0)
+
     def density(self, configs, t=None):
         v = self.evaluate(configs, t)
         return np.sum(np.abs(v) ** 2, axis=0)
 
     def in_phase_density(self, configs, t=None):
-        """(sum_i |c_i phi_i|)^2 summed over spin components, shape (n,):
-        the density the state's terms would give if they all added in
-        phase.  None for a single closed-form term (nothing can cancel)."""
-        fam = families.get_family(self.family)
-        mod = families.term_moduli(fam, self.params, configs,
-                                   self.time if t is None else t,
-                                   hbar=self.units.hbar)
-        return None if mod is None else np.sum(mod**2, axis=0)
+        """The in-phase density of `value_gradient_in_phase`."""
+        return self.value_gradient_in_phase(configs, t)[2]
 
     def at_time(self, t):
         """Same state at another time (families are exact free solutions)."""

@@ -1,9 +1,10 @@
-"""Hypothesis strategies for random relativistic states and observers.
+"""Hypothesis strategies for random states and observers.
 
-Shared by the DKP and Dirac property tests.  Coefficients and
-polarizations are bounded away from zero so a drawn state is never
-identically zero; everything else (momenta, signs, spins, term counts,
-observer boosts) ranges freely.
+Shared by the DKP and Dirac property tests and the closed-form family
+tests.  Coefficients and polarizations are bounded away from zero so a
+drawn state is never identically zero; everything else (momenta, signs,
+spins, term counts, observer boosts) ranges freely.  Widths and masses
+are bounded away from zero so a single closed-form term is finite.
 """
 
 import numpy as np
@@ -90,3 +91,49 @@ def dirac_states(draw, n_particles=1):
     if n_particles == 2 and draw(st.booleans()):
         state = state.antisymmetrized()
     return state
+
+
+_widths = st.floats(0.3, 2.0)
+
+
+def _axis_vector(d, lo=-2.0, hi=2.0):
+    return arrays(float, d, elements=st.floats(lo, hi))
+
+
+@st.composite
+def single_term_states(draw):
+    """(family name, params, masses) of a random single closed-form
+    scalar term: one of the five families that have a log-derivative."""
+    name = draw(st.sampled_from(["plane_wave", "gaussian_packet",
+                                 "decaying_pair", "post_collapse_pair",
+                                 "correlated_pair"]))
+    d = draw(st.integers(1, 3))
+    if name == "plane_wave":
+        m = draw(masses)
+        return name, {"k": draw(_axis_vector(d)), "m": m}, [m]
+    if name == "gaussian_packet":
+        m = draw(masses)
+        sigma = draw(st.one_of(_widths, arrays(float, d, elements=_widths)))
+        return name, {"center": draw(_axis_vector(d)), "sigma": sigma,
+                      "k0": draw(_axis_vector(d)), "m": m}, [m]
+    if name == "post_collapse_pair":
+        m = draw(masses)
+        alpha0 = draw(_widths) + 1j * draw(st.floats(-1.0, 1.0))
+        return name, {"a": draw(_axis_vector(d)), "alpha0": alpha0,
+                      "t0": draw(st.floats(0.0, 1.0)), "m": m,
+                      "N": draw(st.floats(0.1, 2.0))}, [m]
+    m1, m2 = draw(masses), draw(masses)
+    params = {"alpha": draw(_widths), "m1": m1, "m2": m2, "d": d,
+              "N": draw(st.floats(0.1, 2.0))}
+    if name == "correlated_pair":
+        params["sigma_x"] = draw(_widths)
+        params["center"] = draw(st.one_of(st.floats(-1.0, 1.0),
+                                          _axis_vector(d, -1.0, 1.0)))
+    return name, params, [m1, m2]
+
+
+def config_points(config_dim, n=N_POINTS):
+    """n configurations in [-3, 3]^config_dim."""
+    return arrays(float, (n, config_dim),
+                  elements=st.floats(-3.0, 3.0, allow_nan=False,
+                                     allow_infinity=False))

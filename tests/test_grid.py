@@ -80,3 +80,20 @@ def test_point_outside_raises(name):
     pts[0, -1] += 1e-9
     with pytest.raises(DomainError):
         grid.interpolate(np.zeros(grid.shape), pts)
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_shared_corners_blend_bit_identical(name):
+    """Two snapshots blended in time through one set of corners equal the
+    blend of two independent interpolate calls."""
+    grid = GRIDS[name]
+    rng = np.random.default_rng(11)
+    lo, hi = rng.standard_normal((2, 3) + grid.shape)
+    pts = probe_points(grid, rng)
+    w = 0.3
+    corners = grid.corners(pts)
+    shared = ((1 - w) * grid.interpolate(lo, pts, corners)
+              + w * grid.interpolate(hi, pts, corners))
+    apart = ((1 - w) * grid.interpolate(lo, pts)
+             + w * grid.interpolate(hi, pts))
+    np.testing.assert_array_equal(shared, apart)

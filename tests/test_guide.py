@@ -6,7 +6,8 @@ import pytest
 from pilotwave.currents import SpinSpec, grid_current_nodes
 from pilotwave.errors import NoFluxError, SamplerFailureError, ShapeError
 from pilotwave.evolve import Propagator, propagate_to
-from pilotwave.families import CorrelatedPair
+from pilotwave import families
+from pilotwave.families import PlaneWave, get_family
 from pilotwave.grid import Grid
 from pilotwave.guide import (BeableConfig, Box, Ensemble, IntegrationControls,
                              KS_CRITICAL_1PCT, ParametricVelocity,
@@ -122,21 +123,22 @@ class TestTrajectories:
                                    rtol=1e-7)
 
     def test_far_tail_members_follow_closed_form(self):
-        """At 40-50 sigma |psi|^2 underflows to 0 while grad psi / psi is
-        still exact: those members stay on the closed form.  At 54 sigma
-        psi itself underflows and the member is a node."""
+        """At 40-54 sigma |psi|^2 underflows to 0, at 54 sigma psi is
+        subnormal and at 200 sigma it is 0, while grad log psi is a closed
+        form: every member stays on the closed-form trajectory."""
         sigma, m, k0 = 0.8, 1.0, 0.5
         psi = gaussian(sigma=sigma, k0=k0, m=m)
-        starts = np.array([40.0, 45.0, 50.0, 54.0]) * sigma
+        starts = np.array([40.0, 45.0, 50.0, 54.0, 200.0]) * sigma
         assert np.all(psi.density(starts[:, None]) == 0)
+        assert psi.evaluate(starts[-1:, None])[0, 0] == 0
         t = 0.5
         final, status = integrate_ensemble(
             Ensemble(configs=starts[:, None], seed=0), velocity_source(psi),
             t, IntegrationControls(dt=2e-3))
-        assert list(status) == ["ok"] * 3 + ["node_encounter"]
+        assert list(status) == ["ok"] * 5
         st = sigma * np.sqrt(1 + (t / (2 * m * sigma**2)) ** 2)
         np.testing.assert_allclose(
-            final[:3, 0], k0 * t / m + starts[:3] * st / sigma, rtol=1e-13)
+            final[:, 0], k0 * t / m + starts * st / sigma, rtol=1e-13)
 
     @pytest.mark.parametrize("spinor", [False, True])
     def test_superposition_nodes_detected(self, spinor):
@@ -198,18 +200,50 @@ class TestTrajectories:
             assert np.all(np.diff(snap[:, 0]) > 0)
 
     def test_velocity_evaluates_the_state_once(self, monkeypatch):
-        """One velocity call makes one pass over the closed form."""
+        """One velocity call on a single closed-form term makes one
+        log-derivative pass and never evaluates psi."""
+        for psi in (correlated_pair(), gaussian()):
+            fam = get_family(psi.family)
+            calls = {"log_gradient": 0, "value": 0, "value_and_gradient": 0,
+                     "_gauss_1d": 0}
+
+            def counted(name, fn):
+                def wrapper(*args, **kwargs):
+                    calls[name] += 1
+                    return fn(*args, **kwargs)
+                return wrapper
+
+            with monkeypatch.context() as mp:
+                for name in ("log_gradient", "value", "value_and_gradient"):
+                    mp.setattr(fam, name, counted(name, getattr(fam, name)))
+                mp.setattr(families, "_gauss_1d",
+                           counted("_gauss_1d", families._gauss_1d))
+                pts = np.random.default_rng(0).normal(size=(16, psi.config_dim))
+                v = ParametricVelocity(psi).velocity(pts, 0.4)
+            assert np.all(np.isfinite(v))
+            assert calls == {"log_gradient": 1, "value": 0,
+                             "value_and_gradient": 0, "_gauss_1d": 0}, psi.family
+
+    def test_superposition_evaluates_each_leaf_once(self, monkeypatch):
+        """The node floor's term moduli come from the pass that evaluates
+        the terms: a two-term superposition evaluates each leaf once."""
         calls = []
-        factors = CorrelatedPair._factors
+        value = PlaneWave.value
 
-        def counted(cls, *args, **kwargs):
+        def counted(*args, **kwargs):
             calls.append(1)
-            return factors(*args, **kwargs)
+            return value(*args, **kwargs)
 
-        monkeypatch.setattr(CorrelatedPair, "_factors", classmethod(counted))
-        pts = np.random.default_rng(0).normal(size=(16, 2))
-        ParametricVelocity(correlated_pair()).velocity(pts, 0.4)
-        assert len(calls) == 1
+        monkeypatch.setattr(PlaneWave, "value", staticmethod(counted))
+        psi = ParametricWaveFunction(
+            "superposition",
+            {"components": [(1.0, "plane_wave", {"k": [1.0], "m": 1.0}),
+                            (0.5j, "plane_wave", {"k": [-2.0], "m": 1.0})]},
+            [1.0])
+        pts = np.random.default_rng(0).normal(size=(16, 1))
+        v = ParametricVelocity(psi).velocity(pts, 0.4)
+        assert np.all(np.isfinite(v))
+        assert len(calls) == 2
 
     def test_threads_bit_identical(self, monkeypatch):
         """PILOTWAVE_THREADS changes the schedule, never the result."""

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import strategies as rs
 from pilotwave.dkp import build_dkp_state
 from pilotwave.errors import ConfigurationError, DomainError
 from pilotwave.families import family_names, get_family
 from pilotwave.grid import Grid
+from pilotwave.guide import ParametricVelocity
 from pilotwave.reldirac import PlaneWaveSpinorState, free_spinor
 from pilotwave.wavefunction import (GridWaveFunction, ParametricWaveFunction,
                                     evaluate)
@@ -339,3 +341,157 @@ class TestFamilyProtocol:
     def test_no_family_keeps_a_separate_gradient(self):
         assert [n for n in family_names()
                 if hasattr(get_family(n), "gradient")] == []
+
+
+# value_and_gradient of the five single-term families as they were
+# written before the gradient became log_gradient * value
+def _parent_gauss_1d(x, t, x0, sigma, k0, m, hbar):
+    B = sigma**2 + 0.5j * hbar * t / m
+    xc = x0 + hbar * k0 * t / m
+    xi = x - xc
+    amp = (2.0 * np.pi * sigma**2) ** -0.25 * sigma / np.sqrt(B)
+    psi = amp * np.exp(-xi**2 / (4.0 * B)
+                       + 1j * k0 * (x - x0) - 0.5j * hbar * k0**2 * t / m)
+    return psi, -xi / (2.0 * B) + 1j * k0
+
+
+def _parent_plane_wave(p, x, t, hbar):
+    k = np.atleast_1d(np.asarray(p["k"], dtype=float))
+    omega = hbar * (k @ k) / (2.0 * p["m"])
+    val = np.exp(1j * (x @ k - omega * t))[None, :]
+    return val, 1j * k[None, :, None] * val[:, None, :]
+
+
+def _parent_gaussian_packet(p, x, t, hbar):
+    c = np.atleast_1d(np.asarray(p["center"], dtype=float))
+    d = len(c)
+    s = np.broadcast_to(np.asarray(p["sigma"], dtype=float), (d,))
+    k = np.broadcast_to(np.asarray(p.get("k0", 0.0), dtype=float), (d,))
+    val = np.ones(x.shape[0], dtype=complex)
+    dlog = np.empty((d, x.shape[0]), dtype=complex)
+    for a in range(d):
+        psi, dlog[a] = _parent_gauss_1d(x[:, a], t, c[a], s[a], k[a], p["m"],
+                                        hbar)
+        val = val * psi
+    return val[None, :], (dlog * val)[None]
+
+
+def _parent_decaying_pair(p, x, t, hbar):
+    d = int(p.get("d", 3))
+    mu = p["m1"] * p["m2"] / (p["m1"] + p["m2"])
+    beta = p["alpha"] + 0.5j * t / mu
+    r = x[:, :d] - x[:, d:]
+    pref = p.get("N", 1.0) * (np.pi * hbar / beta) ** (d / 2.0)
+    val = (pref * np.exp(-np.sum(r * r, axis=1) / (4.0 * hbar * beta)))[None]
+    r = r.T
+    g = np.empty((1, 2 * d, x.shape[0]), dtype=complex)
+    g[0, :d] = -r / (2.0 * hbar * beta) * val[0]
+    g[0, d:] = +r / (2.0 * hbar * beta) * val[0]
+    return val, g
+
+
+def _parent_post_collapse_pair(p, x, t, hbar):
+    a = np.atleast_1d(np.asarray(p["a"], dtype=float))
+    beta = complex(p["alpha0"]) + 0.5j * (t - p.get("t0", 0.0)) / p["m"]
+    u = a[None, :] - x
+    pref = p.get("N", 1.0) * (np.pi * hbar / beta) ** (len(a) / 2.0)
+    val = (pref * np.exp(-np.sum(u * u, axis=1) / (4.0 * hbar * beta)))[None]
+    return val, (u.T / (2.0 * hbar * beta) * val[0])[None]
+
+
+def _parent_correlated_pair(p, x, t, hbar):
+    d, m1, m2 = int(p.get("d", 3)), p["m1"], p["m2"]
+    M, mu = m1 + m2, m1 * m2 / (m1 + m2)
+    x1, x2 = x[:, :d], x[:, d:]
+    X = (m1 * x1 + m2 * x2) / M
+    r = x1 - x2
+    X0 = np.broadcast_to(np.asarray(p.get("center", 0.0), dtype=float), (d,))
+    com = np.ones(x.shape[0], dtype=complex)
+    dlc = np.empty((d, x.shape[0]), dtype=complex)
+    for a in range(d):
+        f, dlc[a] = _parent_gauss_1d(X[:, a], t, X0[a], p["sigma_x"], 0.0, M,
+                                     hbar)
+        com = com * f
+    beta = p["alpha"] + 0.5j * t / mu
+    rel = (np.pi * hbar / beta) ** (d / 2.0) * np.exp(
+        -np.sum(r * r, axis=1) / (4.0 * hbar * beta))
+    dlr = -r.T / (2.0 * hbar * beta)
+    val = p.get("N", 1.0) * com * rel
+    g = np.empty((1, 2 * d, val.shape[0]), dtype=complex)
+    g[0, :d] = ((m1 / M) * dlc + dlr) * val
+    g[0, d:] = ((m2 / M) * dlc - dlr) * val
+    return val[None, :], g
+
+
+PARENT_VALUE_AND_GRADIENT = {
+    "plane_wave": _parent_plane_wave,
+    "gaussian_packet": _parent_gaussian_packet,
+    "decaying_pair": _parent_decaying_pair,
+    "post_collapse_pair": _parent_post_collapse_pair,
+    "correlated_pair": _parent_correlated_pair,
+}
+
+
+@hst.composite
+def _term_at_points(draw):
+    name, params, masses = draw(rs.single_term_states())
+    fam = get_family(name)
+    x = draw(rs.config_points(fam.config_dim(params)))
+    return name, params, masses, x
+
+
+def _normal(z):
+    return (np.abs(z) >= np.finfo(float).tiny) & np.isfinite(z)
+
+
+class TestLogGradient:
+    """The single-term families' log-derivative, over random states."""
+
+    def test_exactly_the_single_terms_have_one(self):
+        assert sorted(n for n in family_names()
+                      if hasattr(get_family(n), "log_gradient")) \
+            == sorted(PARENT_VALUE_AND_GRADIENT)
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=_term_at_points(), t=rs.times, hbar=hst.floats(0.5, 2.0))
+    def test_log_gradient_is_grad_over_value(self, case, t, hbar):
+        name, params, _, x = case
+        fam = get_family(name)
+        dlog = fam.log_gradient(params, x, t, hbar)
+        val, grad = fam.value_and_gradient(params, x, t, hbar)
+        assert dlog.shape == (fam.config_dim(params), len(x))
+        assert np.all(np.isfinite(dlog))
+        ok = _normal(val[0]) & np.all(_normal(grad[0]) | (grad[0] == 0), axis=0)
+        np.testing.assert_allclose(dlog[:, ok], grad[0][:, ok] / val[0][ok],
+                                   rtol=1e-12, atol=0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=_term_at_points(), t=rs.times, hbar=hst.floats(0.5, 2.0))
+    def test_value_and_gradient_unchanged(self, case, t, hbar):
+        name, params, _, x = case
+        got = get_family(name).value_and_gradient(params, x, t, hbar)
+        want = PARENT_VALUE_AND_GRADIENT[name](params, x, t, hbar)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=_term_at_points(), t=rs.times,
+           log_s=hst.floats(-100.0, 100.0), theta=hst.floats(0.0, 2 * np.pi))
+    def test_velocity_invariant_under_global_scale_and_phase(
+            self, case, t, log_s, theta):
+        """A one-component superposition s e^{i theta} psi (gradient form,
+        node floor) moves members as psi does (log-derivative form)."""
+        name, params, masses, x = case
+        coef = 10.0**log_s * np.exp(1j * theta)
+        bare = ParametricWaveFunction(name, params, masses)
+        scaled = ParametricWaveFunction(
+            "superposition", {"components": [(coef, name, params)]}, masses)
+        v_bare = ParametricVelocity(bare).velocity(x, t)
+        v_scaled = ParametricVelocity(scaled).velocity(x, t)
+        assert np.all(np.isfinite(v_bare))
+        # where |s psi|^2 and the node floor 1e-12 |s psi|^2 are normal
+        rho = np.abs(coef * bare.evaluate(x, t)[0]) ** 2
+        ok = np.isfinite(rho) & (1e-12 * rho >= np.finfo(float).tiny)
+        scale = np.max(np.abs(bare.log_gradient(x, t)), axis=0) / min(masses)
+        assert np.all(np.abs(v_scaled[ok] - v_bare[ok])
+                      <= 1e-12 * scale[ok, None])
