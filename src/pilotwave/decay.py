@@ -376,13 +376,14 @@ def energy_shell_profile(spec, x_max=50.0, n=20001):
 
 
 class _ConvergingGaussianSource:
-    """Guidance velocities of a converging Gaussian beam.
+    """Guidance velocities of a converging Gaussian beam, and their flow.
 
     The beam center moves from the lens plane along the chief-ray axis
     at uniform speed v and focuses at t_focus with transverse waist w;
     transverse offsets follow the Gaussian flow d(offset)/dt =
     offset * sigma'/sigma (the exact Bohmian velocity field of a
-    contracting Gaussian factor)."""
+    contracting Gaussian factor), which `flow` integrates in closed
+    form (Holland, The Quantum Theory of Motion, 1993, sec. 4.7)."""
 
     def __init__(self, axis_point, axis_dir, v, w, t_focus, m, hbar):
         self.p0 = axis_point
@@ -410,19 +411,47 @@ class _ConvergingGaussianSource:
         rate = self.dsigma(t) / self.sigma(t)
         return self.v * self.u[None, :] + off_perp * rate
 
+    def _offsets(self, starts):
+        off = starts - self.p0
+        off_par = (off @ self.u)[:, None] * self.u
+        return off_par, off - off_par
 
-def _run_to_plane(source, x_plane, starts, horizon, dt, where):
-    """Recorded runs toward -x in the domain x >= x_plane: the landing
-    points (n, 3) and the record (times, track).  PhysicsError if a run
-    has not reached the plane by the horizon."""
-    source.domain = Box([x_plane, -np.inf, -np.inf], [np.inf] * 3)
-    hits, status, rec = integrate_ensemble(
-        Ensemble(configs=starts, seed=0), source, horizon,
-        IntegrationControls(dt=dt, record_every=IMAGING_RECORD_EVERY),
-        record=True)
-    if np.any(status != STATUS_EXITED):
-        raise PhysicsError(f"some runs never reached the {where}")
-    return hits, rec
+    def flow(self, starts, t):
+        """Positions at time t of the runs that start at `starts` (n, 3)
+        at t = 0: the offset from the center along u stays, the offset
+        across u scales as sigma(t)/sigma(0).  t broadcasts against the
+        runs: a scalar or (n,) gives (n, 3), (T, 1) gives (T, n, 3)."""
+        off_par, off_perp = self._offsets(starts)
+        t = np.asarray(t, dtype=float)[..., None]
+        return (self.center(t) + off_par
+                + off_perp * (self.sigma(t) / self.sigma(0.0)))
+
+    def first_crossing(self, starts, x_plane, t_end):
+        """The first time in (0, t_end] at which each run's x falls to
+        x_plane (the runs start above it), and whether there is one.
+
+        x(t) - x_plane = g0 + b t + beta sqrt(1 + (spread (t - t_focus))^2)
+        is a line plus a hyperbola: convex for beta > 0, concave
+        otherwise.  A concave one has at most one root after t = 0; a
+        convex one falls until its minimum, so its first root lies before
+        that.  Bisection on (0, t_fall], t_fall the earlier of the minimum
+        and t_end, finds the root to the last bit."""
+        b = self.v * self.u[0]
+        beta = self._offsets(starts)[1][:, 0] * self.w / self.sigma(0.0)
+        c = self.spread
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            # g' = 0 where c s / sqrt(1 + c^2 s^2) = q, s = t - t_focus
+            q = np.clip(-b / (beta * c), -1.0, 1.0)
+            t_min = self.t_focus + q / (c * np.sqrt(1.0 - q * q))
+        t_fall = np.where(beta > 0, np.clip(t_min, 0.0, t_end), t_end)
+        reached = self.flow(starts, t_fall)[:, 0] <= x_plane
+        lo, hi = np.zeros_like(t_fall), t_fall
+        # t_fall / 2^64 is below an ulp of any crossing after t_fall / 2^11
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            past = self.flow(starts, mid)[:, 0] <= x_plane
+            lo, hi = np.where(past, lo, mid), np.where(past, mid, hi)
+        return hi, reached
 
 
 def imaging_trajectories(spec, lens, a, n, seed=20250101, sigma_com=None,
@@ -437,22 +466,26 @@ def imaging_trajectories(spec, lens, a, n, seed=20250101, sigma_com=None,
     kink the path, and the whole pre-lens trajectory is the straight
     line through the per-run decay point (integrated here with RK4 on
     the collapsed-wave velocity field, starting from the decay point).
-    At the lens, the wave turns into a converging Gaussian with waist w
-    focused at the thin-lens image of `a`; beable 2 follows its
-    contraction to the image plane.
+    At the lens, the wave turns into a Gaussian beam whose center leaves
+    the lens center along the chief ray toward the thin-lens image of
+    `a` at speed v, contracting to its waist w at t_focus = S'/v, where
+    the center is at x = -S'^2 / |image point| (on the image plane only
+    for on-axis detection).  Beable 2 follows the beam's flow, taken in
+    closed form, to the image plane.
 
     The pre-lens time axis is parametrized from the collapse-wave birth
     rather than the lab clock (the spatial paths, which are what the
     endpoint statistics and figures use, are unaffected).  `a` is the
     3-vector detection point with a[0] == S.
 
-    `lens_hits` and `endpoints` (n, 3) are where the runs stop: the
-    phases' domains end at x = 0 and x = -S', so a run lands where its
-    RK4 step crosses the plane, with x set to it exactly.  The horizons
-    are only caps (PhysicsError if a run has not landed by then).
-    `post_lens_times` and `post_lens_track` (T, n, 3) record the
-    post-lens phase up to its cap; rows after a run lands repeat its
-    landing point.
+    `lens_hits` and `endpoints` (n, 3) are where the runs stop, with x
+    set to the plane's exactly: a run lands at the lens where its RK4
+    step crosses x = 0, and at the image plane at the first time its
+    flow reaches x = -S'.  The horizons are only caps (PhysicsError if a
+    run has not landed by then).  `post_lens_times` and
+    `post_lens_track` (T, n, 3) record the post-lens phase up to its
+    cap, every IMAGING_RECORD_EVERY steps of t_focus / 2000 and at the
+    cap; rows from a run's landing time on repeat its landing point.
     """
     if abs(spec.m1 - spec.m2) > 1e-12 * spec.m1:
         raise PhysicsError("the imaging geometry assumes equal masses")
@@ -484,8 +517,13 @@ def imaging_trajectories(spec, lens, a, n, seed=20250101, sigma_com=None,
     g = s / (s - decay[:, 0])
     dt = tau / 100
     horizon = dt * np.ceil(1.5 * tau * np.sqrt(np.max(g) ** 2 - 1.0) / dt)
-    lens_hit, (_, track) = _run_to_plane(src, 0.0, decay, horizon, dt,
-                                         "lens plane")
+    src.domain = Box([0.0, -np.inf, -np.inf], [np.inf] * 3)
+    lens_hit, status, (_, track) = integrate_ensemble(
+        Ensemble(configs=decay, seed=0), src, horizon,
+        IntegrationControls(dt=dt, record_every=IMAGING_RECORD_EVERY),
+        record=True)
+    if np.any(status != STATUS_EXITED):
+        raise PhysicsError("some runs never reached the lens plane")
     # each run's track up to its landing row, the first with x = 0
     k_lens = np.argmax(track[:, :, 0] <= 0.0, axis=0)
     pre_lens = [track[:k + 1, i] for i, k in enumerate(k_lens)]
@@ -512,8 +550,20 @@ def imaging_trajectories(spec, lens, a, n, seed=20250101, sigma_com=None,
     # center has moved (S' + 2 r) / |u_x|.
     reach = np.max(np.linalg.norm(lens_hit, axis=1))
     t_end = (s_im + 2.0 * reach) / (v * abs(beam.u[0]))
-    endpoints, (ptimes, ptrack) = _run_to_plane(
-        beam, -s_im, lens_hit, t_end, t_focus / 2000, "image plane")
+    t_land, reached = beam.first_crossing(lens_hit, -s_im, t_end)
+    if not np.all(reached):
+        raise PhysicsError("some runs never reached the image plane")
+    endpoints = beam.flow(lens_hit, t_land)
+    endpoints[:, 0] = -s_im
+    # the record clock of an RK4 run to t_end in steps of t_focus / 2000
+    dt = t_focus / 2000
+    nsteps = max(1, int(np.ceil(t_end / dt - 1e-12)))
+    steps = np.full(nsteps, dt)
+    steps[-1] = t_end - (nsteps - 1) * dt
+    clock = np.concatenate([[0.0], np.cumsum(steps)])
+    ptimes = clock[np.r_[0:nsteps:IMAGING_RECORD_EVERY, nsteps]]
+    ptrack = np.where((ptimes[:, None] >= t_land)[..., None], endpoints,
+                      beam.flow(lens_hit, ptimes[:, None]))
     mean_end = endpoints.mean(axis=0)
     return {"decay_points": decay, "lens_hits": lens_hit,
             "pre_lens": pre_lens, "post_lens_times": ptimes,

@@ -192,7 +192,7 @@ class TestContinuity:
 
 
 class TestInvariants:
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(st.floats(-2, 2), st.floats(-2, 2), st.floats(0.3, 2.0),
            st.floats(-1, 1), st.floats(-1, 1))
     def test_decomposition_pointwise(self, kx, ky, sigma, c_re, c_im):

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pilotwave import decay
 from pilotwave.decay import (DecayPairSpec, EnergyShellSpec, LensSpec,
@@ -11,6 +14,8 @@ from pilotwave.decay import (DecayPairSpec, EnergyShellSpec, LensSpec,
                              pair_trajectories, pair_wavefunction,
                              variance_evolution)
 from pilotwave.errors import ConfigurationError, PhysicsError
+from pilotwave.guide import (STATUS_EXITED, Box, Ensemble, IntegrationControls,
+                             integrate_ensemble)
 
 EQUAL = DecayPairSpec(alpha=1.0, m1=1.0, m2=1.0)
 
@@ -294,3 +299,107 @@ class TestImaging:
         with pytest.raises(PhysicsError):
             imaging_trajectories(DecayPairSpec(alpha=0.01, m1=1.0, m2=2.0),
                                  lens, [2.0, 0, 0], n=10)
+
+
+@st.composite
+def beams(draw):
+    """A converging beam (m = hbar = 1) heading toward -x, and starts."""
+    axis = draw(arrays(float, 3, elements=st.floats(-1.0, 1.0)))
+    axis[0] = -draw(st.floats(0.2, 1.0))
+    t_focus = draw(st.floats(0.1, 1.0))
+    beam = decay._ConvergingGaussianSource(
+        np.zeros(3), axis, draw(st.floats(0.5, 10.0)),
+        draw(st.floats(0.05, 0.5)), t_focus, 1.0, 1.0)
+    starts = draw(arrays(float, (5, 3), elements=st.floats(-0.5, 0.5)))
+    return beam, starts
+
+
+class TestImagingFlow:
+    """The post-lens closed-form flow against the beam's velocity field
+    and against an RK4 run of it."""
+    SPEC = DecayPairSpec(alpha=0.01, m1=1.0, m2=1.0)
+
+    @given(case=beams(), frac=st.floats(0.0, 2.0))
+    def test_flow_solves_the_velocity_field(self, case, frac):
+        beam, starts = case
+        t = frac * beam.t_focus
+        h = 1e-4 * min(beam.t_focus, 1.0 / beam.spread)
+        fd = (beam.flow(starts, t + h) - beam.flow(starts, t - h)) / (2 * h)
+        want = beam.velocity(beam.flow(starts, t), t)
+        err = np.linalg.norm(fd - want, axis=1)
+        assert np.all(err <= 1e-7 * np.linalg.norm(want, axis=1))
+
+    @given(case=beams(), depth=st.floats(0.01, 3.0),
+           span=st.floats(0.5, 3.0))
+    def test_first_crossing_is_the_first_root(self, case, depth, span):
+        beam, starts = case
+        plane = np.min(starts[:, 0]) - depth
+        t_end = span * beam.t_focus
+        t_land, reached = beam.first_crossing(starts, plane, t_end)
+        scale = max(1.0, abs(plane))
+        x_land = beam.flow(starts, t_land)[:, 0]
+        assert np.all(np.abs(x_land[reached] - plane) <= 1e-12 * scale)
+        # on a fine grid, no run is past the plane (to 1e-12) before it lands
+        grid = np.linspace(0.0, 1.0, 2001)[:, None] * np.where(
+            reached, t_land, t_end)
+        x = beam.flow(starts, grid[:-1])[..., 0]
+        assert np.all(x > plane - 1e-12 * scale)
+        assert np.all(beam.flow(starts, t_end)[~reached, 0] > plane)
+
+    def test_first_crossing_sees_a_dip_that_returns(self):
+        """A run whose offset across the axis swings back out after the
+        focus faster than the center falls: x(t) ~ 1 - 1.707 t before
+        t_focus = 1 and -1 + 0.293 t after, so it is below x = -0.6 only
+        between t ~ 0.94 and 1.37, and above it again at t_end = 3."""
+        beam = decay._ConvergingGaussianSource(
+            np.zeros(3), np.array([-1.0, 1.0, 0.0]), 1.0, 0.05, 1.0, 1.0,
+            1.0)
+        start = np.array([[1.0, 1.0, 0.0]])
+        assert beam.flow(start, 3.0)[0, 0] > -0.6
+        t_land, reached = beam.first_crossing(start, -0.6, 3.0)
+        assert reached[0]
+        assert t_land[0] == pytest.approx(1.6 / (1 + np.sqrt(0.5)), rel=1e-3)
+        assert beam.flow(start, t_land)[0, 0] == pytest.approx(-0.6, abs=1e-12)
+
+    def _run(self, waist=0.05):
+        lens = LensSpec(f=1.0, S=2.0, S_image=2.0, waist=waist)
+        out = imaging_trajectories(self.SPEC, lens, [2.0, 0.1, 0.1], n=50,
+                                   seed=4)
+        v = np.sqrt(self.SPEC.hbar / self.SPEC.alpha) / self.SPEC.m2
+        beam = decay._ConvergingGaussianSource(
+            np.zeros(3), out["image_point"], v, waist, lens.S_image / v,
+            self.SPEC.m2, self.SPEC.hbar)
+        return out, beam
+
+    def test_flow_matches_rk4_oracle(self):
+        """The RK4 run the closed form replaced: same record clock,
+        rows before landing to 1e-7, landing rows identical, endpoints
+        to 1e-5 (RK4 lands on its step's chord)."""
+        out, beam = self._run()
+        beam.domain = Box([-2.0, -np.inf, -np.inf], [np.inf] * 3)
+        final, status, (times, track) = integrate_ensemble(
+            Ensemble(configs=out["lens_hits"], seed=0), beam,
+            out["post_lens_times"][-1],
+            IntegrationControls(dt=beam.t_focus / 2000,
+                                record_every=decay.IMAGING_RECORD_EVERY),
+            record=True)
+        assert np.all(status == STATUS_EXITED)
+        np.testing.assert_allclose(times, out["post_lens_times"],
+                                   rtol=0, atol=1e-12)
+        flying = track[..., 0] > -2.0
+        np.testing.assert_array_equal(flying,
+                                      out["post_lens_track"][..., 0] > -2.0)
+        assert flying.sum() > 100 * 50
+        np.testing.assert_allclose(out["post_lens_track"][flying],
+                                   track[flying], rtol=0, atol=1e-7)
+        np.testing.assert_allclose(out["endpoints"], final, rtol=0, atol=1e-5)
+
+    @pytest.mark.parametrize("waist", [0.05, 0.01])
+    def test_endpoints_on_the_flow(self, waist):
+        out, beam = self._run(waist)
+        t_land, reached = beam.first_crossing(
+            out["lens_hits"], -2.0, out["post_lens_times"][-1])
+        assert np.all(reached)
+        np.testing.assert_allclose(out["endpoints"],
+                                   beam.flow(out["lens_hits"], t_land),
+                                   rtol=0, atol=1e-12)

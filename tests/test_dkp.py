@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import given, reject
 from hypothesis import strategies as st
 
 import strategies as rs
@@ -377,7 +377,6 @@ def test_dkp2_velocity_matches_four_operand_contraction(rep, massless,
 class TestCausalityProperties:
     """j^0 >= 0 and |v| <= 1 over random states and causal observers."""
 
-    @settings(max_examples=25, deadline=None)
     @given(data=st.data(), kind=rs.dkp_kinds(), n=rs.observers(),
            pts=rs.points, t=rs.times)
     def test_energy_momentum_current(self, data, kind, n, pts, t):
@@ -389,7 +388,6 @@ class TestCausalityProperties:
         assert np.all(j[:, 0] >= 0)
         assert np.all(np.sum(v**2, axis=-1) <= 1 + 1e-10)
 
-    @settings(max_examples=25, deadline=None)
     @given(data=st.data(), kind=rs.dkp_kinds(), a=rs.observers(),
            x1=rs.points, x2=rs.points, t=rs.times, symmetrized=st.booleans())
     def test_dkp2_velocity(self, data, kind, a, x1, x2, t, symmetrized):
@@ -403,6 +401,12 @@ class TestCausalityProperties:
             reject()
         for v in (v1, v2):
             assert np.all(np.sum(v**2, axis=-1) <= 1 + 1e-10)
+
+
+class TestConstraintProperty:
+    @given(data=st.data(), kind=rs.dkp_kinds())
+    def test_built_states_satisfy_the_constraint(self, data, kind):
+        assert constraint_residual(data.draw(rs.dkp_states(*kind))) <= 1e-10
 
 
 class TestChargeCurrentDiagnostic:

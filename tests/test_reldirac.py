@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import given, reject
 
 import strategies as rs
 
@@ -187,7 +187,6 @@ class TestCausalityProperties:
     """j^0 >= 0 and |v| <= 1 over random one- and two-particle states,
     both energy signs, antisymmetrized or not."""
 
-    @settings(max_examples=25, deadline=None)
     @given(state=rs.dirac_states(), pts=rs.points, t=rs.times)
     def test_dirac_velocity(self, state, pts, t):
         try:
@@ -199,7 +198,6 @@ class TestCausalityProperties:
         if u is not None:
             assert np.all(u[:, 0] >= 1.0 - 1e-10)
 
-    @settings(max_examples=25, deadline=None)
     @given(state=rs.dirac_states(n_particles=2), x1=rs.points, x2=rs.points,
            t=rs.times)
     def test_dirac2_velocity(self, state, x1, x2, t):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as hst
 
 import strategies as rs
@@ -324,7 +324,6 @@ class TestFamilyProtocol:
             assert grad.shape == (fam.spin_dim(params), 2, len(x))
 
     @pytest.mark.parametrize("name", family_names())
-    @settings(max_examples=25, deadline=None)
     @given(pts=hst.lists(_POINT, min_size=1, max_size=4),
            t=hst.floats(0.0, 3.0))
     def test_gradient_matches_central_difference(self, name, pts, t):
@@ -452,7 +451,6 @@ class TestLogGradient:
                       if hasattr(get_family(n), "log_gradient")) \
             == sorted(PARENT_VALUE_AND_GRADIENT)
 
-    @settings(max_examples=25, deadline=None)
     @given(case=_term_at_points(), t=rs.times, hbar=hst.floats(0.5, 2.0))
     def test_log_gradient_is_grad_over_value(self, case, t, hbar):
         name, params, _, x = case
@@ -465,7 +463,6 @@ class TestLogGradient:
         np.testing.assert_allclose(dlog[:, ok], grad[0][:, ok] / val[0][ok],
                                    rtol=1e-12, atol=0)
 
-    @settings(max_examples=25, deadline=None)
     @given(case=_term_at_points(), t=rs.times, hbar=hst.floats(0.5, 2.0))
     def test_value_and_gradient_unchanged(self, case, t, hbar):
         name, params, _, x = case
@@ -474,7 +471,6 @@ class TestLogGradient:
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
 
-    @settings(max_examples=25, deadline=None)
     @given(case=_term_at_points(), t=rs.times,
            log_s=hst.floats(-100.0, 100.0), theta=hst.floats(0.0, 2 * np.pi))
     def test_velocity_invariant_under_global_scale_and_phase(
