@@ -33,7 +33,7 @@ import numpy as np
 
 from .currents import SpinSpec
 from .errors import ShapeError, StabilityError, UnsupportedFamilyError
-from .wavefunction import GridWaveFunction, ParametricWaveFunction
+from .wavefunction import axis_masses
 
 NORM_DRIFT_TOL = 1e-10
 
@@ -80,10 +80,7 @@ def _kinetic_phase(psi, dt):
     grid axis (mass taken from the axis's particle)."""
     grid = psi.grid
     hbar = psi.units.hbar
-    axis_mass = {}
-    for k, axes in enumerate(psi.particle_axes):
-        for a in axes:
-            axis_mass[a] = psi.masses[k]
+    axis_mass = axis_masses(psi)
     phases = []
     for a in range(grid.ndim):
         n = grid.points[a]
@@ -97,21 +94,17 @@ def _kinetic_phase(psi, dt):
 
 def _potential_factor(psi, prop, t_mid):
     """Position-space full-step factor for e V0 + V, diagonal in spin."""
-    grid = psi.grid
-    mesh = grid.meshgrid()
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    pts = psi.grid.nodes()
     v = np.zeros(pts.shape[0])
     if prop.potential is not None:
         v = v + np.asarray(prop.potential(pts, t_mid), dtype=float)
     if prop.em is not None and prop.em.v0 is not None:
-        pts3 = np.zeros((pts.shape[0], 3))
-        pts3[:, :pts.shape[1]] = pts
-        v = v + prop.em.charge * prop.em.scalar(pts3, t_mid)
+        v = v + prop.em.charge * prop.em.scalar(pts, t_mid)
     vmax = float(np.max(np.abs(v))) if v.size else 0.0
     if prop.dt * vmax / psi.units.hbar >= 0.5:
         raise StabilityError(
             f"dt * max|V| / hbar = {prop.dt * vmax / psi.units.hbar:.3f} >= 0.5")
-    return np.exp(-1j * prop.dt * v / psi.units.hbar).reshape(grid.shape)
+    return np.exp(-1j * prop.dt * v / psi.units.hbar).reshape(psi.grid.shape)
 
 
 def _zeeman_unitary(psi, prop, t_mid):
@@ -120,12 +113,7 @@ def _zeeman_unitary(psi, prop, t_mid):
     spin = prop.spin
     if spin.s == 0 or spin.g == 0 or prop.em is None:
         return None
-    grid = psi.grid
-    mesh = grid.meshgrid()
-    pts3 = np.zeros(mesh[0].shape + (3,))
-    for a in range(grid.ndim):
-        pts3[..., a] = mesh[a]
-    b = prop.em.bfield(pts3.reshape(-1, 3), t_mid)
+    b = prop.em.bfield(psi.grid.nodes(), t_mid)
     if not np.any(b):
         return None
     m = psi.masses[0]

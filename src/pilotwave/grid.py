@@ -45,6 +45,10 @@ class Grid:
     def meshgrid(self):
         return np.meshgrid(*self.axes, indexing="ij")
 
+    def nodes(self):
+        """Node coordinates, shape (npoints, ndim), in C order of the grid."""
+        return np.stack([m.ravel() for m in self.meshgrid()], axis=-1)
+
     def cell_volume(self):
         return float(np.prod(self.spacing))
 

@@ -45,7 +45,7 @@ from .errors import (NoFluxError, NotSeparatedError, PilotWaveError,
                      SamplerFailureError, ShapeError)
 from .evolve import Propagator, propagate_to, step
 from .grid import Grid
-from .wavefunction import GridWaveFunction, grid_gradient
+from .wavefunction import GridWaveFunction
 
 KS_CRITICAL_1PCT = 1.628  # sup|F_n - F| * sqrt(n) at the 1% level
 
@@ -170,8 +170,7 @@ class SnapshotVelocity:
                 self.grid = s.grid
             elif s.grid.shape != self.grid.shape:
                 raise ShapeError("snapshots on mismatched grids")
-            j = (_config_current_nodes(s) if s.spin_dim == 1
-                 else grid_current_nodes(s, spin, em))
+            j = grid_current_nodes(s, spin, em)
             if extra_j is not None:
                 j = j + extra_j(s)
             times.append(s.time)
@@ -212,17 +211,6 @@ class SnapshotVelocity:
                 / np.where(rho_p > self.floor, rho_p, 1.0)[None, :]
             v[inside] = vv.T
         return v
-
-
-def _config_current_nodes(psi):
-    """Configuration-space current of a scalar grid state: per-axis
-    (hbar / m_axis) Im(psi* d psi)."""
-    grad = grid_gradient(psi.values[0], psi.grid)
-    j = np.imag(psi.values[0].conj() * grad)
-    for k, axes in enumerate(psi.particle_axes):
-        for a in axes:
-            j[a] *= psi.units.hbar / psi.masses[k]
-    return j
 
 
 def velocity_source(psi_or_snapshots, spin=None, em=None):

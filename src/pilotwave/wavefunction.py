@@ -13,13 +13,21 @@ from .grid import Grid
 from .units import NATURAL
 
 
-
 def _particle_axes(config_dim, n_particles):
     if config_dim % n_particles:
         raise ConfigurationError(
             f"{config_dim} axes cannot be split over {n_particles} particles")
     d = config_dim // n_particles
     return tuple(tuple(range(k * d, (k + 1) * d)) for k in range(n_particles))
+
+
+def axis_masses(psi):
+    """Mass of the particle each configuration axis belongs to, shape
+    (config_dim,)."""
+    m = np.empty(psi.config_dim)
+    for k, axes in enumerate(psi.particle_axes):
+        m[list(axes)] = psi.masses[k]
+    return m
 
 
 class ParametricWaveFunction:
@@ -145,9 +153,7 @@ class GridWaveFunction:
     @classmethod
     def sample(cls, state, grid, particle_axes=None):
         """Sample a parametric state on a grid."""
-        mesh = grid.meshgrid()
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        vals = state.evaluate(pts).reshape((state.spin_dim,) + grid.shape)
+        vals = state.evaluate(grid.nodes()).reshape((state.spin_dim,) + grid.shape)
         return cls(grid, vals, state.masses, time=state.time, units=state.units,
                    particle_axes=particle_axes or state.particle_axes)
 

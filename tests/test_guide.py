@@ -415,6 +415,33 @@ class TestSnapshotVelocity:
                                    rtol=1e-13, atol=0)
 
 
+class TestSpinorWithoutSpinSpec:
+    """A spinor state guides only with the SpinSpec of its spin."""
+
+    SPINOR = ParametricWaveFunction(
+        "spinor_product",
+        {"scalar": "gaussian_packet",
+         "scalar_params": {"center": [0.0, 0.0], "sigma": 1.0,
+                           "k0": [0.5, 0.0], "m": 1.0},
+         "chi": [0.6, 0.8j]}, [1.0])
+
+    def grid_state(self):
+        return GridWaveFunction.sample(
+            self.SPINOR, Grid([(-5.0, 5.0), (-5.0, 5.0)], [32, 32]))
+
+    def test_parametric_velocity(self):
+        with pytest.raises(ShapeError):
+            ParametricVelocity(self.SPINOR).velocity(np.zeros((2, 2)), 0.0)
+
+    def test_snapshot_velocity(self):
+        with pytest.raises(ShapeError):
+            SnapshotVelocity([self.grid_state()])
+
+    def test_velocity_source(self):
+        with pytest.raises(ShapeError):
+            velocity_source(self.grid_state())
+
+
 class TestEquivariance:
     def test_free_gaussian_passes(self):
         sigma = 0.8
