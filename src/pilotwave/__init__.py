@@ -1,9 +1,9 @@
 """Pilot-wave (de Broglie-Bohm) trajectory simulations.
 
-Subpackages cover the shared numerical substrate (grids, parametric
+Its modules cover the shared numerical substrate (grids, parametric
 families, matrix sets), probability currents with spin, wavefunction
-propagation, beable sampling and trajectory integration, Dirac and
-Duffin-Kemmer-Petiau plane-wave states, bosonic field modes, and the
+propagation, beable sampling and trajectory integration, von Neumann
+measurement, Dirac and Duffin-Kemmer-Petiau plane-wave states, and the
 decaying-system / optical-imaging experiments.
 """
 

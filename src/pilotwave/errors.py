@@ -54,7 +54,9 @@ class NoFluxError(PilotWaveError):
 
 
 class NotSeparatedError(PilotWaveError):
-    """Measurement channels still overlap at read-out time."""
+    """Measurement channels are not resolved at read-out: n (leak +
+    misread) >= 1, i.e. at least one of the n beables is expected in the
+    wrong channel (see `guide.measurement_branching`)."""
 
 
 class CausalityViolationError(PilotWaveError):

@@ -1,10 +1,17 @@
 """Sampling, trajectories, equivariance, arrival times, branching."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from pilotwave.currents import SpinSpec, grid_current_nodes
-from pilotwave.errors import NoFluxError, SamplerFailureError, ShapeError
+from pilotwave import guide
+from pilotwave.currents import EmPotential, SpinSpec, grid_current_nodes
+from pilotwave.errors import (NoFluxError, NotSeparatedError,
+                              SamplerFailureError, ShapeError)
 from pilotwave.evolve import Propagator, propagate_to
 from pilotwave import families
 from pilotwave.families import PlaneWave, get_family
@@ -375,6 +382,74 @@ class TestDomains:
         np.testing.assert_array_equal(tr1, tr2)
         assert tr1.shape == (len(t1), 65, 2)
 
+    @given(st.data())
+    def test_threads_bit_identical_over_random_ensembles(self, data):
+        """PILOTWAVE_THREADS 1 and 2 give array_equal final positions,
+        statuses, times and tracks: random Gaussian states (one term or a
+        two-term sum), 8-80 members, recording on or off at a random
+        stride, inside a box whose faces some members reach."""
+        d = data.draw(st.integers(1, 2))
+        n = data.draw(st.integers(8, 80))
+        m = data.draw(st.floats(0.5, 2.0))
+        terms = [(data.draw(st.floats(0.5, 1.5)), "gaussian_packet",
+                  {"center": data.draw(arrays(float, d,
+                                              elements=st.floats(-1, 1))),
+                   "sigma": data.draw(st.floats(0.4, 1.5)),
+                   "k0": data.draw(arrays(float, d,
+                                          elements=st.floats(-3, 3))),
+                   "m": m})
+                 for _ in range(data.draw(st.integers(1, 2)))]
+        psi = (ParametricWaveFunction(terms[0][1], terms[0][2], [m])
+               if len(terms) == 1 else
+               ParametricWaveFunction("superposition", {"components": terms},
+                                      [m]))
+        src = ParametricVelocity(psi)
+        src.domain = Box([-1.5] * d, [1.5] * d)
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        ens = Ensemble(configs=np.random.default_rng(seed).uniform(
+            -1.4, 1.4, size=(n, d)), seed=seed)
+        record = data.draw(st.booleans())
+        controls = IntegrationControls(dt=0.1,
+                                       record_every=data.draw(st.integers(1, 4)))
+        runs = []
+        for threads in (1, 2):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setenv("PILOTWAVE_THREADS", str(threads))
+                runs.append(integrate_ensemble(ens, src, 1.0, controls,
+                                               record=record))
+        one, two = runs
+        np.testing.assert_array_equal(one[0], two[0])
+        assert list(one[1]) == list(two[1])
+        if record:
+            np.testing.assert_array_equal(one[2][0], two[2][0])
+            np.testing.assert_array_equal(one[2][1], two[2][1])
+
+
+class TestEmGuidance:
+    """A vector potential enters the scalar guidance as -(e/mc) A."""
+
+    STATE = ParametricWaveFunction(
+        "gaussian_packet", {"center": [0.0, 0.0], "sigma": 1.0,
+                            "k0": [0.5, 0.0], "m": 1.0}, [1.0])
+    EM = EmPotential(v=lambda x, t: np.tile([1.0, 0.0, 0.0], (len(x), 1)),
+                     charge=1.0)
+    POINTS = np.array([[0.0, 0.0], [0.3, -0.2], [-0.5, 0.4]])
+
+    def test_parametric_matches_snapshot(self):
+        grid = Grid([(-6.0, 6.0), (-6.0, 6.0)], [128, 128])
+        snap = SnapshotVelocity([GridWaveFunction.sample(self.STATE, grid)],
+                                em=self.EM)
+        par = ParametricVelocity(self.STATE, em=self.EM)
+        v = par.velocity(self.POINTS, 0.0)
+        np.testing.assert_allclose(v[:, 0], -0.5, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(v, snap.velocity(self.POINTS, 0.0),
+                                   rtol=0, atol=1e-4)
+
+    def test_several_particles_rejected(self):
+        with pytest.raises(ShapeError):
+            ParametricVelocity(correlated_pair(), em=self.EM).velocity(
+                np.zeros((2, 2)), 0.0)
+
 
 class TestSnapshotVelocity:
     @staticmethod
@@ -413,6 +488,15 @@ class TestSnapshotVelocity:
                / grid.interpolate(rho, self.POINTS)).T
         np.testing.assert_allclose(src.velocity(self.POINTS, t), ref,
                                    rtol=1e-13, atol=0)
+
+    def test_extra_j_gets_the_snapshot_density(self):
+        snaps = self.snapshots()
+        src = SnapshotVelocity(snaps, extra_j=lambda s, rho: 0.5 * rho)
+        for f, s in zip(src.fields, snaps):
+            rho = s.density_nodes()
+            np.testing.assert_array_equal(f[0], rho)
+            np.testing.assert_array_equal(
+                f[1:], grid_current_nodes(s, None) + 0.5 * rho)
 
 
 class TestSpinorWithoutSpinSpec:
@@ -541,6 +625,42 @@ class TestMeasurementBranching:
                                     impulse_time=0.25, free_flight=0.0)
         assert out["readout_time"] == 0.25
         assert list(out["statuses"]) == ["ok"] * 500
+
+    @pytest.mark.parametrize("coupling", [1.0, 4.0])
+    def test_unresolved_pointer_windows_raise(self, coupling):
+        """At kappa = 1 the windows lie 0.25 apart and 35 % of |Psi|^2
+        ends nearer the wrong one; at kappa = 4 (1 apart) 6 % does."""
+        with pytest.raises(NotSeparatedError):
+            measurement_branching([1.0, 1.0], [-1.5, 1.5], n=200, seed=15,
+                                  coupling=coupling)
+
+    @pytest.mark.parametrize("centers", [(-1.5, 1.5), (-2.0, 0.0, 2.0)])
+    def test_one_wave_is_propagated(self, centers, monkeypatch):
+        """One split step per time step for any number of channels, and
+        one density per snapshot (norm() reads one more per call)."""
+        counts = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(guide, "step", counted("step", guide.step))
+        for name in ("density_nodes", "norm"):
+            monkeypatch.setattr(GridWaveFunction, name,
+                                counted(name, getattr(GridWaveFunction, name)))
+        measurement_branching(np.ones(len(centers)), centers, n=50, seed=16,
+                              grid_points=(128, 256))
+        assert counts["step"] == 36
+        assert counts["density_nodes"] - counts["norm"] == 37
+
+    def test_three_channels_resolve(self):
+        n = 2000
+        out = measurement_branching([1.0, 1.0, 1.0], [-2.0, 0.0, 2.0], n=n,
+                                    seed=17, grid_points=(128, 256))
+        sigma = np.sqrt((1 / 3) * (2 / 3) / n)
+        assert np.all(np.abs(out["fractions"] - 1 / 3) < 4 * sigma)
 
 
 class TestKsMachinery:
