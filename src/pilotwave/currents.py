@@ -30,7 +30,7 @@ import numpy as np
 from .errors import DomainError, NormalizationError, ShapeError
 from .matrices import bilinears
 from .units import NATURAL
-from .wavefunction import axis_masses, grid_gradient
+from .wavefunction import grid_gradient
 
 # the relative node floor of every guidance velocity (see `guide`)
 RHO_FLOOR_REL = 1e-12
@@ -213,8 +213,7 @@ def current(psi, spin, em=None, at=None, t=None):
     tt = psi.time if t is None else t
     at, val, grad, in_phase = _state_arrays(psi, at, tt)
     rho = np.sum(np.abs(val) ** 2, axis=0)
-    flux, spin_flux = _flux(val, grad, psi.units.hbar / axis_masses(psi),
-                            spin, m)
+    flux, spin_flux = _flux(val, grad, psi.hbar_m, spin, m)
     # convective part: (hbar/m) Im(psi^dag grad psi) - (e/mc) V rho
     j_c = _pad3(flux.T)
     if em is not None:
@@ -243,9 +242,8 @@ def spin_eigenstate_current(phi_scalar, chi, spin, at=None, t=None):
     svec = bilinears(chi[:, None], spin.generators)[:, 0]
     # the magnetization is |phi'|^2 s, so d_j m_k = s_k d_j |phi'|^2
     drho = 2.0 * np.real(grad[0].conj() * val[0])   # (d, n)
-    flux, spin_flux = _flux(val, grad,
-                            phi_scalar.units.hbar / axis_masses(phi_scalar),
-                            spin, phi_scalar.masses[0],
+    flux, spin_flux = _flux(val, grad, phi_scalar.hbar_m, spin,
+                            phi_scalar.masses[0],
                             dmag=svec[:, None, None] * drho[None])
     j = _pad3(flux.T)
     if spin_flux is not None:
@@ -297,8 +295,8 @@ def grid_current_nodes(psi, spin, em=None):
         mag = bilinears(val.reshape(len(val), -1), spin.generators).reshape(
             (3,) + grid.shape)
         dmag = grid_gradient(mag, grid)
-    j, spin_flux = _flux(val, psi.gradient_nodes(),
-                         psi.units.hbar / axis_masses(psi), spin, m, dmag)
+    j, spin_flux = _flux(val, psi.gradient_nodes(), psi.hbar_m, spin, m,
+                         dmag)
     if em is not None:
         vvec = em.vector(grid.nodes(), psi.time)[:, :grid.ndim].T
         j -= ((em.charge / (m * psi.units.c)) * vvec.reshape(j.shape)
@@ -337,6 +335,8 @@ def configuration_velocity(psi, at=None, t=None):
         if in_phase is not None:
             floor = RHO_FLOOR_REL * in_phase
             node = (floor > 0) & ~(np.abs(val[0]) ** 2 > floor)
-    v = (psi.units.hbar / axis_masses(psi)) * np.imag(dlog).T
-    v[~np.all(np.isfinite(v), axis=1) | node] = np.nan
+    v = psi.hbar_m * np.imag(dlog).T
+    bad = ~np.isfinite(v).all(axis=1) | node
+    if bad.any():
+        v[bad] = np.nan
     return v

@@ -95,7 +95,11 @@ class _SingleTerm:
     @classmethod
     def value_and_gradient(cls, params, x, t, hbar=1.0):
         val = cls.value(params, x, t, hbar)
-        return val, (cls.log_gradient(params, x, t, hbar) * val[0])[None]
+        # (d, n) * (1, n), not * (n,): numpy multiplies a (1, 1) complex
+        # array by a (1,) one without the fused multiply-add of every
+        # other shape, so a lone 1-D point would round differently from
+        # the same point in a batch
+        return val, (cls.log_gradient(params, x, t, hbar) * val)[None]
 
 
 def _as_points(x, dim):
@@ -244,9 +248,8 @@ class DecayingPair(_SingleTerm):
         d, mu = cls._geom(params)
         x = _as_points(x, 2 * d)
         beta = _pair_beta(params["alpha"], t, mu)
-        r = (x[:, :d] - x[:, d:]).T   # (d, n)
-        return np.concatenate([-r / (2.0 * hbar * beta),
-                               r / (2.0 * hbar * beta)])
+        g = (x[:, :d] - x[:, d:]).T / (2.0 * hbar * beta)   # (d, n)
+        return np.concatenate([-g, g])
 
 
 @register("post_collapse_pair")

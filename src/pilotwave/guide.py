@@ -52,6 +52,12 @@ STATUS_OK = "ok"
 STATUS_NODE = "node_encounter"
 STATUS_EXITED = "exited"
 
+# fewest members per worker chunk in `integrate_ensemble`: below about
+# 4,000-5,000 members a chunk spends its time in Python between small
+# numpy calls, under the GIL, and two threads on two cores ran slower
+# than one
+MIN_CHUNK = 5000
+
 
 def thread_count():
     """Worker cap from PILOTWAVE_THREADS (default: single-threaded)."""
@@ -324,27 +330,35 @@ def sample_equilibrium(psi, n, seed, box=None, envelope="auto",
 # trajectory integration
 
 
+def _probe(xa, c, k):
+    """The stage point xa + c k.  A NaN stage (node hit) counts as 0 so
+    that it does not poison the next stage's evaluation point; the member
+    is flagged via dx in `_rk4_step`."""
+    finite = np.isfinite(k)
+    if not finite.all():
+        k = np.where(finite, k, 0.0)
+    return xa + c * k
+
+
 def _rk4_step(xa, source, t, h):
     """One RK4 step of the members xa: their new positions, and the masks
     of those that hit a node (not moved) and that left the domain."""
-    def probe(stage, frac):
-        # a NaN stage (node hit) must not poison the next stage's
-        # evaluation point; the member is flagged via dx below
-        return xa + frac * h * np.where(np.isfinite(stage), stage, 0.0)
-
+    half = 0.5 * h
     k1 = source.velocity(xa, t)
-    p2 = probe(k1, 0.5)
-    k2 = source.velocity(p2, t + 0.5 * h)
-    p3 = probe(k2, 0.5)
-    k3 = source.velocity(p3, t + 0.5 * h)
-    p4 = probe(k3, 1.0)
+    p2 = _probe(xa, half, k1)
+    k2 = source.velocity(p2, t + half)
+    p3 = _probe(xa, half, k2)
+    k3 = source.velocity(p3, t + half)
+    p4 = _probe(xa, h, k3)
     k4 = source.velocity(p4, t + h)
     dx = (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    new = xa + dx
     # NaN at the member's own point means a node; NaN only at an
     # intermediate stage means the step probed past the boundary.
-    node = ~np.all(np.isfinite(k1), axis=1)
-    moved = np.all(np.isfinite(dx), axis=1)
-    new = np.where(moved[:, None], xa + dx, xa)
+    node = ~np.isfinite(k1).all(axis=1)
+    moved = np.isfinite(dx).all(axis=1)
+    if not moved.all():
+        new[~moved] = xa[~moved]
     domain = source.domain
     if domain is None:
         return new, ~moved, np.zeros_like(node)
@@ -364,30 +378,46 @@ def _rk4_step(xa, source, t, h):
 
 
 def _rk4_many(starts, source, t0, t_final, controls, record=False):
+    """RK4 of the members `starts` from t0 to t_final: their final
+    positions and statuses, and (times, track) when record is set.
+
+    Every member starts ``ok`` and active.  While all of them are active
+    the active set is the slice of every row, so a step reads and writes
+    the positions without a gather or scatter; from the first stop on it
+    is the index array of the members still going.  Statuses are written
+    only on the steps at which some member stops; a stopped member keeps
+    its final position (and repeats it in the track)."""
     x = np.array(starts, dtype=float)
-    status = np.array([STATUS_OK] * len(x), dtype=object)
-    active = np.ones(len(x), dtype=bool)
+    n = len(x)
+    status = np.full(n, STATUS_OK, dtype=object)
+    active, n_active = slice(None), n
     nsteps = max(1, int(np.ceil((t_final - t0) / controls.dt - 1e-12)))
     h_last = (t_final - t0) - (nsteps - 1) * controls.dt
-    times = [t0]
-    track = [x.copy()] if record else None
+    every = controls.record_every
+    if record:
+        rows = 1 + nsteps // every + (nsteps % every > 0)
+        times, track = np.empty(rows), np.empty((rows,) + x.shape)
+        times[0], track[0] = t0, x
+        row = 1
 
     t = t0
     for istep in range(nsteps):
         h = controls.dt if istep < nsteps - 1 else h_last
-        if active.any():
-            idx = np.flatnonzero(active)
-            new, node, exited = _rk4_step(x[idx], source, t, h)
-            x[idx[~node]] = new[~node]
-            status[idx[node]] = STATUS_NODE
-            status[idx[exited]] = STATUS_EXITED
-            active[idx[node | exited]] = False
+        if n_active:
+            new, node, exited = _rk4_step(x[active], source, t, h)
+            x[active] = new
+            stop = node | exited
+            if stop.any():
+                ids = np.arange(n)[active]
+                status[ids[node]] = STATUS_NODE
+                status[ids[exited]] = STATUS_EXITED
+                active = ids[~stop]
+                n_active = len(active)
         t = t + h
-        if record and ((istep + 1) % controls.record_every == 0
-                       or istep == nsteps - 1):
-            times.append(t)
-            track.append(x.copy())
-    return x, status, (np.array(times), np.array(track)) if record else None
+        if record and ((istep + 1) % every == 0 or istep == nsteps - 1):
+            times[row], track[row] = t, x
+            row += 1
+    return x, status, (times, track) if record else None
 
 
 def integrate_trajectory(start, source, t_final, controls):
@@ -406,11 +436,12 @@ def integrate_ensemble(ensemble, source, t_final, controls, record=False):
 
     Returns (final_configs, statuses) or (final, statuses, (times, track))
     when record is set.  Members go in at most PILOTWAVE_THREADS chunks of
-    at least 4, gathered by member index, so the output does not depend on
-    the worker count; a single chunk runs in the calling thread.
+    at least MIN_CHUNK, gathered by member index, so the output does not
+    depend on the worker count; a single chunk runs in the calling thread.
     """
     n = len(ensemble)
-    chunks = np.array_split(np.arange(n), max(1, min(thread_count(), n // 4)))
+    chunks = np.array_split(np.arange(n),
+                            max(1, min(thread_count(), n // MIN_CHUNK)))
 
     def work(idx):
         return _rk4_many(ensemble.configs[idx], source, ensemble.t, t_final,

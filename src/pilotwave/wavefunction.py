@@ -30,6 +30,13 @@ def axis_masses(psi):
     return m
 
 
+def _hbar_m(psi):
+    """hbar / m per configuration axis, read-only (see `axis_masses`)."""
+    out = psi.units.hbar / axis_masses(psi)
+    out.setflags(write=False)
+    return out
+
+
 class ParametricWaveFunction:
     """Closed-form state from the family registry."""
 
@@ -44,11 +51,13 @@ class ParametricWaveFunction:
             raise ConfigurationError("masses must be positive")
         self.time = float(time)
         self.units = units
-        fam = families.get_family(family)
+        self._fam = fam = families.get_family(family)
+        self._has_log_gradient = hasattr(fam, "log_gradient")
         self.spin_dim = fam.spin_dim(params)
         self.config_dim = fam.config_dim(params)
         self.particle_axes = (particle_axes if particle_axes is not None
                               else _particle_axes(self.config_dim, len(self.masses)))
+        self.hbar_m = _hbar_m(self)
 
     def evaluate(self, configs, t=None):
         """Complex amplitude, shape (spin_dim, npoints).
@@ -56,16 +65,15 @@ class ParametricWaveFunction:
         Non-finite values (extreme underflow/overflow arguments) pass
         through; guidance treats them as node encounters, and the public
         `evaluate` wrapper validates finiteness for API users."""
-        fam = families.get_family(self.family)
-        return fam.value(self.params, configs, self.time if t is None else t,
-                         hbar=self.units.hbar)
+        return self._fam.value(self.params, configs,
+                               self.time if t is None else t,
+                               hbar=self.units.hbar)
 
     def value_and_gradient(self, configs, t=None):
         """(evaluate, gradient) at the same points from one family pass."""
-        fam = families.get_family(self.family)
-        return fam.value_and_gradient(self.params, configs,
-                                      self.time if t is None else t,
-                                      hbar=self.units.hbar)
+        return self._fam.value_and_gradient(self.params, configs,
+                                            self.time if t is None else t,
+                                            hbar=self.units.hbar)
 
     def gradient(self, configs, t=None):
         """Spatial gradient, shape (spin_dim, config_dim, npoints)."""
@@ -74,12 +82,11 @@ class ParametricWaveFunction:
     def log_gradient(self, configs, t=None):
         """grad log psi, shape (config_dim, npoints), without evaluating
         psi; None unless the family is a single closed-form scalar term."""
-        fam = families.get_family(self.family)
-        if not hasattr(fam, "log_gradient"):
+        if not self._has_log_gradient:
             return None
-        return fam.log_gradient(self.params, configs,
-                                self.time if t is None else t,
-                                hbar=self.units.hbar)
+        return self._fam.log_gradient(self.params, configs,
+                                      self.time if t is None else t,
+                                      hbar=self.units.hbar)
 
     def value_gradient_in_phase(self, configs, t=None):
         """(evaluate, gradient, in-phase density) from one family pass.
@@ -89,8 +96,8 @@ class ParametricWaveFunction:
         give if they all added in phase.  None for a single closed-form
         term (nothing can cancel)."""
         val, grad, mod = families.value_gradient_moduli(
-            families.get_family(self.family), self.params, configs,
-            self.time if t is None else t, hbar=self.units.hbar)
+            self._fam, self.params, configs, self.time if t is None else t,
+            hbar=self.units.hbar)
         return val, grad, None if mod is None else np.sum(mod**2, axis=0)
 
     def density(self, configs, t=None):
@@ -137,6 +144,8 @@ class GridWaveFunction:
         self.config_dim = grid.ndim
         self.particle_axes = (particle_axes if particle_axes is not None
                               else _particle_axes(self.config_dim, len(self.masses)))
+        self.hbar_m = _hbar_m(self)
+        self._norm = None
 
     @classmethod
     def from_callable(cls, grid, func, masses, time=0.0, units=NATURAL,
@@ -161,7 +170,11 @@ class GridWaveFunction:
         return np.sum(np.abs(self.values) ** 2, axis=0)
 
     def norm(self):
-        return float(np.sqrt(np.sum(self.density_nodes()) * self.grid.cell_volume()))
+        """L2 norm over the grid; computed once (the state is immutable)."""
+        if self._norm is None:
+            self._norm = float(np.sqrt(np.sum(self.density_nodes())
+                                       * self.grid.cell_volume()))
+        return self._norm
 
     def normalized(self):
         n = self.norm()

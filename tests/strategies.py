@@ -137,3 +137,27 @@ def config_points(config_dim, n=N_POINTS):
     return arrays(float, (n, config_dim),
                   elements=st.floats(-3.0, 3.0, allow_nan=False,
                                      allow_infinity=False))
+
+
+@st.composite
+def scalar_sums(draw):
+    """(family name, params, masses) of a random scalar sum of 1-3 terms:
+    Gaussian packets in a ``superposition``, or a ``plane_wave_sum``
+    with one spin component."""
+    d, m, n = draw(st.integers(1, 3)), draw(masses), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        return "superposition", {"components": [
+            (draw(coefficients), "gaussian_packet",
+             {"center": draw(_axis_vector(d)), "sigma": draw(_widths),
+              "k0": draw(_axis_vector(d)), "m": m}) for _ in range(n)]}, [m]
+    return "plane_wave_sum", {
+        "k": draw(arrays(float, (n, d), elements=_real)),
+        "omega": draw(arrays(float, n, elements=_real)),
+        "amps": np.array([[draw(coefficients)] for _ in range(n)])}, [m]
+
+
+def scale_coefficients(name, params, c):
+    """The params of a `scalar_sums` state with every coefficient times c."""
+    if name == "superposition":
+        return {"components": [(c * a, f, p) for a, f, p in params["components"]]}
+    return dict(params, amps=c * params["amps"])

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pilotwave import decay
+from pilotwave import decay, guide
 from pilotwave.decay import (DecayPairSpec, EnergyShellSpec, LensSpec,
                              MomentumCorrelationSpec, alignment_analysis,
                              energy_shell_density, energy_shell_profile,
@@ -282,6 +282,7 @@ class TestImaging:
         np.testing.assert_array_equal(every["endpoints"], out["endpoints"])
 
     def test_threads_bit_identical(self, monkeypatch):
+        monkeypatch.setattr(guide, "MIN_CHUNK", 4)
         lens = LensSpec(f=1.0, S=2.0, S_image=2.0, waist=0.05)
         runs = []
         for threads in (1, 2):

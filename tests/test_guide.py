@@ -16,7 +16,9 @@ from pilotwave.evolve import Propagator, propagate_to
 from pilotwave import families
 from pilotwave.families import PlaneWave, get_family
 from pilotwave.grid import Grid
-from pilotwave.guide import (BeableConfig, Box, Ensemble, IntegrationControls,
+from pilotwave.decay import DecayPairSpec, pair_trajectories
+from pilotwave.guide import (STATUS_EXITED, STATUS_NODE, STATUS_OK,
+                             BeableConfig, Box, Ensemble, IntegrationControls,
                              KS_CRITICAL_1PCT, ParametricVelocity,
                              SnapshotVelocity,
                              arrival_time_stats, equivariance_check,
@@ -254,6 +256,7 @@ class TestTrajectories:
 
     def test_threads_bit_identical(self, monkeypatch):
         """PILOTWAVE_THREADS changes the schedule, never the result."""
+        monkeypatch.setattr(guide, "MIN_CHUNK", 4)
         src = ParametricVelocity(correlated_pair())
         ens = Ensemble(configs=np.random.default_rng(1).normal(size=(65, 2)),
                        seed=1)
@@ -366,6 +369,7 @@ class TestDomains:
     def test_threaded_recording_bit_identical(self, monkeypatch):
         """Recording runs through the same chunked path for any
         PILOTWAVE_THREADS, with the same result."""
+        monkeypatch.setattr(guide, "MIN_CHUNK", 4)
         src = ParametricVelocity(correlated_pair())
         ens = Ensemble(configs=np.random.default_rng(1).normal(size=(65, 2)),
                        seed=1)
@@ -414,6 +418,7 @@ class TestDomains:
         runs = []
         for threads in (1, 2):
             with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(guide, "MIN_CHUNK", 4)
                 mp.setenv("PILOTWAVE_THREADS", str(threads))
                 runs.append(integrate_ensemble(ens, src, 1.0, controls,
                                                record=record))
@@ -423,6 +428,92 @@ class TestDomains:
         if record:
             np.testing.assert_array_equal(one[2][0], two[2][0])
             np.testing.assert_array_equal(one[2][1], two[2][1])
+
+
+class _NanPastXFaces:
+    """A two-packet standing wave in the box [-1.5, 1.5]^2 whose velocity
+    is NaN beyond the x faces (as on a grid) and finite beyond the y
+    faces; notes whether it was probed beyond the x faces."""
+
+    K = 3.0
+
+    def __init__(self):
+        packets = [(1.0, "gaussian_packet",
+                    {"center": [0.0, 0.0], "sigma": 0.5,
+                     "k0": [sign * self.K, 1.0], "m": 1.0})
+                   for sign in (1, -1)]
+        self.inner = ParametricVelocity(ParametricWaveFunction(
+            "superposition", {"components": packets}, [1.0]))
+        self.domain = Box([-1.5, -1.5], [1.5, 1.5])
+        self.probed_outside = False
+
+    def velocity(self, configs, t):
+        v = self.inner.velocity(configs, t)
+        beyond = np.abs(configs[:, 0]) > 1.5
+        self.probed_outside |= bool(beyond.any())
+        v[beyond] = np.nan
+        return v
+
+
+class TestMemberIndependence:
+    def test_batch_equals_each_member_alone(self):
+        """A recorded batch gives, member by member, exactly what each
+        member gives alone: final position, status, times and track
+        column.  The batch holds members that start on a node of
+        cos(K x), members whose full step leaves the box (y faces) and
+        members whose stage probe leaves it (x faces)."""
+        src = _NanPastXFaces()
+        starts = np.random.default_rng(0).uniform(-1.4, 1.4, size=(100, 2))
+        starts[:8, 0] = np.pi / (2 * src.K) * np.array([1, -1, 3, -3] * 2)
+        controls = IntegrationControls(dt=0.05, record_every=3)
+        final, status, (times, track) = integrate_ensemble(
+            Ensemble(configs=starts, seed=0), src, 0.6, controls, record=True)
+        kinds = Counter()
+        for i, start in enumerate(starts):
+            src.probed_outside = False
+            f1, s1, (t1, tr1) = integrate_ensemble(
+                Ensemble(configs=start[None], seed=0), src, 0.6, controls,
+                record=True)
+            np.testing.assert_array_equal(f1[0], final[i])
+            assert s1[0] == status[i]
+            np.testing.assert_array_equal(t1, times)
+            np.testing.assert_array_equal(tr1[:, 0], track[:, i])
+            kinds[s1[0] if s1[0] != STATUS_EXITED
+                  else "probe" if src.probed_outside else "step"] += 1
+        assert kinds[STATUS_NODE] == 8
+        assert kinds["probe"] > 0 and kinds["step"] > 0 and kinds["ok"] > 0
+
+    def test_lone_point_velocity_matches_the_batch(self):
+        """The velocity of a 1-D sum at one point alone equals its row in
+        a batch: numpy rounds a (1, 1) by (1,) complex product without
+        the fused multiply-add it uses for every other shape."""
+        psi = ParametricWaveFunction("superposition", {"components": [
+            (1.25, "gaussian_packet",
+             {"center": [0.5], "sigma": 0.4, "k0": [1.0], "m": 0.75}),
+            (0.5, "gaussian_packet",
+             {"center": [0.0], "sigma": 0.5, "k0": [0.0], "m": 0.75})]},
+            [0.75])
+        src = ParametricVelocity(psi)
+        x = np.random.default_rng(1).uniform(-1.5, 1.5, size=(200, 1))
+        alone = np.concatenate([src.velocity(p[None], 0.4) for p in x])
+        np.testing.assert_array_equal(alone, src.velocity(x, 0.4))
+
+    def test_pair_makes_four_velocity_calls_per_step(self, monkeypatch):
+        """pair_trajectories: 2,000 RK4 steps, 4 velocity calls each."""
+        calls = []
+        velocity = ParametricVelocity.velocity
+
+        def counted(self, configs, t):
+            calls.append(len(configs))
+            return velocity(self, configs, t)
+
+        monkeypatch.setattr(ParametricVelocity, "velocity", counted)
+        spec = DecayPairSpec(alpha=0.8, m1=1.0, m2=1.0)
+        out = pair_trajectories(spec, [0.4, 0.1, 0.0], [-0.2, -0.3, 0.0],
+                                np.array([0.0, 20.0 * spec.mu * spec.alpha]))
+        assert out["record"].status == STATUS_OK
+        assert len(out["record"].times) == 2001
+        assert calls == [1] * 8000
 
 
 class TestEmGuidance:
@@ -636,8 +727,11 @@ class TestMeasurementBranching:
 
     @pytest.mark.parametrize("centers", [(-1.5, 1.5), (-2.0, 0.0, 2.0)])
     def test_one_wave_is_propagated(self, centers, monkeypatch):
-        """One split step per time step for any number of channels, and
-        one density per snapshot (norm() reads one more per call)."""
+        """One split step per time step for any number of channels, one
+        density per snapshot, and one more per state whose norm is read:
+        the unnormalized start, the start and each step's output (a
+        state's norm is computed once, so a step reuses the previous
+        step's)."""
         counts = Counter()
 
         def counted(name, fn):
@@ -653,7 +747,8 @@ class TestMeasurementBranching:
         measurement_branching(np.ones(len(centers)), centers, n=50, seed=16,
                               grid_points=(128, 256))
         assert counts["step"] == 36
-        assert counts["density_nodes"] - counts["norm"] == 37
+        assert counts["norm"] == 73
+        assert counts["density_nodes"] == 37 + 38
 
     def test_three_channels_resolve(self):
         n = 2000
