@@ -28,29 +28,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NormalizationError, ShapeError
-from .matrices import bilinears
-from .units import NATURAL
+from .matrices import PAULI, bilinears
 from .wavefunction import grid_gradient
 
 # the relative node floor of every guidance velocity (see `guide`)
 RHO_FLOOR_REL = 1e-12
 
 
-def spin_generators(s, hbar=1.0):
+def spin_generators(s):
     """Rotation generators in the (2s+1)-dimensional representation."""
     if s == 0:
         return np.zeros((3, 1, 1), dtype=complex)
     if s == 0.5:
-        sx = np.array([[0, 1], [1, 0]], dtype=complex)
-        sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-        sz = np.array([[1, 0], [0, -1]], dtype=complex)
-        return 0.5 * hbar * np.array([sx, sy, sz])
+        return 0.5 * PAULI
     if s == 1:
         eps = np.zeros((3, 3, 3))
         for (i, j, k), sign in {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
                                 (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1}.items():
             eps[i, j, k] = sign
-        return -1j * hbar * eps
+        return -1j * eps
     raise ShapeError(f"unsupported spin {s}; use 0, 1/2 or 1")
 
 
@@ -63,17 +59,16 @@ class SpinSpec:
     """
     s: float
     g: float = None
-    hbar: float = 1.0
     generators: np.ndarray = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.s not in (0, 0.5, 1):
             raise ShapeError(f"unsupported spin {self.s}")
-        gens = spin_generators(self.s, self.hbar)
+        gens = spin_generators(self.s)
         # [S_i, S_j] = i hbar eps_ijk S_k, checked entrywise
         for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
             comm = gens[i] @ gens[j] - gens[j] @ gens[i]
-            if not np.allclose(comm, 1j * self.hbar * gens[k], atol=1e-14):
+            if not np.allclose(comm, 1j * gens[k], atol=1e-14):
                 raise ShapeError("generator commutation relations failed")
         object.__setattr__(self, "generators", gens)
         if self.g is None:
@@ -92,14 +87,13 @@ class EmPotential:
     `scalar`, `vector` and `bfield` take points with 1 to 3 columns and
     pad them with zero coordinates to 3 before calling v0, v or b, so a
     2-D state's plane is z = 0; vectors always have 3 components.  The
-    magnetic field is the curl of v by central differences with a fixed
-    stencil spacing unless an explicit b callable is supplied.
+    magnetic field is the curl of v by central differences of spacing
+    1e-5 unless an explicit b callable is supplied.
     """
     v0: object = None
     v: object = None
     charge: float = 1.0
     b: object = None
-    stencil_h: float = 1e-5
 
     def scalar(self, x, t):
         x = _pad3(x)
@@ -120,8 +114,9 @@ class EmPotential:
         if self.v is None:
             return np.zeros_like(x)
         # dv[j][:, k] = d_j V_k
-        dv = [(self.vector(x + e, t) - self.vector(x - e, t)) / (2 * self.stencil_h)
-              for e in self.stencil_h * np.eye(3)]
+        h = 1e-5
+        dv = [(self.vector(x + e, t) - self.vector(x - e, t)) / (2 * h)
+              for e in h * np.eye(3)]
         return _curl(np.transpose(dv, (2, 0, 1))).T
 
 
@@ -151,7 +146,7 @@ class CurrentField:
 
     in_phase is the density the state's closed-form terms would give if
     they all added in phase, from the same pass (see
-    `ParametricWaveFunction.value_gradient_in_phase`); None for a single
+    `ParametricWaveFunction.in_phase_density`); None for a single
     term or a grid state."""
     rho: np.ndarray
     j: np.ndarray
@@ -161,13 +156,13 @@ class CurrentField:
 
 
 def _state_arrays(psi, at, t):
-    """psi values, gradients and in-phase density at points, from one
-    closed-form pass or from stencils (no in-phase density)."""
+    """psi values, gradients and term moduli at points, from one
+    closed-form pass or from stencils (no moduli)."""
     at = np.atleast_2d(np.asarray(at, dtype=float))
     if psi.representation == "grid":
         psi.grid.require_inside(at)
         return (at, *psi.value_and_gradient(at, t=t), None)
-    return (at, *psi.value_gradient_in_phase(at, t=t))
+    return (at, *psi.value_gradient_moduli(at, t=t))
 
 
 def _spin_term(spin):
@@ -211,14 +206,15 @@ def current(psi, spin, em=None, at=None, t=None):
         raise ShapeError("current() is single-particle; see configuration_velocity")
     m = psi.masses[0]
     tt = psi.time if t is None else t
-    at, val, grad, in_phase = _state_arrays(psi, at, tt)
+    at, val, grad, mod = _state_arrays(psi, at, tt)
     rho = np.sum(np.abs(val) ** 2, axis=0)
     flux, spin_flux = _flux(val, grad, psi.hbar_m, spin, m)
     # convective part: (hbar/m) Im(psi^dag grad psi) - (e/mc) V rho
     j_c = _pad3(flux.T)
     if em is not None:
-        j_c -= (em.charge / (m * psi.units.c)) * em.vector(at, tt) * rho[:, None]
+        j_c -= (em.charge / m) * em.vector(at, tt) * rho[:, None]
     j_s = np.zeros_like(j_c) if spin_flux is None else spin_flux.T
+    in_phase = None if mod is None else np.sum(mod**2, axis=0)
     return CurrentField(rho=rho, j=j_c + j_s, j_c=j_c, j_s=j_s,
                         in_phase=in_phase)
 
@@ -299,8 +295,7 @@ def grid_current_nodes(psi, spin, em=None):
                          dmag)
     if em is not None:
         vvec = em.vector(grid.nodes(), psi.time)[:, :grid.ndim].T
-        j -= ((em.charge / (m * psi.units.c)) * vvec.reshape(j.shape)
-              * psi.density_nodes())
+        j -= (em.charge / m) * vvec.reshape(j.shape) * psi.density_nodes()
     if spin_flux is not None:
         j = j + spin_flux[:grid.ndim]
     return j
@@ -315,9 +310,11 @@ def configuration_velocity(psi, at=None, t=None):
     division and the density never enter: far in a Gaussian tail the
     velocity stays exact where psi itself underflows.  Otherwise the
     velocity is grad psi / psi, and a point is a node encounter (NaN
-    velocity) where it is not finite (psi = 0) or where the density is at
-    or below RHO_FLOOR_REL times the state's in-phase density (a sum whose
-    terms cancel; grid states have no floor).
+    velocity) where it is not finite (psi = 0) or where |psi| is at or
+    below sqrt(RHO_FLOOR_REL) times the summed moduli of the state's
+    terms (a sum whose terms cancel; grid states have no floor).  That is
+    the density test |psi|^2 <= RHO_FLOOR_REL (sum_i |c_i phi_i|)^2
+    without the squares, which overflow from moduli of about 1e154.
     """
     if psi.spin_dim != 1:
         raise ShapeError("configuration_velocity covers scalar states")
@@ -327,14 +324,14 @@ def configuration_velocity(psi, at=None, t=None):
             else None)
     node = False
     if dlog is None:
-        at, val, grad, in_phase = _state_arrays(psi, at, tt)
+        at, val, grad, mod = _state_arrays(psi, at, tt)
         # psi = 0 divides by zero, a subnormal psi may overflow; the NaN or
         # inf left behind is the node signal
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             dlog = grad[0] / val[0]
-        if in_phase is not None:
-            floor = RHO_FLOOR_REL * in_phase
-            node = (floor > 0) & ~(np.abs(val[0]) ** 2 > floor)
+        if mod is not None:
+            floor = np.sqrt(RHO_FLOOR_REL) * mod[0]
+            node = (floor > 0) & ~(np.abs(val[0]) > floor)
     v = psi.hbar_m * np.imag(dlog).T
     bad = ~np.isfinite(v).all(axis=1) | node
     if bad.any():

@@ -37,7 +37,6 @@ class DecayPairSpec:
     alpha: float
     m1: float
     m2: float
-    hbar: float = 1.0
     d: int = 3
 
     def __post_init__(self):
@@ -108,16 +107,15 @@ class EnergyShellSpec:
         return 4 * np.pi**2 * np.sqrt(self.e_minus / self.mass)
 
 
-def pair_wavefunction(spec, x1=None, x2=None, t=0.0, n_factor=1.0):
+def pair_wavefunction(spec, x1=None, x2=None, t=0.0):
     """The closed-form pair state; evaluated when x1, x2 are given,
     otherwise returned as a registered parametric state.
 
-    psi = N (pi hbar / beta)^{d/2} exp(-(x1 - x2)^2 / (4 hbar beta)),
+    psi = (pi hbar / beta)^{d/2} exp(-(x1 - x2)^2 / (4 hbar beta)),
     beta = alpha + i t / 2 mu."""
     psi = ParametricWaveFunction(
         "decaying_pair",
-        {"alpha": spec.alpha, "m1": spec.m1, "m2": spec.m2, "d": spec.d,
-         "N": n_factor},
+        {"alpha": spec.alpha, "m1": spec.m1, "m2": spec.m2, "d": spec.d},
         [spec.m1, spec.m2], time=t)
     if x1 is None:
         return psi
@@ -188,7 +186,6 @@ class MomentumCorrelationSpec:
     alpha: float
     m1: float
     m2: float
-    hbar: float = 1.0
     d: int = 1
     density: object = None      # optional F(p1, p2) per component
 
@@ -210,7 +207,7 @@ class MomentumCorrelationSpec:
 
     @property
     def sigma_x(self):
-        return self.hbar / np.sqrt(2.0 * self.sigma)
+        return 1.0 / np.sqrt(2.0 * self.sigma)
 
     def density_callable(self):
         if self.density is not None:
@@ -222,7 +219,7 @@ class MomentumCorrelationSpec:
         def f(p1, p2):
             prel = (m2 * p1 - m1 * p2) / M
             return np.exp(-(p1 + p2) ** 2 / self.sigma
-                          - 2.0 * self.alpha * prel**2 / self.hbar)
+                          - 2.0 * self.alpha * prel**2)
         return f
 
     def state(self, d=None):
@@ -236,7 +233,7 @@ class MomentumCorrelationSpec:
 
 def _momentum_variance(spec, pmax=None, n=801):
     """Var(p1j + p2j) under the density F, by 2-D trapezoid quadrature."""
-    pmax = pmax or 6.0 * np.sqrt(spec.sigma) + 6.0 * np.sqrt(spec.hbar / spec.alpha)
+    pmax = pmax or 6.0 * np.sqrt(spec.sigma) + 6.0 * np.sqrt(1.0 / spec.alpha)
     p = np.linspace(-pmax, pmax, n)
     p1, p2 = np.meshgrid(p, p, indexing="ij")
     f = spec.density_callable()(p1, p2)
@@ -251,7 +248,7 @@ def _position_variance0(spec, n=1201):
     """Var(m1 x1 + m2 x2) at t = 0 from |psi|^2, by quadrature."""
     psi = spec.state(d=1)
     lim_x = 8.0 * spec.sigma_x
-    lim_r = 8.0 * np.sqrt(spec.hbar * spec.alpha)
+    lim_r = 8.0 * np.sqrt(spec.alpha)
     lim = lim_x + lim_r
     x = np.linspace(-lim, lim, n)
     x1, x2 = np.meshgrid(x, x, indexing="ij")
@@ -277,10 +274,10 @@ def variance_evolution(spec, times, monte_carlo_n=0, seed=20250101):
     curve = var_x0 + var_p * times**2
     out = {"times": times, "variance": curve, "var_p": var_p, "var_x0": var_x0,
            "heisenberg_product": var_p * var_x0,
-           "heisenberg_bound": (spec.hbar / 2.0) ** 2 * (spec.m1 + spec.m2) ** 2}
+           "heisenberg_bound": 0.25 * (spec.m1 + spec.m2) ** 2}
     if monte_carlo_n:
         psi = spec.state(d=1)
-        lim = 6.0 * spec.sigma_x + 6.0 * np.sqrt(spec.hbar * spec.alpha)
+        lim = 6.0 * spec.sigma_x + 6.0 * np.sqrt(spec.alpha)
         ens = sample_equilibrium(psi, monte_carlo_n, seed,
                                  box=[(-lim, lim)] * 2)
         if np.any(times < 0):
@@ -299,8 +296,7 @@ def variance_evolution(spec, times, monte_carlo_n=0, seed=20250101):
     return out
 
 
-def alignment_analysis(spec, t, l0=None, wavenumber=None, grid_n=201,
-                       window=None):
+def alignment_analysis(spec, t, l0=None, wavenumber=None, grid_n=201):
     """Peak alignment and angular-deviation estimates.
 
     (i) the grid argmax of |psi(t)|^2 on an (x1, x2) slice lies on
@@ -309,9 +305,8 @@ def alignment_analysis(spec, t, l0=None, wavenumber=None, grid_n=201,
     t, with the crossover at T = L(0)^2 k_c / c; (iii) the transition
     distance R = L(0)^2 k_c for the supplied wavenumber k_c."""
     psi = spec.state(d=1)
-    lim = window or (6.0 * spec.sigma_x
-                     + 6.0 * np.sqrt(spec.hbar * spec.alpha)
-                     + 2.0 * np.sqrt(spec.hbar / spec.alpha) * t / (2 * spec.mu))
+    lim = (6.0 * spec.sigma_x + 6.0 * np.sqrt(spec.alpha)
+           + 2.0 * np.sqrt(1.0 / spec.alpha) * t / (2 * spec.mu))
     x = np.linspace(-lim, lim, grid_n)
     x1, x2 = np.meshgrid(x, x, indexing="ij")
     pts = np.stack([x1.ravel(), x2.ravel()], axis=-1)
@@ -325,7 +320,7 @@ def alignment_analysis(spec, t, l0=None, wavenumber=None, grid_n=201,
         result["transition_distance"] = l0**2 * wavenumber
         result["transition_time"] = l0**2 * wavenumber  # c = 1 internally
     # angular estimates for equal-mass fragments at momentum p
-    p_typ = np.sqrt(spec.hbar / spec.alpha)
+    p_typ = np.sqrt(1.0 / spec.alpha)
     dp = np.sqrt(_momentum_variance(spec))
     l0_eff = l0 if l0 is not None else np.sqrt(
         _position_variance0(spec)) / ((spec.m1 + spec.m2) / 2.0)
@@ -385,13 +380,13 @@ class _ConvergingGaussianSource:
     contracting Gaussian factor), which `flow` integrates in closed
     form (Holland, The Quantum Theory of Motion, 1993, sec. 4.7)."""
 
-    def __init__(self, axis_point, axis_dir, v, w, t_focus, m, hbar):
+    def __init__(self, axis_point, axis_dir, v, w, t_focus, m):
         self.p0 = axis_point
         self.u = axis_dir / np.linalg.norm(axis_dir)
         self.v = v
         self.w = w
         self.t_focus = t_focus
-        self.spread = hbar / (2.0 * m * w**2)
+        self.spread = 1.0 / (2.0 * m * w**2)
 
     def center(self, t):
         return self.p0 + self.u * self.v * t
@@ -454,8 +449,7 @@ class _ConvergingGaussianSource:
         return hi, reached
 
 
-def imaging_trajectories(spec, lens, a, n, seed=20250101, sigma_com=None,
-                         speed=None):
+def imaging_trajectories(spec, lens, a, n, seed=20250101):
     """Beable-2 trajectories of the massive-particle imaging experiment.
 
     Geometry (equal masses, axis x): lens plane at x = 0, detector-1
@@ -496,11 +490,11 @@ def imaging_trajectories(spec, lens, a, n, seed=20250101, sigma_com=None,
     if abs(a[0] - s) > 1e-9 * max(s, 1.0):
         raise PhysicsError("detection point must lie in the detector-1 plane x=S")
     m = spec.m2
-    hbar = spec.hbar
     rng = np.random.default_rng(np.random.Philox(seed))
-    sigma_com = sigma_com if sigma_com is not None else 0.02 * s
-    # per-run decay point around the source center (S/2, 0, 0)
-    decay = np.array([s / 2.0, 0.0, 0.0]) + sigma_com * rng.standard_normal((n, 3))
+    # per-run decay point around the source center (S/2, 0, 0), spread
+    # 0.02 S per axis
+    decay = (np.array([s / 2.0, 0.0, 0.0])
+             + 0.02 * s * rng.standard_normal((n, 3)))
     if np.any(decay[:, 0] >= a[0]) or np.any(decay[:, 0] <= 0):
         raise PhysicsError("decay points spilled outside the lens/detector gap")
 
@@ -538,10 +532,10 @@ def imaging_trajectories(spec, lens, a, n, seed=20250101, sigma_com=None,
 
     # the chief ray through the lens center maps a to the image point
     image_point = np.concatenate([[-s_im], -a[1:] * (s_im / s)])
-    v = speed if speed is not None else np.sqrt(hbar / spec.alpha) / m
+    v = np.sqrt(1.0 / spec.alpha) / m
     t_focus = s_im / v
     beam = _ConvergingGaussianSource(np.zeros(3), image_point, v, w,
-                                     t_focus, m, hbar)
+                                     t_focus, m)
     # A run's offset from the beam center has an x component, so the runs
     # reach the image plane at different times.  A run starts within
     # r = max |lens hit| of the beam center; its offset along the axis u

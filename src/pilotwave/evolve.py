@@ -79,15 +79,14 @@ def _kinetic_phase(psi, dt):
     """Half-step momentum-space factors exp(-i hbar k^2 dt / 4 m), one per
     grid axis (mass taken from the axis's particle)."""
     grid = psi.grid
-    hbar = psi.units.hbar
-    axis_mass = axis_masses(psi)
+    axis_mass = axis_masses(psi.masses, grid.ndim)
     phases = []
     for a in range(grid.ndim):
         n = grid.points[a]
         k = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.spacing[a])
         shape = [1] * grid.ndim
         shape[a] = n
-        phases.append(np.exp(-1j * hbar * k**2 * dt / (4.0 * axis_mass[a]))
+        phases.append(np.exp(-1j * k**2 * dt / (4.0 * axis_mass[a]))
                       .reshape(shape))
     return phases
 
@@ -101,10 +100,10 @@ def _potential_factor(psi, prop, t_mid):
     if prop.em is not None and prop.em.v0 is not None:
         v = v + prop.em.charge * prop.em.scalar(pts, t_mid)
     vmax = float(np.max(np.abs(v))) if v.size else 0.0
-    if prop.dt * vmax / psi.units.hbar >= 0.5:
+    if prop.dt * vmax >= 0.5:
         raise StabilityError(
-            f"dt * max|V| / hbar = {prop.dt * vmax / psi.units.hbar:.3f} >= 0.5")
-    return np.exp(-1j * prop.dt * v / psi.units.hbar).reshape(psi.grid.shape)
+            f"dt * max|V| / hbar = {prop.dt * vmax:.3f} >= 0.5")
+    return np.exp(-1j * prop.dt * v).reshape(psi.grid.shape)
 
 
 def _zeeman_unitary(psi, prop, t_mid):
@@ -116,9 +115,7 @@ def _zeeman_unitary(psi, prop, t_mid):
     b = prop.em.bfield(psi.grid.nodes(), t_mid)
     if not np.any(b):
         return None
-    m = psi.masses[0]
-    hbar, c = psi.units.hbar, psi.units.c
-    coef = 1j * prop.em.charge * spin.g * prop.dt / (2.0 * m * c * hbar)
+    coef = 1j * prop.em.charge * spin.g * prop.dt / (2.0 * psi.masses[0])
     sdotb = np.einsum("iab,ni->nab", spin.generators, b)
     w, vecs = np.linalg.eigh(sdotb)   # Hermitian: exact exponential
     phase = np.exp(coef * w)

@@ -19,13 +19,14 @@ the evaluated point, never to other members: a closed-form superposition
 has a node where |psi|^2 <= RHO_FLOOR_REL * (sum_i |c_i phi_i|)^2, i.e.
 where its terms cancel (which is also where Im(grad psi / psi) loses its
 digits); the moduli |c_i phi_i| come from the pass that evaluates the
-terms.  A single closed-form scalar term has no floor and no division:
-its velocity is (hbar/m) Im grad log psi from the family's closed-form
-log-derivative, which never evaluates psi, so a Gaussian tail is followed
-also where psi itself underflows to 0.  A single-term spinor still
-divides j by rho and is a node where both underflow.  Grid snapshots
-have no terms to compare against and use RHO_FLOOR_REL times the
-largest snapshot density.
+terms, and scalar states compare |psi| with sqrt(RHO_FLOOR_REL) times
+their sum, so that no square overflows.  A single closed-form scalar
+term has no floor and no division: its velocity is (hbar/m) Im grad
+log psi from the family's closed-form log-derivative, which never
+evaluates psi, so a Gaussian tail is followed also where psi itself
+underflows to 0.  A single-term spinor still divides j by rho and is a
+node where both underflow.  Grid snapshots have no terms to compare
+against and use RHO_FLOOR_REL times the largest snapshot density.
 
 The ensemble sampler draws from |psi|^2 by rejection against a fitted
 Gaussian (or uniform) envelope using the counter-based Philox generator,
@@ -158,7 +159,7 @@ class ParametricVelocity:
             if len(psi.masses) != 1:
                 raise ShapeError("em guidance is single-particle, as current()")
             a = self.em.vector(configs, t)[:, :configs.shape[1]]
-            return v - (self.em.charge / (psi.masses[0] * psi.units.c)) * a
+            return v - (self.em.charge / psi.masses[0]) * a
         f = current(psi, self.spin, em=self.em, at=configs, t=t)
         d = configs.shape[1]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -249,13 +250,13 @@ def _probe_grid(box, per_axis):
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def sample_equilibrium(psi, n, seed, box=None, envelope="auto",
-                       max_batches=2000):
+def sample_equilibrium(psi, n, seed, box=None, envelope="auto"):
     """Draw n i.i.d. configurations from |psi|^2 by rejection sampling.
 
     The envelope is fitted from the density's own moments on a probe
     grid: a Gaussian with inflated covariance, or a uniform box when the
     density is nearly flat.  Deterministic for a given seed (Philox).
+    Gives up after 2000 batches of max(2048, 2n) proposals.
     """
     if n < 1:
         raise ShapeError("n must be >= 1")
@@ -305,7 +306,7 @@ def sample_equilibrium(psi, n, seed, box=None, envelope="auto",
     got = 0
     proposed = 0
     batch = max(2048, 2 * n)
-    for _ in range(max_batches):
+    for _ in range(2000):
         x = draw(batch)
         proposed += batch
         u = rng.random(batch)
@@ -463,11 +464,11 @@ def integrate_ensemble(ensemble, source, t_final, controls, record=False):
 # equivariance
 
 
-def marginal_cdf_by_quadrature(psi, axis, box, per_axis=None):
+def marginal_cdf_by_quadrature(psi, axis, box):
     """CDF of the |psi|^2 marginal along one axis, by trapezoid quadrature
     over the remaining axes of the box."""
     dim = len(box)
-    per_axis = per_axis or {1: 4001, 2: 801, 3: 101, 4: 61}.get(dim, 31)
+    per_axis = {1: 4001, 2: 801, 3: 101, 4: 61}.get(dim, 31)
     axes = [np.linspace(lo, hi, per_axis) for lo, hi in box]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
@@ -492,12 +493,12 @@ def ks_statistic(samples, grid_x, cdf):
 
 
 def equivariance_check(psi0, propagator, n, t_check, seed=20250101, box=None,
-                       spin=None, em=None, controls=None, n_snapshots=48,
-                       velocity_scale=1.0):
+                       spin=None, em=None, velocity_scale=1.0):
     """Sample at t=0, co-propagate beables and wavefunction, and compare
     per-axis empirical CDFs at t_check against the |psi(t_check)|^2
     marginals computed by quadrature.  Pass iff every axis's KS statistic
-    is below the 1% critical value 1.628/sqrt(n).
+    is below the 1% critical value 1.628/sqrt(n).  The beables take 400
+    RK4 steps; a grid state is sampled at 48 snapshot times.
 
     velocity_scale multiplies the guidance velocities; anything other
     than 1 deliberately breaks equivariance (negative-control hook).
@@ -515,13 +516,12 @@ def equivariance_check(psi0, propagator, n, t_check, seed=20250101, box=None,
         else:
             snaps = propagate_to(psi0, propagator, t_check,
                                  snapshot_times=list(
-                                     np.linspace(psi0.time, t_check,
-                                                 n_snapshots)))
+                                     np.linspace(psi0.time, t_check, 48)))
             src = SnapshotVelocity(snaps, spin=spin, em=em)
             psi_t = snaps[-1]
         if velocity_scale != 1.0:
             src = _ScaledSource(src, velocity_scale)
-        controls = controls or IntegrationControls(dt=(t_check - psi0.time) / 400)
+        controls = IntegrationControls(dt=(t_check - psi0.time) / 400)
         final, _ = integrate_ensemble(ens, src, t_check, controls)
     if box is None:
         box = psi0.grid.extents

@@ -25,6 +25,12 @@ from .errors import ConfigurationError
 
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 
+# the Pauli matrices sigma_x, sigma_y, sigma_z, shape (3, 2, 2)
+PAULI = np.array([[[0, 1], [1, 0]],
+                  [[0, -1j], [1j, 0]],
+                  [[1, 0], [0, -1]]], dtype=complex)
+PAULI.setflags(write=False)
+
 # points per block in `bilinears`: bounds the (k, dim, block) product
 # M_k psi, which for a whole 64^3 box would triple the peak memory
 BLOCK = 16384
@@ -51,12 +57,9 @@ def _from_entries(dim, entries):
 
 def _dirac_gammas():
     s0 = np.eye(2, dtype=complex)
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
     z = np.zeros((2, 2), dtype=complex)
     g0 = np.block([[s0, z], [z, -s0]])
-    gi = [np.block([[z, s], [-s, z]]) for s in (sx, sy, sz)]
+    gi = [np.block([[z, s], [-s, z]]) for s in PAULI]
     return [g0] + gi
 
 

@@ -18,13 +18,10 @@ from .errors import (CausalityViolationError, NodeError, PhysicsError,
                      ShapeError)
 from .families import PlaneWaveSum
 from .guide import RHO_FLOOR_REL
-from .matrices import bilinears, build_matrix_set
+from .matrices import PAULI, bilinears, build_matrix_set
 from .wavefunction import ParametricWaveFunction
 
 _DIRAC = build_matrix_set("dirac4")
-_SIGMA = np.array([[[0, 1], [1, 0]],
-                   [[0, -1j], [1j, 0]],
-                   [[1, 0], [0, -1]]], dtype=complex)
 
 
 def free_spinor(p, mass, energy_sign, spin_label):
@@ -42,7 +39,7 @@ def free_spinor(p, mass, energy_sign, spin_label):
     e = np.sqrt(p @ p + mass * mass)
     chi = np.zeros(2, dtype=complex)
     chi[spin_label] = 1.0
-    sp = np.einsum("iab,i->ab", _SIGMA, p)
+    sp = np.einsum("iab,i->ab", PAULI, p)
     if energy_sign > 0:
         upper, lower = chi, (sp @ chi) / (e + mass)
     else:

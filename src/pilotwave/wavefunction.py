@@ -10,29 +10,20 @@ import numpy as np
 from . import families
 from .errors import ConfigurationError, ShapeError, UnsupportedFamilyError
 from .grid import Grid
-from .units import NATURAL
 
 
-def _particle_axes(config_dim, n_particles):
-    if config_dim % n_particles:
-        raise ConfigurationError(
-            f"{config_dim} axes cannot be split over {n_particles} particles")
-    d = config_dim // n_particles
-    return tuple(tuple(range(k * d, (k + 1) * d)) for k in range(n_particles))
-
-
-def axis_masses(psi):
+def axis_masses(masses, config_dim):
     """Mass of the particle each configuration axis belongs to, shape
-    (config_dim,)."""
-    m = np.empty(psi.config_dim)
-    for k, axes in enumerate(psi.particle_axes):
-        m[list(axes)] = psi.masses[k]
-    return m
+    (config_dim,): the axes split evenly over the particles, in order."""
+    if config_dim % len(masses):
+        raise ConfigurationError(
+            f"{config_dim} axes cannot be split over {len(masses)} particles")
+    return np.repeat(masses, config_dim // len(masses))
 
 
-def _hbar_m(psi):
+def _hbar_m(masses, config_dim):
     """hbar / m per configuration axis, read-only (see `axis_masses`)."""
-    out = psi.units.hbar / axis_masses(psi)
+    out = 1.0 / axis_masses(masses, config_dim)
     out.setflags(write=False)
     return out
 
@@ -42,22 +33,18 @@ class ParametricWaveFunction:
 
     representation = "parametric"
 
-    def __init__(self, family, params, masses, time=0.0, units=NATURAL,
-                 particle_axes=None):
+    def __init__(self, family, params, masses, time=0.0):
         self.family = family
         self.params = params
         self.masses = tuple(float(m) for m in np.atleast_1d(masses))
         if any(m <= 0 for m in self.masses):
             raise ConfigurationError("masses must be positive")
         self.time = float(time)
-        self.units = units
         self._fam = fam = families.get_family(family)
         self._has_log_gradient = hasattr(fam, "log_gradient")
         self.spin_dim = fam.spin_dim(params)
         self.config_dim = fam.config_dim(params)
-        self.particle_axes = (particle_axes if particle_axes is not None
-                              else _particle_axes(self.config_dim, len(self.masses)))
-        self.hbar_m = _hbar_m(self)
+        self.hbar_m = _hbar_m(self.masses, self.config_dim)
 
     def evaluate(self, configs, t=None):
         """Complex amplitude, shape (spin_dim, npoints).
@@ -66,14 +53,12 @@ class ParametricWaveFunction:
         through; guidance treats them as node encounters, and the public
         `evaluate` wrapper validates finiteness for API users."""
         return self._fam.value(self.params, configs,
-                               self.time if t is None else t,
-                               hbar=self.units.hbar)
+                               self.time if t is None else t)
 
     def value_and_gradient(self, configs, t=None):
         """(evaluate, gradient) at the same points from one family pass."""
         return self._fam.value_and_gradient(self.params, configs,
-                                            self.time if t is None else t,
-                                            hbar=self.units.hbar)
+                                            self.time if t is None else t)
 
     def gradient(self, configs, t=None):
         """Spatial gradient, shape (spin_dim, config_dim, npoints)."""
@@ -85,34 +70,32 @@ class ParametricWaveFunction:
         if not self._has_log_gradient:
             return None
         return self._fam.log_gradient(self.params, configs,
-                                      self.time if t is None else t,
-                                      hbar=self.units.hbar)
+                                      self.time if t is None else t)
 
-    def value_gradient_in_phase(self, configs, t=None):
-        """(evaluate, gradient, in-phase density) from one family pass.
+    def value_gradient_moduli(self, configs, t=None):
+        """(evaluate, gradient, moduli) from one family pass.
 
-        The in-phase density (sum_i |c_i phi_i|)^2, summed over spin
-        components, shape (n,), is the density the state's terms would
-        give if they all added in phase.  None for a single closed-form
-        term (nothing can cancel)."""
-        val, grad, mod = families.value_gradient_moduli(
-            self._fam, self.params, configs, self.time if t is None else t,
-            hbar=self.units.hbar)
-        return val, grad, None if mod is None else np.sum(mod**2, axis=0)
+        The moduli sum_i |c_i phi_i| over the state's closed-form terms,
+        shape (spin_dim, n), are what the terms would give if they all
+        added in phase; None for a single closed-form term (nothing can
+        cancel)."""
+        return families.value_gradient_moduli(
+            self._fam, self.params, configs, self.time if t is None else t)
 
     def density(self, configs, t=None):
         v = self.evaluate(configs, t)
         return np.sum(np.abs(v) ** 2, axis=0)
 
     def in_phase_density(self, configs, t=None):
-        """The in-phase density of `value_gradient_in_phase`."""
-        return self.value_gradient_in_phase(configs, t)[2]
+        """The in-phase density (sum_i |c_i phi_i|)^2 of the moduli of
+        `value_gradient_moduli`, summed over spin components, shape (n,)."""
+        mod = self.value_gradient_moduli(configs, t)[2]
+        return None if mod is None else np.sum(mod**2, axis=0)
 
     def at_time(self, t):
         """Same state at another time (families are exact free solutions)."""
         return ParametricWaveFunction(self.family, self.params, self.masses,
-                                      time=t, units=self.units,
-                                      particle_axes=self.particle_axes)
+                                      time=t)
 
     def __repr__(self):
         return (f"ParametricWaveFunction({self.family!r}, spin_dim={self.spin_dim}, "
@@ -124,8 +107,7 @@ class GridWaveFunction:
 
     representation = "grid"
 
-    def __init__(self, grid, values, masses, time=0.0, units=NATURAL,
-                 particle_axes=None):
+    def __init__(self, grid, values, masses, time=0.0):
         values = np.asarray(values, dtype=complex)
         if values.ndim == grid.ndim:
             values = values[None, ...]
@@ -140,31 +122,25 @@ class GridWaveFunction:
         if any(m <= 0 for m in self.masses):
             raise ConfigurationError("masses must be positive")
         self.time = float(time)
-        self.units = units
         self.config_dim = grid.ndim
-        self.particle_axes = (particle_axes if particle_axes is not None
-                              else _particle_axes(self.config_dim, len(self.masses)))
-        self.hbar_m = _hbar_m(self)
+        self.hbar_m = _hbar_m(self.masses, self.config_dim)
         self._norm = None
 
     @classmethod
-    def from_callable(cls, grid, func, masses, time=0.0, units=NATURAL,
-                      spin_dim=1, particle_axes=None):
+    def from_callable(cls, grid, func, masses, time=0.0):
         """Sample psi(x) on the grid; func maps stacked meshgrid coords to
         values of shape (spin_dim, *grid.shape) or (*grid.shape,)."""
         mesh = grid.meshgrid()
         vals = np.asarray(func(*mesh), dtype=complex)
         if vals.ndim == grid.ndim:
             vals = vals[None, ...]
-        return cls(grid, vals, masses, time=time, units=units,
-                   particle_axes=particle_axes)
+        return cls(grid, vals, masses, time=time)
 
     @classmethod
-    def sample(cls, state, grid, particle_axes=None):
+    def sample(cls, state, grid):
         """Sample a parametric state on a grid."""
         vals = state.evaluate(grid.nodes()).reshape((state.spin_dim,) + grid.shape)
-        return cls(grid, vals, state.masses, time=state.time, units=state.units,
-                   particle_axes=particle_axes or state.particle_axes)
+        return cls(grid, vals, state.masses, time=state.time)
 
     def density_nodes(self):
         return np.sum(np.abs(self.values) ** 2, axis=0)
@@ -181,8 +157,7 @@ class GridWaveFunction:
         if not np.isfinite(n) or n == 0:
             raise ConfigurationError("state norm is zero or non-finite")
         return GridWaveFunction(self.grid, self.values / n, self.masses,
-                                time=self.time, units=self.units,
-                                particle_axes=self.particle_axes)
+                                time=self.time)
 
     def evaluate(self, configs, t=None):
         """Multilinear interpolation of each spin component."""
@@ -212,8 +187,7 @@ class GridWaveFunction:
 
     def with_values(self, values, time=None):
         return GridWaveFunction(self.grid, values, self.masses,
-                                time=self.time if time is None else time,
-                                units=self.units, particle_axes=self.particle_axes)
+                                time=self.time if time is None else time)
 
     def __repr__(self):
         return (f"GridWaveFunction(shape={self.grid.shape}, "

@@ -310,7 +310,7 @@ def beams(draw):
     t_focus = draw(st.floats(0.1, 1.0))
     beam = decay._ConvergingGaussianSource(
         np.zeros(3), axis, draw(st.floats(0.5, 10.0)),
-        draw(st.floats(0.05, 0.5)), t_focus, 1.0, 1.0)
+        draw(st.floats(0.05, 0.5)), t_focus, 1.0)
     starts = draw(arrays(float, (5, 3), elements=st.floats(-0.5, 0.5)))
     return beam, starts
 
@@ -353,8 +353,7 @@ class TestImagingFlow:
         t_focus = 1 and -1 + 0.293 t after, so it is below x = -0.6 only
         between t ~ 0.94 and 1.37, and above it again at t_end = 3."""
         beam = decay._ConvergingGaussianSource(
-            np.zeros(3), np.array([-1.0, 1.0, 0.0]), 1.0, 0.05, 1.0, 1.0,
-            1.0)
+            np.zeros(3), np.array([-1.0, 1.0, 0.0]), 1.0, 0.05, 1.0, 1.0)
         start = np.array([[1.0, 1.0, 0.0]])
         assert beam.flow(start, 3.0)[0, 0] > -0.6
         t_land, reached = beam.first_crossing(start, -0.6, 3.0)
@@ -366,10 +365,10 @@ class TestImagingFlow:
         lens = LensSpec(f=1.0, S=2.0, S_image=2.0, waist=waist)
         out = imaging_trajectories(self.SPEC, lens, [2.0, 0.1, 0.1], n=50,
                                    seed=4)
-        v = np.sqrt(self.SPEC.hbar / self.SPEC.alpha) / self.SPEC.m2
+        v = np.sqrt(1.0 / self.SPEC.alpha) / self.SPEC.m2
         beam = decay._ConvergingGaussianSource(
             np.zeros(3), out["image_point"], v, waist, lens.S_image / v,
-            self.SPEC.m2, self.SPEC.hbar)
+            self.SPEC.m2)
         return out, beam
 
     def test_flow_matches_rk4_oracle(self):

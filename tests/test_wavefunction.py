@@ -286,6 +286,28 @@ class TestGridState:
         assert abs(psi.norm() - 1.0) < 1e-9
 
 
+class TestParticleAxes:
+    """The configuration axes split evenly over the particles, in order."""
+
+    def test_uneven_split_rejected(self):
+        with pytest.raises(ConfigurationError):
+            ParametricWaveFunction(
+                "gaussian_packet",
+                {"center": [0.0] * 5, "sigma": 1.0, "m": 1.0}, [1.0, 1.0])
+        with pytest.raises(ConfigurationError):
+            GridWaveFunction(Grid([(-1.0, 1.0)] * 5, [5] * 5),
+                             np.ones((5,) * 5), [1.0, 1.0])
+
+    def test_hbar_m_follows_each_particle(self):
+        pair = ParametricWaveFunction(
+            "decaying_pair", {"alpha": 0.5, "m1": 1.0, "m2": 3.0, "d": 3},
+            [1.0, 3.0])
+        grid = GridWaveFunction(Grid([(-1.0, 1.0)] * 6, [5] * 6),
+                                np.ones((5,) * 6), [1.0, 3.0])
+        for psi in (pair, grid):
+            assert psi.hbar_m.tolist() == [1, 1, 1, 1 / 3, 1 / 3, 1 / 3]
+
+
 # one small valid parameter set per registered family, all on a 2-D
 # configuration space
 _GAUSS_2D = {"center": [0.1, -0.2], "sigma": [0.8, 1.1], "k0": [0.5, -0.3],
