@@ -145,9 +145,9 @@ class CurrentField:
     """Density and current at the evaluated points, with decomposition.
 
     in_phase is the density the state's closed-form terms would give if
-    they all added in phase, from the same pass (see
-    `ParametricWaveFunction.in_phase_density`); None for a single
-    term or a grid state."""
+    they all added in phase, sum over spin of the squared moduli of
+    `ParametricWaveFunction.value_gradient_moduli` from the same pass;
+    None for a single term or a grid state."""
     rho: np.ndarray
     j: np.ndarray
     j_c: np.ndarray

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 from .bessel import j1
 from .errors import ConfigurationError, PhysicsError, ShapeError
+from .grid import Grid
 from .guide import (STATUS_EXITED, BeableConfig, Box, Ensemble,
                     IntegrationControls, ParametricVelocity,
                     integrate_ensemble, integrate_trajectory,
@@ -244,26 +245,18 @@ def _momentum_variance(spec, pmax=None, n=801):
     return float(var)
 
 
-def _position_variance0(spec, n=1201):
-    """Var(m1 x1 + m2 x2) at t = 0 from |psi|^2, by quadrature."""
-    psi = spec.state(d=1)
-    lim_x = 8.0 * spec.sigma_x
-    lim_r = 8.0 * np.sqrt(spec.alpha)
-    lim = lim_x + lim_r
-    x = np.linspace(-lim, lim, n)
-    x1, x2 = np.meshgrid(x, x, indexing="ij")
-    pts = np.stack([x1.ravel(), x2.ravel()], axis=-1)
-    rho = psi.density(pts).reshape(n, n)
-    q = spec.m1 * x1 + spec.m2 * x2
-    w = np.trapezoid(np.trapezoid(rho, x, axis=1), x)
-    mean = np.trapezoid(np.trapezoid(rho * q, x, axis=1), x) / w
-    return float(np.trapezoid(np.trapezoid(rho * (q - mean) ** 2, x, axis=1), x) / w)
+def _position_variance0(spec):
+    """Var(m1 x1 + m2 x2) at t = 0, M^2 sigma_x^2: the center of mass X
+    carries a Gaussian of width sigma_x, and (x1, x2) -> (X, x1 - x2) has
+    unit Jacobian, so the relative factor integrates out."""
+    return float((spec.m1 + spec.m2) ** 2 * spec.sigma_x ** 2)
 
 
 def variance_evolution(spec, times, monte_carlo_n=0, seed=20250101):
     """Var(m1 x1 + m2 x2)(t) = Var(0) + Var(p1 + p2) t^2 per component.
 
-    Var(0) and Var(p1+p2) come from quadrature over |psi(0)|^2 and F.
+    Var(0) = M^2 sigma_x^2 (M = m1 + m2) in closed form; Var(p1 + p2)
+    comes from quadrature of F, since a custom density need not factor.
     With monte_carlo_n > 0 the formula is cross-validated by propagating
     an equilibrium ensemble with the exact guidance velocities and
     measuring the empirical variance at each requested time: one pass
@@ -307,10 +300,9 @@ def alignment_analysis(spec, t, l0=None, wavenumber=None, grid_n=201):
     psi = spec.state(d=1)
     lim = (6.0 * spec.sigma_x + 6.0 * np.sqrt(spec.alpha)
            + 2.0 * np.sqrt(1.0 / spec.alpha) * t / (2 * spec.mu))
-    x = np.linspace(-lim, lim, grid_n)
-    x1, x2 = np.meshgrid(x, x, indexing="ij")
-    pts = np.stack([x1.ravel(), x2.ravel()], axis=-1)
-    rho = psi.at_time(t).density(pts).reshape(grid_n, grid_n)
+    grid = Grid([(-lim, lim)] * 2, [grid_n] * 2)
+    x = grid.axes[0]
+    rho = psi.at_time(t).density(grid.nodes()).reshape(grid.shape)
     i, j = np.unravel_index(np.argmax(rho), rho.shape)
     peak_offset = abs(spec.m1 * x[i] + spec.m2 * x[j])
     cell = (x[1] - x[0]) * max(spec.m1, spec.m2)

@@ -4,19 +4,25 @@ Each family is registered under a name and provides exact evaluation and
 spatial gradients at any time, so `analytic` propagation is just a change
 of the time argument.  Families compute unnormalized or conventionally
 normalized values; sampling and norms only ever use |psi|^2 ratios.
+Units are natural, hbar = 1: masses are the only scale, and no kernel
+takes hbar.
 
 The family protocol (all static or class methods):
 
 * ``config_dim(params)``, ``spin_dim(params)``
-* ``value(params, x, t, hbar)``: psi, shape (spin_dim, n); what the
-  sampler and the quadratures need
-* ``value_and_gradient(params, x, t, hbar)``: (psi, grad psi), shapes
-  (spin_dim, n) and (spin_dim, config_dim, n), from one evaluation of
-  the exponentials, psi identical to ``value``; there is no separate
-  gradient kernel
-* ``log_gradient(params, x, t, hbar)``, single scalar terms only:
-  grad log psi, shape (config_dim, n), a rational expression with no
-  exponential in it.  The five single-term families (``plane_wave``,
+* ``value(params, x, t)``: psi, shape (spin_dim, n); what the sampler
+  and the quadratures need
+* ``value_gradient_moduli(params, x, t)``: (psi, grad psi, moduli),
+  shapes (spin_dim, n), (spin_dim, config_dim, n) and (spin_dim, n),
+  from one evaluation of the exponentials, psi identical to ``value``.
+  moduli is sum_i |c_i phi_i| per spin component over the closed-form
+  terms a sum family is built from (nested sums expanded), which is what
+  guidance compares the density against to tell a node from a tail;
+  None for a single term, which has nothing to cancel.  There is no
+  separate gradient kernel.
+* ``log_gradient(params, x, t)``, single scalar terms only: grad log psi,
+  shape (config_dim, n), a rational expression with no exponential in
+  it.  The five single-term families (``plane_wave``,
   ``gaussian_packet``, ``decaying_pair``, ``post_collapse_pair``,
   ``correlated_pair``) have it, and their gradient is
   ``log_gradient * value`` (`_SingleTerm`).  Guidance reads
@@ -26,7 +32,8 @@ The family protocol (all static or class methods):
   of a sum needs the sum itself, and a spinor component that vanishes
   identically would make it 0/0, so guidance divides their gradient by
   psi instead.
-* ``value_gradient_moduli(params, x, t, hbar)``, optional (see below)
+
+A configuration of the wrong dimension raises ShapeError.
 
 Registered families:
 
@@ -42,11 +49,6 @@ Registered families:
 * ``spinor_product``      scalar family times a constant spinor
 * ``plane_wave_sum``      sum of spinor plane waves with given frequencies
                           (Dirac and DKP states and their reductions)
-
-Families that are sums of terms also provide ``value_gradient_moduli``:
-psi, grad psi and the per-spin sum of the moduli of their terms from the
-one pass that evaluates the terms (see `value_gradient_moduli`), which is
-what guidance compares the density against to tell a node from a tail.
 """
 
 import numpy as np
@@ -75,31 +77,17 @@ def family_names():
     return sorted(_REGISTRY)
 
 
-def value_gradient_moduli(fam, params, x, t, hbar=1.0):
-    """(psi, grad psi, moduli) from one pass over the family's terms.
-
-    moduli is sum_i |c_i phi_i| per spin component, shape (spin_dim, n),
-    over the closed-form terms a sum family is built from (nested sums
-    expanded); None for a single closed-form term: it has nothing to
-    cancel.
-    """
-    fused = getattr(fam, "value_gradient_moduli", None)
-    if fused is None:
-        return (*fam.value_and_gradient(params, x, t, hbar), None)
-    return fused(params, x, t, hbar)
-
-
 class _SingleTerm:
     """A single closed-form scalar term: grad psi = log_gradient * psi."""
 
     @classmethod
-    def value_and_gradient(cls, params, x, t, hbar=1.0):
-        val = cls.value(params, x, t, hbar)
+    def value_gradient_moduli(cls, params, x, t):
+        val = cls.value(params, x, t)
         # (d, n) * (1, n), not * (n,): numpy multiplies a (1, 1) complex
         # array by a (1,) one without the fused multiply-add of every
         # other shape, so a lone 1-D point would round differently from
         # the same point in a batch
-        return val, (cls.log_gradient(params, x, t, hbar) * val)[None]
+        return val, (cls.log_gradient(params, x, t) * val)[None], None
 
 
 def _as_points(x, dim):
@@ -107,7 +95,7 @@ def _as_points(x, dim):
     if x.ndim == 1:
         x = x[None, :]
     if x.shape[-1] != dim:
-        raise ConfigurationError(
+        raise ShapeError(
             f"configuration has dimension {x.shape[-1]}, family expects {dim}")
     return x
 
@@ -125,41 +113,41 @@ class PlaneWave(_SingleTerm):
         return 1
 
     @staticmethod
-    def value(params, x, t, hbar=1.0):
+    def value(params, x, t):
         k = np.atleast_1d(np.asarray(params["k"], dtype=float))
         m = params["m"]
         x = _as_points(x, len(k))
-        omega = hbar * (k @ k) / (2.0 * m)
+        omega = (k @ k) / (2.0 * m)
         return np.exp(1j * (x @ k - omega * t))[None, :]
 
     @staticmethod
-    def log_gradient(params, x, t, hbar=1.0):
+    def log_gradient(params, x, t):
         k = np.atleast_1d(np.asarray(params["k"], dtype=float))
         n = _as_points(x, len(k)).shape[0]
         return np.broadcast_to(1j * k[:, None], (len(k), n))
 
 
-def _gauss_width(x, t, x0, sigma, k0, m, hbar):
+def _gauss_width(x, t, x0, sigma, k0, m):
     """B = s^2 + i hbar t / 2m and the offset x - xc from the drifting
     center xc = x0 + hbar k0 t / m."""
-    return sigma**2 + 0.5j * hbar * t / m, x - (x0 + hbar * k0 * t / m)
+    return sigma**2 + 0.5j * t / m, x - (x0 + k0 * t / m)
 
 
-def _gauss_1d(x, t, x0, sigma, k0, m, hbar):
+def _gauss_1d(x, t, x0, sigma, k0, m):
     """1-D free Gaussian packet
 
     psi = (2 pi s^2)^(-1/4) * s/sqrt(B) * exp(-(x-xc)^2/(4B) + i k0 (x-x0)
           - i hbar k0^2 t / 2m).
     """
-    B, xi = _gauss_width(x, t, x0, sigma, k0, m, hbar)
+    B, xi = _gauss_width(x, t, x0, sigma, k0, m)
     amp = (2.0 * np.pi * sigma**2) ** -0.25 * sigma / np.sqrt(B)
     return amp * np.exp(-xi**2 / (4.0 * B)
-                        + 1j * k0 * (x - x0) - 0.5j * hbar * k0**2 * t / m)
+                        + 1j * k0 * (x - x0) - 0.5j * k0**2 * t / m)
 
 
-def _gauss_1d_dlog(x, t, x0, sigma, k0, m, hbar):
+def _gauss_1d_dlog(x, t, x0, sigma, k0, m):
     """d log psi / dx = -(x - xc) / 2B + i k0 of the `_gauss_1d` packet."""
-    B, xi = _gauss_width(x, t, x0, sigma, k0, m, hbar)
+    B, xi = _gauss_width(x, t, x0, sigma, k0, m)
     return -xi / (2.0 * B) + 1j * k0
 
 
@@ -187,21 +175,21 @@ class GaussianPacket(_SingleTerm):
         return c, s, k, params["m"]
 
     @classmethod
-    def value(cls, params, x, t, hbar=1.0):
+    def value(cls, params, x, t):
         c, s, k, m = cls._axis_params(params)
         x = _as_points(x, len(c))
         out = np.ones(x.shape[0], dtype=complex)
         for a in range(len(c)):
-            out = out * _gauss_1d(x[:, a], t, c[a], s[a], k[a], m, hbar)
+            out = out * _gauss_1d(x[:, a], t, c[a], s[a], k[a], m)
         return out[None, :]
 
     @classmethod
-    def log_gradient(cls, params, x, t, hbar=1.0):
+    def log_gradient(cls, params, x, t):
         c, s, k, m = cls._axis_params(params)
         x = _as_points(x, len(c))
         dlog = np.empty((len(c), x.shape[0]), dtype=complex)
         for a in range(len(c)):
-            dlog[a] = _gauss_1d_dlog(x[:, a], t, c[a], s[a], k[a], m, hbar)
+            dlog[a] = _gauss_1d_dlog(x[:, a], t, c[a], s[a], k[a], m)
         return dlog
 
 
@@ -234,21 +222,21 @@ class DecayingPair(_SingleTerm):
         return 1
 
     @classmethod
-    def value(cls, params, x, t, hbar=1.0):
+    def value(cls, params, x, t):
         d, mu = cls._geom(params)
         x = _as_points(x, 2 * d)
         beta = _pair_beta(params["alpha"], t, mu)
         r = x[:, :d] - x[:, d:]
-        pref = params.get("N", 1.0) * (np.pi * hbar / beta) ** (d / 2.0)
-        val = pref * np.exp(-np.sum(r * r, axis=1) / (4.0 * hbar * beta))
+        pref = params.get("N", 1.0) * (np.pi / beta) ** (d / 2.0)
+        val = pref * np.exp(-np.sum(r * r, axis=1) / (4.0 * beta))
         return val[None, :]
 
     @classmethod
-    def log_gradient(cls, params, x, t, hbar=1.0):
+    def log_gradient(cls, params, x, t):
         d, mu = cls._geom(params)
         x = _as_points(x, 2 * d)
         beta = _pair_beta(params["alpha"], t, mu)
-        g = (x[:, :d] - x[:, d:]).T / (2.0 * hbar * beta)   # (d, n)
+        g = (x[:, :d] - x[:, d:]).T / (2.0 * beta)   # (d, n)
         return np.concatenate([-g, g])
 
 
@@ -278,17 +266,17 @@ class PostCollapsePair(_SingleTerm):
         return beta, a[None, :] - x
 
     @classmethod
-    def value(cls, params, x, t, hbar=1.0):
+    def value(cls, params, x, t):
         beta, u = cls._offset(params, x, t)
-        pref = params.get("N", 1.0) * (np.pi * hbar / beta) ** (u.shape[1] / 2.0)
-        val = pref * np.exp(-np.sum(u * u, axis=1) / (4.0 * hbar * beta))
+        pref = params.get("N", 1.0) * (np.pi / beta) ** (u.shape[1] / 2.0)
+        val = pref * np.exp(-np.sum(u * u, axis=1) / (4.0 * beta))
         return val[None, :]
 
     @classmethod
-    def log_gradient(cls, params, x, t, hbar=1.0):
+    def log_gradient(cls, params, x, t):
         beta, u = cls._offset(params, x, t)
         # d/dx of the -(a-x)^2 term
-        return u.T / (2.0 * hbar * beta)
+        return u.T / (2.0 * beta)
 
 
 @register("correlated_pair")
@@ -327,27 +315,27 @@ class CorrelatedPair(_SingleTerm):
         return (m1 * x1 + m2 * x2) / M, x1 - x2, X0
 
     @classmethod
-    def value(cls, params, x, t, hbar=1.0):
+    def value(cls, params, x, t):
         d, _, _, M, mu = cls._geom(params)
         X, r, X0 = cls._coords(params, x)
         sx = params["sigma_x"]
         com = np.ones(X.shape[0], dtype=complex)
         for a in range(d):
-            com = com * _gauss_1d(X[:, a], t, X0[a], sx, 0.0, M, hbar)
+            com = com * _gauss_1d(X[:, a], t, X0[a], sx, 0.0, M)
         beta = _pair_beta(params["alpha"], t, mu)
-        rel = (np.pi * hbar / beta) ** (d / 2.0) * np.exp(
-            -np.sum(r * r, axis=1) / (4.0 * hbar * beta))
+        rel = (np.pi / beta) ** (d / 2.0) * np.exp(
+            -np.sum(r * r, axis=1) / (4.0 * beta))
         return (params.get("N", 1.0) * com * rel)[None, :]
 
     @classmethod
-    def log_gradient(cls, params, x, t, hbar=1.0):
+    def log_gradient(cls, params, x, t):
         d, m1, m2, M, mu = cls._geom(params)
         X, r, X0 = cls._coords(params, x)
         sx = params["sigma_x"]
         dlc = np.empty((d, X.shape[0]), dtype=complex)   # d/dX
         for a in range(d):
-            dlc[a] = _gauss_1d_dlog(X[:, a], t, X0[a], sx, 0.0, M, hbar)
-        dlr = -r.T / (2.0 * hbar * _pair_beta(params["alpha"], t, mu))   # d/dr
+            dlc[a] = _gauss_1d_dlog(X[:, a], t, X0[a], sx, 0.0, M)
+        dlr = -r.T / (2.0 * _pair_beta(params["alpha"], t, mu))   # d/dr
         # chain rule: d/dx1 = (m1/M) d/dX + d/dr, d/dx2 = (m2/M) d/dX - d/dr
         return np.concatenate([(m1 / M) * dlc + dlr, (m2 / M) * dlc - dlr])
 
@@ -384,23 +372,19 @@ class Superposition:
         return dims.pop()
 
     @classmethod
-    def value(cls, params, x, t, hbar=1.0):
+    def value(cls, params, x, t):
         parts = cls._parts(params)
         out = None
         for c, fam, p in parts:
-            v = c * fam.value(p, x, t, hbar)
+            v = c * fam.value(p, x, t)
             out = v if out is None else out + v
         return out
 
     @classmethod
-    def value_and_gradient(cls, params, x, t, hbar=1.0):
-        return cls.value_gradient_moduli(params, x, t, hbar)[:2]
-
-    @classmethod
-    def value_gradient_moduli(cls, params, x, t, hbar=1.0):
+    def value_gradient_moduli(cls, params, x, t):
         val = grad = mod = None
         for c, fam, p in cls._parts(params):
-            v, g, m = value_gradient_moduli(fam, p, x, t, hbar)
+            v, g, m = fam.value_gradient_moduli(p, x, t)
             m = abs(c) * (np.abs(v) if m is None else m)
             v, g = c * v, c * g
             val, grad, mod = ((v, g, m) if val is None
@@ -433,19 +417,15 @@ class SpinorProduct:
         return scalar[0]
 
     @classmethod
-    def value(cls, params, x, t, hbar=1.0):
+    def value(cls, params, x, t):
         fam, p, chi = cls._parts(params)
-        scalar = cls._scalar_only(fam.value(p, x, t, hbar))
+        scalar = cls._scalar_only(fam.value(p, x, t))
         return chi[:, None] * scalar[None, :]
 
     @classmethod
-    def value_and_gradient(cls, params, x, t, hbar=1.0):
-        return cls.value_gradient_moduli(params, x, t, hbar)[:2]
-
-    @classmethod
-    def value_gradient_moduli(cls, params, x, t, hbar=1.0):
+    def value_gradient_moduli(cls, params, x, t):
         fam, p, chi = cls._parts(params)
-        v, g, m = value_gradient_moduli(fam, p, x, t, hbar)
+        v, g, m = fam.value_gradient_moduli(p, x, t)
         return (chi[:, None] * cls._scalar_only(v)[None, :],
                 chi[:, None, None] * g[0][None, :, :],
                 None if m is None else np.abs(chi)[:, None] * m[0][None, :])
@@ -459,8 +439,7 @@ class PlaneWaveSum:
     (nterm, spin_dim) amplitudes, each a coefficient times its constant
     spinor or field vector.  The frequencies are given, so hbar does not
     enter, and any dispersion (relativistic, or with the rest energy
-    removed) is exact.  A configuration of the wrong dimension raises
-    ShapeError, the error the relativistic states report for it.
+    removed) is exact.
     """
 
     @staticmethod
@@ -475,29 +454,22 @@ class PlaneWaveSum:
     def _phases(params, x, t):
         """exp(i(K x - w t)), shape (nterm, n)."""
         k = np.asarray(params["k"], dtype=float)
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[1] != k.shape[1]:
-            raise ShapeError(f"configuration has dimension {x.shape[1]}, "
-                             f"the plane waves {k.shape[1]}")
+        x = _as_points(x, k.shape[1])
         return np.exp(1j * (k @ x.T - (np.asarray(params["omega"]) * t)[:, None]))
 
     @classmethod
-    def value(cls, params, x, t, hbar=1.0):
+    def value(cls, params, x, t):
         """Shape (spin_dim, n), C-contiguous."""
         return np.asarray(params["amps"]).T @ cls._phases(params, x, t)
 
     @classmethod
-    def value_and_gradient(cls, params, x, t, hbar=1.0):
+    def value_gradient_moduli(cls, params, x, t):
         phases = cls._phases(params, x, t)
+        mod = np.sum(np.abs(params["amps"]), axis=0)
         return (np.asarray(params["amps"]).T @ phases,
                 np.einsum("ts,td,tn->sdn", params["amps"],
-                          1j * np.asarray(params["k"], dtype=float), phases))
-
-    @classmethod
-    def value_gradient_moduli(cls, params, x, t, hbar=1.0):
-        val, grad = cls.value_and_gradient(params, x, t, hbar)
-        mod = np.sum(np.abs(params["amps"]), axis=0)
-        return val, grad, np.repeat(mod[:, None], val.shape[1], axis=1)
+                          1j * np.asarray(params["k"], dtype=float), phases),
+                np.repeat(mod[:, None], phases.shape[1], axis=1))
 
     @staticmethod
     def scale(params):

@@ -244,12 +244,6 @@ def velocity_source(psi_or_snapshots, spin=None, em=None):
 # sampling
 
 
-def _probe_grid(box, per_axis):
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
-
-
 def sample_equilibrium(psi, n, seed, box=None, envelope="auto"):
     """Draw n i.i.d. configurations from |psi|^2 by rejection sampling.
 
@@ -267,7 +261,7 @@ def sample_equilibrium(psi, n, seed, box=None, envelope="auto"):
     box = [(float(lo), float(hi)) for lo, hi in box]
     dim = len(box)
     per_axis = {1: 512, 2: 128, 3: 33, 4: 17, 5: 11, 6: 9}.get(dim, 7)
-    probes = _probe_grid(box, per_axis)
+    probes = Grid(box, [per_axis] * dim).nodes()
     rho_p = psi.density(probes)
     peak = float(np.max(rho_p))
     if not np.isfinite(peak) or peak <= 0:
@@ -469,14 +463,12 @@ def marginal_cdf_by_quadrature(psi, axis, box):
     over the remaining axes of the box."""
     dim = len(box)
     per_axis = {1: 4001, 2: 801, 3: 101, 4: 61}.get(dim, 31)
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    rho = psi.density(pts).reshape([per_axis] * dim)
+    grid = Grid(box, [per_axis] * dim)
+    rho = psi.density(grid.nodes()).reshape(grid.shape)
     other = [a for a in range(dim) if a != axis]
     for a in sorted(other, reverse=True):
-        rho = np.trapezoid(rho, axes[a], axis=a)
-    x = axes[axis]
+        rho = np.trapezoid(rho, grid.axes[a], axis=a)
+    x = grid.axes[axis]
     cdf = np.concatenate([[0.0], np.cumsum((rho[1:] + rho[:-1]) * np.diff(x) / 2)])
     if cdf[-1] <= 0:
         raise PilotWaveError("marginal mass vanished; box too small?")

@@ -57,12 +57,11 @@ class ParametricWaveFunction:
 
     def value_and_gradient(self, configs, t=None):
         """(evaluate, gradient) at the same points from one family pass."""
-        return self._fam.value_and_gradient(self.params, configs,
-                                            self.time if t is None else t)
+        return self.value_gradient_moduli(configs, t)[:2]
 
     def gradient(self, configs, t=None):
         """Spatial gradient, shape (spin_dim, config_dim, npoints)."""
-        return self.value_and_gradient(configs, t)[1]
+        return self.value_gradient_moduli(configs, t)[1]
 
     def log_gradient(self, configs, t=None):
         """grad log psi, shape (config_dim, npoints), without evaluating
@@ -79,18 +78,12 @@ class ParametricWaveFunction:
         shape (spin_dim, n), are what the terms would give if they all
         added in phase; None for a single closed-form term (nothing can
         cancel)."""
-        return families.value_gradient_moduli(
-            self._fam, self.params, configs, self.time if t is None else t)
+        return self._fam.value_gradient_moduli(
+            self.params, configs, self.time if t is None else t)
 
     def density(self, configs, t=None):
         v = self.evaluate(configs, t)
         return np.sum(np.abs(v) ** 2, axis=0)
-
-    def in_phase_density(self, configs, t=None):
-        """The in-phase density (sum_i |c_i phi_i|)^2 of the moduli of
-        `value_gradient_moduli`, summed over spin components, shape (n,)."""
-        mod = self.value_gradient_moduli(configs, t)[2]
-        return None if mod is None else np.sum(mod**2, axis=0)
 
     def at_time(self, t):
         """Same state at another time (families are exact free solutions)."""

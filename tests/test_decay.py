@@ -106,6 +106,27 @@ class TestVarianceEvolution:
         out = variance_evolution(self.SPEC, [0.0])
         np.testing.assert_allclose(out["variance"][0], out["var_x0"], rtol=1e-12)
 
+    @pytest.mark.parametrize("sigma, alpha, m1, m2", [
+        (0.5, 0.8, 1.0, 1.0), (0.4, 0.3, 1.0, 1.0), (0.4, 0.3, 1.0, 2.0),
+        (0.7, 0.5, 1.0, 3.0)])
+    def test_var_x0_matches_quadrature(self, sigma, alpha, m1, m2):
+        """The closed form M^2 sigma_x^2 against the trapezoid rule over
+        |psi(0)|^2 on 1201^2 nodes that it replaced."""
+        spec = MomentumCorrelationSpec(sigma=sigma, alpha=alpha, m1=m1, m2=m2)
+        n = 1201
+        lim = 8.0 * spec.sigma_x + 8.0 * np.sqrt(spec.alpha)
+        x = np.linspace(-lim, lim, n)
+        x1, x2 = np.meshgrid(x, x, indexing="ij")
+        pts = np.stack([x1.ravel(), x2.ravel()], axis=-1)
+        rho = spec.state(d=1).density(pts).reshape(n, n)
+        q = m1 * x1 + m2 * x2
+        w = np.trapezoid(np.trapezoid(rho, x, axis=1), x)
+        mean = np.trapezoid(np.trapezoid(rho * q, x, axis=1), x) / w
+        var = np.trapezoid(np.trapezoid(rho * (q - mean) ** 2, x, axis=1),
+                           x) / w
+        out = variance_evolution(spec, [0.0])
+        np.testing.assert_allclose(out["var_x0"], var, rtol=1e-12)
+
     def test_var_p_gaussian_value(self):
         """F ~ exp(-(p1+p2)^2/sigma) as a density: Var(p1+p2) = sigma/2."""
         out = variance_evolution(self.SPEC, [0.0])

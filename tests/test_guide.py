@@ -213,8 +213,8 @@ class TestTrajectories:
         log-derivative pass and never evaluates psi."""
         for psi in (correlated_pair(), gaussian()):
             fam = get_family(psi.family)
-            calls = {"log_gradient": 0, "value": 0, "value_and_gradient": 0,
-                     "_gauss_1d": 0}
+            calls = {"log_gradient": 0, "value": 0,
+                     "value_gradient_moduli": 0, "_gauss_1d": 0}
 
             def counted(name, fn):
                 def wrapper(*args, **kwargs):
@@ -223,7 +223,8 @@ class TestTrajectories:
                 return wrapper
 
             with monkeypatch.context() as mp:
-                for name in ("log_gradient", "value", "value_and_gradient"):
+                for name in ("log_gradient", "value",
+                             "value_gradient_moduli"):
                     mp.setattr(fam, name, counted(name, getattr(fam, name)))
                 mp.setattr(families, "_gauss_1d",
                            counted("_gauss_1d", families._gauss_1d))
@@ -231,7 +232,8 @@ class TestTrajectories:
                 v = ParametricVelocity(psi).velocity(pts, 0.4)
             assert np.all(np.isfinite(v))
             assert calls == {"log_gradient": 1, "value": 0,
-                             "value_and_gradient": 0, "_gauss_1d": 0}, psi.family
+                             "value_gradient_moduli": 0,
+                             "_gauss_1d": 0}, psi.family
 
     def test_superposition_evaluates_each_leaf_once(self, monkeypatch):
         """The node floor's term moduli come from the pass that evaluates
