@@ -32,7 +32,8 @@ PAULI = np.array([[[0, 1], [1, 0]],
 PAULI.setflags(write=False)
 
 # points per block in `bilinears`: bounds the (k, dim, block) product
-# M_k psi, which for a whole 64^3 box would triple the peak memory
+# M_k psi, which for a large point set (the 16 matrices of `theta_tensor`)
+# would otherwise be many times the size of psi itself
 BLOCK = 16384
 
 

@@ -64,6 +64,34 @@ def dkp_states(draw, rep, massless, mass):
 
 
 @st.composite
+def boxed_dkp_states(draw):
+    """(state, box, points_per_axis) for a massive 1-4 term DKP state.
+
+    Momenta are 2 pi (n + f) / L per axis, for distinct integer vectors n
+    in [-2, 2]^3 and box lengths L: lattice momenta of the box when the
+    offsets f are 0, off-lattice ones when f is drawn from [-1/4, 1/4].
+    Distinct n with |f| <= 1/4 keep every two terms at least half a
+    lattice step apart, also across the node aliasing at 5-16 nodes, so
+    the total P is not a near-cancellation of term pairs."""
+    rep = draw(st.sampled_from(["spin0", "spin1"]))
+    lo = draw(arrays(float, 3, elements=st.floats(-3.0, 3.0)))
+    length = draw(arrays(float, 3, elements=st.floats(0.5, 6.0)))
+    lattice = draw(st.booleans())
+    waves = []
+    for n in draw(st.lists(st.tuples(*[st.integers(-2, 2)] * 3),
+                           min_size=1, max_size=4, unique=True)):
+        f = 0.0 if lattice else draw(
+            arrays(float, 3, elements=st.floats(-0.25, 0.25)))
+        spec = {"coef": draw(coefficients),
+                "p": 2 * np.pi * (np.array(n) + f) / length}
+        if rep == "spin1":
+            spec["polarization"] = draw(complex_vectors())
+        waves.append(spec)
+    state = build_dkp_state(rep, draw(masses), waves)
+    return state, list(zip(lo, lo + length)), draw(st.integers(5, 16))
+
+
+@st.composite
 def dkp_kinds(draw):
     """(rep, massless, mass) shared by the states of one test case."""
     return (draw(st.sampled_from(["spin0", "spin1"])), draw(st.booleans()),
