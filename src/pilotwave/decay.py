@@ -233,7 +233,10 @@ class MomentumCorrelationSpec:
 
 
 def _momentum_variance(spec, pmax=None, n=801):
-    """Var(p1j + p2j) under the density F, by 2-D trapezoid quadrature."""
+    """Var(p1j + p2j) under the density F: sigma / 2 for the default F
+    (see `MomentumCorrelationSpec`), else by 2-D trapezoid quadrature."""
+    if spec.density is None:
+        return spec.sigma / 2
     pmax = pmax or 6.0 * np.sqrt(spec.sigma) + 6.0 * np.sqrt(1.0 / spec.alpha)
     p = np.linspace(-pmax, pmax, n)
     p1, p2 = np.meshgrid(p, p, indexing="ij")
@@ -255,8 +258,9 @@ def _position_variance0(spec):
 def variance_evolution(spec, times, monte_carlo_n=0, seed=20250101):
     """Var(m1 x1 + m2 x2)(t) = Var(0) + Var(p1 + p2) t^2 per component.
 
-    Var(0) = M^2 sigma_x^2 (M = m1 + m2) in closed form; Var(p1 + p2)
-    comes from quadrature of F, since a custom density need not factor.
+    Var(0) = M^2 sigma_x^2 (M = m1 + m2) and, for the default F,
+    Var(p1 + p2) = sigma / 2 in closed form; a custom F, which need not
+    factor, takes quadrature.
     With monte_carlo_n > 0 the formula is cross-validated by propagating
     an equilibrium ensemble with the exact guidance velocities and
     measuring the empirical variance at each requested time: one pass

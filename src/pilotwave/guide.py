@@ -1,11 +1,14 @@
 """Beable ensembles and trajectory integration.
 
-Velocities come from v = j / rho.  Trajectories use fixed-step RK4 so a
-given seed reproduces bit-identical results; adaptive stepping is
-deliberately not offered.  Trajectories that hit a node of the
-wavefunction (density below floor, velocity singular) are truncated and
-reported with status ``node_encounter``; leaving the domain gives
-``exited``.
+Velocities come from v = j / rho, of a closed-form state
+(`ParametricVelocity`) or of grid snapshots (`SnapshotVelocity`); the
+velocity a coupling adds, such as the pointer drift of
+`measurement_branching`, is added to j / rho while the coupling acts.
+Trajectories use fixed-step RK4 so a given seed reproduces bit-identical
+results; adaptive stepping is deliberately not offered.  Trajectories
+that hit a node of the wavefunction (density below floor, velocity
+singular) are truncated and reported with status ``node_encounter``;
+leaving the domain gives ``exited``.
 
 A source's ``domain`` is a `Box`, or None for all of space.  A member
 whose full RK4 step leaves the box stops where that step first crosses a
@@ -36,6 +39,7 @@ so runs are reproducible across platforms from the recorded seed.
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -172,24 +176,22 @@ class ParametricVelocity:
 class SnapshotVelocity:
     """rho and j sampled on grids at snapshot times; multilinear in space
     and linear in time between snapshots.  `snapshots` is a time-ordered
-    iterable of grid states, read once (only the stacked (rho, j) arrays
-    are kept); `extra_j(state, rho)`, given the state's density on the
-    nodes, is added to each snapshot's current."""
+    iterable of grid states, read once: only each snapshot's density and
+    `grid_current_nodes` current, stacked, are kept."""
 
-    def __init__(self, snapshots, spin=None, em=None, extra_j=None):
+    def __init__(self, snapshots, spin=None, em=None):
         self.grid = None
         times, self.fields = [], []
         for s in snapshots:
+            if s.representation != "grid":
+                raise ShapeError("snapshots must be grid states")
             if self.grid is None:
                 self.grid = s.grid
             elif s.grid.shape != self.grid.shape:
                 raise ShapeError("snapshots on mismatched grids")
-            rho = s.density_nodes()
-            j = grid_current_nodes(s, spin, em)
-            if extra_j is not None:
-                j = j + extra_j(s, rho)
             times.append(s.time)
-            self.fields.append(np.concatenate([rho[None], j]))
+            self.fields.append(np.concatenate(
+                [s.density_nodes()[None], grid_current_nodes(s, spin, em)]))
         if not self.fields:
             raise ShapeError("need at least one snapshot")
         self.domain = Box(*zip(*self.grid.extents))
@@ -229,12 +231,9 @@ class SnapshotVelocity:
 
 
 def velocity_source(psi_or_snapshots, spin=None, em=None):
-    """Build the appropriate velocity source for a state or snapshot list."""
+    """Build the velocity source for a state or a list of grid snapshots."""
     if isinstance(psi_or_snapshots, (list, tuple)):
-        first = psi_or_snapshots[0]
-        if first.representation == "grid":
-            return SnapshotVelocity(list(psi_or_snapshots), spin=spin, em=em)
-        return ParametricVelocity(first, spin=spin, em=em)
+        return SnapshotVelocity(psi_or_snapshots, spin=spin, em=em)
     if psi_or_snapshots.representation == "parametric":
         return ParametricVelocity(psi_or_snapshots, spin=spin, em=em)
     return SnapshotVelocity([psi_or_snapshots], spin=spin, em=em)
@@ -570,6 +569,29 @@ def arrival_time_stats(states, detector_point, spin, em=None, times=None):
 # ---------------------------------------------------------------------------
 # measurement branching
 
+# the measurement model: packet widths and masses, and the impulse
+PACKET_SIGMA, SYSTEM_MASS = 0.2, 50.0
+POINTER_SIGMA, POINTER_MASS = 0.25, 4.0
+IMPULSE_TIME, IMPULSE_SUBSTEPS = 0.25, 24
+
+
+def _channel(x, centers):
+    """a(x): the index of the packet whose Voronoi cell holds each x."""
+    return np.searchsorted((centers[1:] + centers[:-1]) / 2, x)
+
+
+class _PointerDrift:
+    """`inner`'s velocity plus kappa a(x) e_y, the drift of kappa a(x) p_y."""
+
+    def __init__(self, inner, centers, coupling):
+        self.inner, self.centers, self.coupling = inner, centers, coupling
+        self.domain = inner.domain
+
+    def velocity(self, configs, t):
+        v = self.inner.velocity(configs, t)
+        v[:, 1] += self.coupling * _channel(configs[:, 0], self.centers)
+        return v
+
 
 def _nearest_window(y, windows):
     """Index of the pointer window nearest to each y: the read-out rule."""
@@ -577,21 +599,29 @@ def _nearest_window(y, windows):
 
 
 def measurement_branching(coefficients, packet_centers, n, seed=20250101,
-                          packet_sigma=0.2, packet_k0=0.0, pointer_sigma=0.25,
-                          pointer_mass=4.0, system_mass=50.0, coupling=12.0,
-                          impulse_time=0.25, free_flight=0.15, grid_points=(256, 512),
-                          impulse_substeps=24):
+                          coupling=12.0, free_flight=0.15, grid_points=(256, 512)):
     """Von Neumann measurement on a 2-D (system x pointer) grid.
 
-    The system starts in sum_i c_i phi_i(x) with phi_i Gaussian packets at
-    the given centers; the pointer starts in its ready packet chi0(y).
-    During the impulse the coupling Hamiltonian kappa a(x) p_y acts, with
-    a(x) the channel index over the Voronoi cell of each packet, dragging
-    the pointer to the window y = kappa T a_i in channel i.  Beables are
-    sampled from |Psi|^2 at t=0 and integrated through the full
-    evolution; each is read out in the window nearest its final y, and
+    The system starts in sum_i c_i phi_i(x), phi_i Gaussian packets at rest
+    at the centers c_i; the pointer starts in its ready packet chi0(y).
+    Up to T = IMPULSE_TIME the coupling kappa a(x) p_y acts, a(x) = i on
+    packet i's Voronoi cell; free flight follows.  The split-step
+    snapshots of Psi give j / rho, and the coupling adds the velocity
+    kappa a(x) along y while it is on.  So beables sampled from |Psi|^2
+    run in two legs, [0, T] with that drift and [T, T + free_flight]
+    without it for the members still ``ok``: the drift stops at T, on an
+    RK4 step boundary.  Each packet keeps to its cell, so a member
+    starting at (x0, y0) in cell i follows Bohm's impulsive measurement
+    (Phys. Rev. 85, 180 (1952), Part II, section 2) in closed form,
+
+        x(t) = c_i + (x0 - c_i) s_x(t) / s_x(0)
+        y(t) = kappa i min(t, T) + y0 s_y(t) / s_y(0)
+        s(t) = s sqrt(1 + (t / (2 m s^2))^2)
+
+    with the system's width and mass on x and the pointer's on y.  Each
+    beable is read out in the window y = kappa T i nearest its final y;
     the fraction in each channel is reported next to the Born weights
-    |c_i|^2.
+    |c_i|^2, with every member's ``starts`` and ``endpoints``.
 
     Raises NotSeparatedError when n (leak + misread) >= 1, i.e. when at
     least one beable is expected in the wrong channel.  leak is the
@@ -609,52 +639,35 @@ def measurement_branching(coefficients, packet_centers, n, seed=20250101,
         raise ShapeError("one coefficient per channel packet")
     born = np.abs(coefficients) ** 2
 
-    shift = coupling * impulse_time                      # per unit of a(x)
+    shift = coupling * IMPULSE_TIME                      # per unit of a(x)
     windows = shift * np.arange(k)
     # generous margins: the spectral evolution is periodic, and wrapped
     # Gaussian tails must stay far below the separation check
-    x_lo = centers.min() - 10 * packet_sigma
-    x_hi = centers.max() + 10 * packet_sigma
-    y_lo = -12 * pointer_sigma
-    y_hi = shift * (k - 1) + 12 * pointer_sigma + 1e-9
+    x_lo = centers.min() - 10 * PACKET_SIGMA
+    x_hi = centers.max() + 10 * PACKET_SIGMA
+    y_lo = -12 * POINTER_SIGMA
+    y_hi = shift * (k - 1) + 12 * POINTER_SIGMA + 1e-9
     grid = Grid([(x_lo, x_hi), (y_lo, y_hi)], list(grid_points))
     x, y = grid.axes
 
-    # a(x): the channel of each x node, by the Voronoi cells of the centers
-    cell = np.searchsorted((centers[1:] + centers[:-1]) / 2, x)
+    cell = _channel(x, centers)
     drag = coupling * cell.astype(float)[:, None]
     # Psi = sum_i c_i phi_i(x) chi0(y); a(x) is diagonal in x, so channel
     # i's branch is Psi restricted to cell i and one wave carries them all
-    phis = np.exp(-(x - centers[:, None]) ** 2 / (4 * packet_sigma**2)
-                  + 1j * packet_k0 * x)                  # (k, nx)
+    phis = np.exp(-(x - centers[:, None]) ** 2 / (4 * PACKET_SIGMA**2))
     psi0 = GridWaveFunction(
-        grid, np.outer(coefficients @ phis, np.exp(-y**2 / (4 * pointer_sigma**2))),
-        [system_mass, pointer_mass]).normalized()
+        grid, np.outer(coefficients @ phis, np.exp(-y**2 / (4 * POINTER_SIGMA**2))),
+        [SYSTEM_MASS, POINTER_MASS]).normalized()
 
-    impulse = Propagator("split-step", impulse_time / impulse_substeps,
+    impulse = Propagator("split-step", IMPULSE_TIME / IMPULSE_SUBSTEPS,
                          coupling=(1, drag))
-    stages = [(impulse, impulse_substeps)]
+    props = [impulse] * IMPULSE_SUBSTEPS
     if free_flight > 0:
-        nfree = max(4, impulse_substeps // 2)
-        stages.append((Propagator("split-step", free_flight / nfree), nfree))
+        nfree = IMPULSE_SUBSTEPS // 2
+        props += [Propagator("split-step", free_flight / nfree)] * nfree
+    source = SnapshotVelocity(accumulate(props, step, initial=psi0))
 
-    def snapshots():
-        psi = psi0
-        yield psi
-        for prop, nsteps in stages:
-            for _ in range(nsteps):
-                psi = step(psi, prop)
-                yield psi
-
-    # pointer drift kappa a(x) rho along y while the coupling is on, up to
-    # and including the snapshot that ends the impulse
-    drift = np.array([0.0, 1.0])[:, None, None] * drag
-    t_off = impulse_time * (1 + 1e-9)
-    source = SnapshotVelocity(
-        snapshots(),
-        extra_j=lambda s, rho: drift * rho if s.time <= t_off else 0.0)
-
-    dens = np.abs(phis) ** 2
+    dens = phis ** 2
     outside = cell != np.arange(k)[:, None]
     leak = born @ (np.sum(dens * outside, axis=1) / np.sum(dens, axis=1))
     rho = source.fields[-1][0]                          # |Psi|^2 at read-out
@@ -668,11 +681,18 @@ def measurement_branching(coefficients, packet_centers, n, seed=20250101,
 
     ens = sample_equilibrium(psi0, n, seed)
     controls = IntegrationControls(dt=impulse.dt / 4)
-    t_read = impulse_time + max(free_flight, 0.0)
-    final, status = integrate_ensemble(ens, source, t_read, controls)
+    final, status = integrate_ensemble(
+        ens, _PointerDrift(source, centers, coupling), IMPULSE_TIME, controls)
+    t_read = IMPULSE_TIME + max(free_flight, 0.0)
+    if free_flight > 0:
+        ok = status == STATUS_OK
+        final[ok], status[ok] = integrate_ensemble(
+            Ensemble(configs=final[ok], seed=seed, t=IMPULSE_TIME), source,
+            t_read, controls)
 
     channel = _nearest_window(final[:, 1], windows)
     fractions = np.array([(channel == i).sum() for i in range(k)]) / n
     return {"fractions": fractions, "born": born, "n": n,
             "statuses": status, "readout_time": t_read,
-            "channel_centers": windows}
+            "channel_centers": windows, "starts": ens.configs,
+            "endpoints": final}

@@ -463,27 +463,41 @@ class TestMemberIndependence:
         member gives alone: final position, status, times and track
         column.  The batch holds members that start on a node of
         cos(K x), members whose full step leaves the box (y faces) and
-        members whose stage probe leaves it (x faces)."""
+        members whose stage probe leaves it (x faces).  The same holds
+        for the split-step snapshots of that wave on the box, and for
+        those snapshots with the pointer drift of `measurement_branching`
+        (a(x) = 0 for x < 0, 1 beyond) added."""
         src = _NanPastXFaces()
         starts = np.random.default_rng(0).uniform(-1.4, 1.4, size=(100, 2))
         starts[:8, 0] = np.pi / (2 * src.K) * np.array([1, -1, 3, -3] * 2)
         controls = IntegrationControls(dt=0.05, record_every=3)
-        final, status, (times, track) = integrate_ensemble(
-            Ensemble(configs=starts, seed=0), src, 0.6, controls, record=True)
-        kinds = Counter()
-        for i, start in enumerate(starts):
-            src.probed_outside = False
-            f1, s1, (t1, tr1) = integrate_ensemble(
-                Ensemble(configs=start[None], seed=0), src, 0.6, controls,
+        grid = Grid([(-1.5, 1.5), (-1.5, 1.5)], [32, 32])
+        snaps = SnapshotVelocity(propagate_to(
+            GridWaveFunction.sample(src.inner.psi, grid),
+            Propagator("split-step", 0.05), 0.6, snapshot_times=[0.0, 0.3]))
+        drift = guide._PointerDrift(snaps, np.array([-1.0, 1.0]), 2.0)
+        kinds, grid_kinds = Counter(), Counter()
+        for source in (src, snaps, drift):
+            final, status, (times, track) = integrate_ensemble(
+                Ensemble(configs=starts, seed=0), source, 0.6, controls,
                 record=True)
-            np.testing.assert_array_equal(f1[0], final[i])
-            assert s1[0] == status[i]
-            np.testing.assert_array_equal(t1, times)
-            np.testing.assert_array_equal(tr1[:, 0], track[:, i])
-            kinds[s1[0] if s1[0] != STATUS_EXITED
-                  else "probe" if src.probed_outside else "step"] += 1
+            for i, start in enumerate(starts):
+                src.probed_outside = False
+                f1, s1, (t1, tr1) = integrate_ensemble(
+                    Ensemble(configs=start[None], seed=0), source, 0.6,
+                    controls, record=True)
+                np.testing.assert_array_equal(f1[0], final[i])
+                assert s1[0] == status[i]
+                np.testing.assert_array_equal(t1, times)
+                np.testing.assert_array_equal(tr1[:, 0], track[:, i])
+                if source is src:
+                    kinds[s1[0] if s1[0] != STATUS_EXITED
+                          else "probe" if src.probed_outside else "step"] += 1
+                else:
+                    grid_kinds[s1[0]] += 1
         assert kinds[STATUS_NODE] == 8
         assert kinds["probe"] > 0 and kinds["step"] > 0 and kinds["ok"] > 0
+        assert grid_kinds[STATUS_EXITED] > 0 and grid_kinds["ok"] > 0
 
     def test_lone_point_velocity_matches_the_batch(self):
         """The velocity of a 1-D sum at one point alone equals its row in
@@ -582,14 +596,13 @@ class TestSnapshotVelocity:
         np.testing.assert_allclose(src.velocity(self.POINTS, t), ref,
                                    rtol=1e-13, atol=0)
 
-    def test_extra_j_gets_the_snapshot_density(self):
-        snaps = self.snapshots()
-        src = SnapshotVelocity(snaps, extra_j=lambda s, rho: 0.5 * rho)
-        for f, s in zip(src.fields, snaps):
-            rho = s.density_nodes()
-            np.testing.assert_array_equal(f[0], rho)
-            np.testing.assert_array_equal(
-                f[1:], grid_current_nodes(s, None) + 0.5 * rho)
+    def test_list_of_closed_form_states_rejected(self):
+        """A list guides as grid snapshots only: a closed-form state in
+        it raises rather than guiding with the first state alone."""
+        with pytest.raises(ShapeError):
+            velocity_source([gaussian(), gaussian(k0=1.0)])
+        with pytest.raises(ShapeError):
+            SnapshotVelocity(self.snapshots()[:1] + [gaussian()])
 
 
 class TestSpinorWithoutSpinSpec:
@@ -715,9 +728,43 @@ class TestMeasurementBranching:
         """With no free flight the beables are read out as the impulse
         ends, and every member is carried through it."""
         out = measurement_branching([1.0, 1.0], [-1.5, 1.5], n=500, seed=14,
-                                    impulse_time=0.25, free_flight=0.0)
+                                    free_flight=0.0)
         assert out["readout_time"] == 0.25
         assert list(out["statuses"]) == ["ok"] * 500
+
+    @pytest.mark.parametrize("centers, free_flight", [
+        ((-1.0, 1.0), 0.15), ((-2.0, 0.0, 2.0), 0.15), ((-1.0, 1.0), 0.0)])
+    def test_members_follow_the_closed_form(self, centers, free_flight):
+        """Each packet keeps to its Voronoi cell i, so a member starting
+        at (x0, y0) ends at x = c_i + (x0 - c_i) s_x(t) / s_x(0) and
+        y = kappa i min(t, T) + y0 s_y(t) / s_y(0), with
+        s(t) = s sqrt(1 + (t / 2 m s^2)^2) per axis.  The largest
+        deviations here are 1.2e-2 in y and 6.0e-5 in x, and the channel
+        medians of y lie within 2.1e-4; a drift that fades out over the
+        first free-flight step, instead of stopping at T, leaves the
+        medians 0.086 i high."""
+        kappa = 12.0
+        out = measurement_branching(np.ones(len(centers)), centers, n=500,
+                                    seed=11, coupling=kappa,
+                                    free_flight=free_flight,
+                                    grid_points=(128, 256))
+        c = np.array(centers)
+        (x0, y0), (x, y) = out["starts"].T, out["endpoints"].T
+        t = out["readout_time"]
+        i = np.argmin(np.abs(x0[:, None] - c), axis=1)
+
+        def spread(sigma, m):
+            return np.sqrt(1 + (t / (2 * m * sigma**2)) ** 2)
+
+        dx = x - c[i] - (x0 - c[i]) * spread(guide.PACKET_SIGMA,
+                                             guide.SYSTEM_MASS)
+        dy = (y - kappa * i * min(t, guide.IMPULSE_TIME)
+              - y0 * spread(guide.POINTER_SIGMA, guide.POINTER_MASS))
+        assert list(out["statuses"]) == ["ok"] * 500
+        assert np.max(np.abs(dx)) < 1.5e-4
+        assert np.max(np.abs(dy)) < 0.025
+        for channel in range(len(c)):
+            assert abs(np.median(dy[i == channel])) < 5e-4
 
     @pytest.mark.parametrize("coupling", [1.0, 4.0])
     def test_unresolved_pointer_windows_raise(self, coupling):
