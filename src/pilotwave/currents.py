@@ -12,15 +12,19 @@ the guidance law is ambiguous in principle (any divergence-free addition
 is admissible), which is why the gyromagnetic factor g is a free knob
 here with the elementary-particle default g = 1/s.
 
-One kernel, `_flux`, computes both parts from values and gradients at
-points and on grids: `current`, `grid_current_nodes` (hence the snapshot
-velocity source) and `spin_eigenstate_current` call it.  It takes hbar/m
-per configuration axis, so each particle of a many-particle state keeps
-its own mass.  The spin term needs d_j m_k for m = psi^dag S psi: the
-product rule at points, stencil differences of m on grids.  Stencil
-differences commute, so the stencil divergence of the stencil curl
-cancels to roundoff (3.8e-14 of max|j_s| on a 201^2 spin-1/2 grid, 3.7e-6
-with the product rule) and j_s stays out of `continuity_residual`.
+One kernel, `_flux`, computes both parts from values and gradients: at
+points of a closed-form state (`current`, `spin_eigenstate_current`) and
+on the nodes of a grid state (`grid_current_nodes`).  A grid state has
+that one current: the snapshot velocity source and `continuity_residual`
+use its nodes, and the pointwise functions raise ShapeError for a grid
+state rather than interpolate psi and its stencil gradient.  `_flux`
+takes hbar/m per configuration axis, so each particle of a many-particle
+state keeps its own mass.  The spin term needs d_j m_k for
+m = psi^dag S psi: the product rule at points, stencil differences of m
+on grids.  Stencil differences commute, so the stencil divergence of the
+stencil curl cancels to roundoff (3.8e-14 of max|j_s| on a 201^2
+spin-1/2 grid, 3.7e-6 with the product rule) and j_s stays out of
+`continuity_residual`.
 """
 
 from dataclasses import dataclass, field
@@ -147,7 +151,7 @@ class CurrentField:
     in_phase is the density the state's closed-form terms would give if
     they all added in phase, sum over spin of the squared moduli of
     `ParametricWaveFunction.value_gradient_moduli` from the same pass;
-    None for a single term or a grid state."""
+    None for a single term."""
     rho: np.ndarray
     j: np.ndarray
     j_c: np.ndarray
@@ -155,14 +159,13 @@ class CurrentField:
     in_phase: np.ndarray = None
 
 
-def _state_arrays(psi, at, t):
-    """psi values, gradients and term moduli at points, from one
-    closed-form pass or from stencils (no moduli)."""
-    at = np.atleast_2d(np.asarray(at, dtype=float))
+def _closed_form_points(psi, at):
+    """`at` as (n, d) points of the closed-form state psi; a grid state's
+    current is `grid_current_nodes`."""
     if psi.representation == "grid":
-        psi.grid.require_inside(at)
-        return (at, *psi.value_and_gradient(at, t=t), None)
-    return (at, *psi.value_gradient_moduli(at, t=t))
+        raise ShapeError("pointwise currents take closed-form states; a grid "
+                         "state's current is grid_current_nodes")
+    return np.atleast_2d(np.asarray(at, dtype=float))
 
 
 def _spin_term(spin):
@@ -176,7 +179,8 @@ def _require_spin(psi, spin):
 
 
 def _flux(val, grad, hbar_m, spin, m, dmag=None):
-    """The current kernel, from values (s, ...) and gradients (s, d, ...).
+    """The current kernel, from values (s, ...) and gradients (s, d, ...)
+    at points (closed form) or on grid nodes (stencils).
 
     Returns j_c = (hbar/m_a) Im psi^dag d_a psi, shape (d, ...), with
     hbar_m the per-axis hbar/m (d,), and the spin term (g/2m) curl m of
@@ -195,7 +199,8 @@ def _flux(val, grad, hbar_m, spin, m, dmag=None):
 
 
 def current(psi, spin, em=None, at=None, t=None):
-    """Density, total current and its convective/spin split at points.
+    """Density, total current and its convective/spin split at points of
+    a closed-form state.
 
     Returns a CurrentField with rho (n,), and j, j_c, j_s shaped (n, 3).
     States with fewer than 3 spatial axes are padded with zero components
@@ -206,7 +211,8 @@ def current(psi, spin, em=None, at=None, t=None):
         raise ShapeError("current() is single-particle; see configuration_velocity")
     m = psi.masses[0]
     tt = psi.time if t is None else t
-    at, val, grad, mod = _state_arrays(psi, at, tt)
+    at = _closed_form_points(psi, at)
+    val, grad, mod = psi.value_gradient_moduli(at, tt)
     rho = np.sum(np.abs(val) ** 2, axis=0)
     flux, spin_flux = _flux(val, grad, psi.hbar_m, spin, m)
     # convective part: (hbar/m) Im(psi^dag grad psi) - (e/mc) V rho
@@ -233,7 +239,8 @@ def spin_eigenstate_current(phi_scalar, chi, spin, at=None, t=None):
     if len(chi) != spin.dim:
         raise ShapeError("chi length does not match spin")
     tt = phi_scalar.time if t is None else t
-    _, val, grad, _ = _state_arrays(phi_scalar, at, tt)
+    at = _closed_form_points(phi_scalar, at)
+    val, grad, _ = phi_scalar.value_gradient_moduli(at, tt)
     rho = np.abs(val[0]) ** 2
     svec = bilinears(chi[:, None], spin.generators)[:, 0]
     # the magnetization is |phi'|^2 s, so d_j m_k = s_k d_j |phi'|^2
@@ -312,19 +319,19 @@ def configuration_velocity(psi, at=None, t=None):
     velocity is grad psi / psi, and a point is a node encounter (NaN
     velocity) where it is not finite (psi = 0) or where |psi| is at or
     below sqrt(RHO_FLOOR_REL) times the summed moduli of the state's
-    terms (a sum whose terms cancel; grid states have no floor).  That is
-    the density test |psi|^2 <= RHO_FLOOR_REL (sum_i |c_i phi_i|)^2
-    without the squares, which overflow from moduli of about 1e154.
+    terms (a sum whose terms cancel).  That is the density test
+    |psi|^2 <= RHO_FLOOR_REL (sum_i |c_i phi_i|)^2 without the squares,
+    which overflow from moduli of about 1e154.  A grid state raises
+    ShapeError: its current is `grid_current_nodes`.
     """
     if psi.spin_dim != 1:
         raise ShapeError("configuration_velocity covers scalar states")
     tt = psi.time if t is None else t
-    at = np.atleast_2d(np.asarray(at, dtype=float))
-    dlog = (psi.log_gradient(at, tt) if psi.representation == "parametric"
-            else None)
+    at = _closed_form_points(psi, at)
+    dlog = psi.log_gradient(at, tt)
     node = False
     if dlog is None:
-        at, val, grad, mod = _state_arrays(psi, at, tt)
+        val, grad, mod = psi.value_gradient_moduli(at, tt)
         # psi = 0 divides by zero, a subnormal psi may overflow; the NaN or
         # inf left behind is the node signal
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -80,6 +80,10 @@ def family_names():
 class _SingleTerm:
     """A single closed-form scalar term: grad psi = log_gradient * psi."""
 
+    @staticmethod
+    def spin_dim(params):
+        return 1
+
     @classmethod
     def value_gradient_moduli(cls, params, x, t):
         val = cls.value(params, x, t)
@@ -109,16 +113,14 @@ class PlaneWave(_SingleTerm):
         return len(np.atleast_1d(params["k"]))
 
     @staticmethod
-    def spin_dim(params):
-        return 1
-
-    @staticmethod
     def value(params, x, t):
         k = np.atleast_1d(np.asarray(params["k"], dtype=float))
         m = params["m"]
         x = _as_points(x, len(k))
         omega = (k @ k) / (2.0 * m)
-        return np.exp(1j * (x @ k - omega * t))[None, :]
+        # k.x as a row sum, not the product x @ k: BLAS rounds that
+        # differently with the number of points that share the call
+        return np.exp(1j * ((x * k).sum(axis=1) - omega * t))[None, :]
 
     @staticmethod
     def log_gradient(params, x, t):
@@ -161,10 +163,6 @@ class GaussianPacket(_SingleTerm):
     @staticmethod
     def config_dim(params):
         return len(np.atleast_1d(params["center"]))
-
-    @staticmethod
-    def spin_dim(params):
-        return 1
 
     @staticmethod
     def _axis_params(params):
@@ -217,10 +215,6 @@ class DecayingPair(_SingleTerm):
     def config_dim(cls, params):
         return 2 * cls._geom(params)[0]
 
-    @staticmethod
-    def spin_dim(params):
-        return 1
-
     @classmethod
     def value(cls, params, x, t):
         d, mu = cls._geom(params)
@@ -252,10 +246,6 @@ class PostCollapsePair(_SingleTerm):
     @staticmethod
     def config_dim(params):
         return len(np.atleast_1d(params["a"]))
-
-    @staticmethod
-    def spin_dim(params):
-        return 1
 
     @staticmethod
     def _offset(params, x, t):
@@ -299,10 +289,6 @@ class CorrelatedPair(_SingleTerm):
     @classmethod
     def config_dim(cls, params):
         return 2 * cls._geom(params)[0]
-
-    @staticmethod
-    def spin_dim(params):
-        return 1
 
     @classmethod
     def _coords(cls, params, x):

@@ -371,6 +371,13 @@ def _rk4_step(xa, source, t, h):
     return new, node, stopped | left
 
 
+def _rk4_schedule(span, dt):
+    """(count, last step) of a fixed-step run over `span`: every step is
+    dt but the last, which is at most dt and ends the run on span."""
+    nsteps = max(1, int(np.ceil(span / dt - 1e-12)))
+    return nsteps, span - (nsteps - 1) * dt
+
+
 def _rk4_many(starts, source, t0, t_final, controls, record=False):
     """RK4 of the members `starts` from t0 to t_final: their final
     positions and statuses, and (times, track) when record is set.
@@ -385,8 +392,7 @@ def _rk4_many(starts, source, t0, t_final, controls, record=False):
     n = len(x)
     status = np.full(n, STATUS_OK, dtype=object)
     active, n_active = slice(None), n
-    nsteps = max(1, int(np.ceil((t_final - t0) / controls.dt - 1e-12)))
-    h_last = (t_final - t0) - (nsteps - 1) * controls.dt
+    nsteps, h_last = _rk4_schedule(t_final - t0, controls.dt)
     every = controls.record_every
     if record:
         rows = 1 + nsteps // every + (nsteps % every > 0)
@@ -484,15 +490,12 @@ def ks_statistic(samples, grid_x, cdf):
 
 
 def equivariance_check(psi0, propagator, n, t_check, seed=20250101, box=None,
-                       spin=None, em=None, velocity_scale=1.0):
+                       spin=None, em=None):
     """Sample at t=0, co-propagate beables and wavefunction, and compare
     per-axis empirical CDFs at t_check against the |psi(t_check)|^2
     marginals computed by quadrature.  Pass iff every axis's KS statistic
     is below the 1% critical value 1.628/sqrt(n).  The beables take 400
     RK4 steps; a grid state is sampled at 48 snapshot times.
-
-    velocity_scale multiplies the guidance velocities; anything other
-    than 1 deliberately breaks equivariance (negative-control hook).
     """
     if n < 1000:
         raise ShapeError("equivariance check needs n >= 1e3")
@@ -510,8 +513,6 @@ def equivariance_check(psi0, propagator, n, t_check, seed=20250101, box=None,
                                      np.linspace(psi0.time, t_check, 48)))
             src = SnapshotVelocity(snaps, spin=spin, em=em)
             psi_t = snaps[-1]
-        if velocity_scale != 1.0:
-            src = _ScaledSource(src, velocity_scale)
         controls = IntegrationControls(dt=(t_check - psi0.time) / 400)
         final, _ = integrate_ensemble(ens, src, t_check, controls)
     if box is None:
@@ -525,40 +526,23 @@ def equivariance_check(psi0, propagator, n, t_check, seed=20250101, box=None,
             "pass": bool(max(stats) < critical), "n": n, "t_check": t_check}
 
 
-class _ScaledSource:
-    def __init__(self, inner, scale):
-        self.inner = inner
-        self.scale = scale
-        self.domain = inner.domain
-
-    def velocity(self, configs, t):
-        return self.scale * self.inner.velocity(configs, t)
-
-
 # ---------------------------------------------------------------------------
 # arrival times
 
 
-def arrival_time_stats(states, detector_point, spin, em=None, times=None):
+def arrival_time_stats(psi, detector_point, spin, times, em=None):
     """Arrival-time distribution |j(x, t)| at a detector and its mean.
 
-    `states` is either a list of time-stamped snapshots or a single
-    parametric state together with explicit `times`.  The mean arrival
-    time is int |j| t dt / int |j| dt by trapezoid quadrature over the
-    snapshot times.
+    psi is a closed-form state, its current taken at each of the strictly
+    increasing `times`.  The mean arrival time is int |j| t dt / int |j| dt
+    by trapezoid quadrature over those times.
     """
-    if not isinstance(states, (list, tuple)):
-        if times is None:
-            raise ShapeError("a single state needs explicit times")
-        states = [states.at_time(t) for t in times]
-    tgrid = np.array([s.time for s in states])
+    tgrid = np.array(times, dtype=float)
     if np.any(np.diff(tgrid) <= 0):
-        raise ShapeError("snapshots must be strictly time ordered")
+        raise ShapeError("times must be strictly increasing")
     det = np.atleast_2d(np.asarray(detector_point, dtype=float))
-    jmag = np.empty(len(states))
-    for i, s in enumerate(states):
-        f = current(s, spin, em=em, at=det)
-        jmag[i] = np.linalg.norm(f.j[0])
+    jmag = np.array([np.linalg.norm(current(psi, spin, em=em, at=det, t=t).j[0])
+                     for t in tgrid])
     total = np.trapezoid(jmag, tgrid)
     if total < 1e-12:
         raise NoFluxError(f"integrated flux {total:.2e} < 1e-12 at the detector")

@@ -55,10 +55,6 @@ class ParametricWaveFunction:
         return self._fam.value(self.params, configs,
                                self.time if t is None else t)
 
-    def value_and_gradient(self, configs, t=None):
-        """(evaluate, gradient) at the same points from one family pass."""
-        return self.value_gradient_moduli(configs, t)[:2]
-
     def gradient(self, configs, t=None):
         """Spatial gradient, shape (spin_dim, config_dim, npoints)."""
         return self.value_gradient_moduli(configs, t)[1]
@@ -163,16 +159,6 @@ class GridWaveFunction:
         the two outermost layers (one-sided on the very edge).
         """
         return grid_gradient(self.values, self.grid)
-
-    def gradient(self, configs, t=None):
-        g = self.gradient_nodes()
-        flat = self.grid.interpolate(
-            g.reshape((self.spin_dim * self.config_dim,) + self.grid.shape), configs)
-        return flat.reshape(self.spin_dim, self.config_dim, -1)
-
-    def value_and_gradient(self, configs, t=None):
-        """(evaluate, gradient) at the same points."""
-        return self.evaluate(configs), self.gradient(configs)
 
     def density(self, configs, t=None):
         v = self.evaluate(configs)

@@ -149,6 +149,27 @@ class TestSpinEigenstate:
                                     at=[[0, 0, 0]])
 
 
+class TestGridStates:
+    """A grid state's one current is `grid_current_nodes`: the pointwise
+    functions take closed-form states only."""
+
+    GRID = Grid([(-5.0, 5.0), (-5.0, 5.0), (-5.0, 5.0)], [12, 12, 12])
+
+    def test_pointwise_currents_reject_grid_states(self):
+        psi = GridWaveFunction.sample(gaussian3(k0=(0.5, 0, 0)), self.GRID)
+        spinor = GridWaveFunction.sample(spinor_state(
+            [0.6, 0.8j], {"center": [0.0] * 3, "sigma": 1.0,
+                          "k0": [0.5, 0.0, 0.0], "m": 1.0}), self.GRID)
+        pts = [[0.1, 0.2, -0.3]]
+        for call in (lambda: current(psi, SpinSpec(0), at=pts),
+                     lambda: current(spinor, SpinSpec(0.5), at=pts),
+                     lambda: configuration_velocity(psi, at=pts),
+                     lambda: spin_eigenstate_current(psi, [1.0, 0.0],
+                                                     SpinSpec(0.5), at=pts)):
+            with pytest.raises(ShapeError, match="grid_current_nodes"):
+                call()
+
+
 def sample_pair(state, grid, t0, dt):
     a = GridWaveFunction.sample(state.at_time(t0), grid)
     b = GridWaveFunction.sample(state.at_time(t0 + dt), grid)
@@ -295,10 +316,12 @@ class TestInvariants:
         phase = np.exp(1j * e * theta(grid.axes[0][:, None]))
         b = a.with_values(a.values * phase[None, :])
         pts = np.linspace(-2, 2, 9)[:, None]
-        f_a = current(a, SpinSpec(0), em=EmPotential(charge=e), at=pts)
-        f_b = current(b, SpinSpec(0), em=EmPotential(v=grad_theta, charge=e), at=pts)
-        np.testing.assert_allclose(f_b.rho, f_a.rho, rtol=1e-8)
-        np.testing.assert_allclose(f_b.j[:, 0], f_a.j[:, 0], rtol=1e-8)
+        j_a = grid.interpolate(grid_current_nodes(
+            a, SpinSpec(0), em=EmPotential(charge=e)), pts)
+        j_b = grid.interpolate(grid_current_nodes(
+            b, SpinSpec(0), em=EmPotential(v=grad_theta, charge=e)), pts)
+        np.testing.assert_allclose(b.density(pts), a.density(pts), rtol=1e-8)
+        np.testing.assert_allclose(j_b[0], j_a[0], rtol=1e-8)
 
     def test_spin_current_divergence_free(self):
         """Numerical div j_s vanishes on smooth states.  The discrete

@@ -27,6 +27,7 @@ from pilotwave.guide import (STATUS_EXITED, STATUS_NODE, STATUS_OK,
                              measurement_branching, sample_equilibrium,
                              thread_count, velocity_source)
 from pilotwave.wavefunction import GridWaveFunction, ParametricWaveFunction
+from test_wavefunction import FAMILY_PARAMS
 
 
 def gaussian(sigma=1.0, k0=0.0, m=1.0, center=0.0):
@@ -499,6 +500,21 @@ class TestMemberIndependence:
         assert kinds["probe"] > 0 and kinds["step"] > 0 and kinds["ok"] > 0
         assert grid_kinds[STATUS_EXITED] > 0 and grid_kinds["ok"] > 0
 
+    @pytest.mark.parametrize(
+        "name", sorted(set(FAMILY_PARAMS) - {"plane_wave_sum"}))
+    def test_family_velocity_is_member_independent(self, name):
+        """The velocity of every family but `plane_wave_sum` (whose phases
+        are one matrix product) at each of 300 points alone equals its row
+        in the batch."""
+        params = FAMILY_PARAMS[name]
+        psi = ParametricWaveFunction(name, params, [1.3])
+        src = ParametricVelocity(
+            psi, spin=SpinSpec(0.5) if psi.spin_dim == 2 else None)
+        x = np.random.default_rng(2).uniform(-2.0, 2.0, size=(300, 2))
+        for t in (0.0, 0.4):
+            alone = np.concatenate([src.velocity(p[None], t) for p in x])
+            np.testing.assert_array_equal(alone, src.velocity(x, t))
+
     def test_lone_point_velocity_matches_the_batch(self):
         """The velocity of a 1-D sum at one point alone equals its row in
         a batch: numpy rounds a (1, 1) by (1,) complex product without
@@ -596,6 +612,16 @@ class TestSnapshotVelocity:
         np.testing.assert_allclose(src.velocity(self.POINTS, t), ref,
                                    rtol=1e-13, atol=0)
 
+    def test_parametric_velocity_rejects_grid_states(self):
+        """A grid state guides through `SnapshotVelocity` only: scalar or
+        spinor, `ParametricVelocity` raises rather than interpolate psi."""
+        scalar = self.snapshots()[0]
+        spinor = GridWaveFunction.sample(TestSpinorWithoutSpinSpec.SPINOR,
+                                         scalar.grid)
+        for psi, spin in ((scalar, None), (spinor, SpinSpec(0.5))):
+            with pytest.raises(ShapeError, match="grid_current_nodes"):
+                ParametricVelocity(psi, spin=spin).velocity(self.POINTS, 0.0)
+
     def test_list_of_closed_form_states_rejected(self):
         """A list guides as grid snapshots only: a closed-form state in
         it raises rather than guiding with the first state alone."""
@@ -648,12 +674,15 @@ class TestEquivariance:
                                  seed=6, box=[(-6.0, 6.0)])
         assert rep["pass"]
 
-    def test_corrupted_velocities_fail(self):
-        """Doubling j breaks equivariance (negative control)."""
+    def test_corrupted_velocities_fail(self, monkeypatch):
+        """Doubling the velocity breaks equivariance (negative control)."""
+        velocity = ParametricVelocity.velocity
+        monkeypatch.setattr(ParametricVelocity, "velocity",
+                            lambda self, configs, t:
+                            2.0 * velocity(self, configs, t))
         psi = gaussian(sigma=0.8)
         rep = equivariance_check(psi, Propagator("analytic", 0.05), 4000,
-                                 1.5, seed=8, box=[(-9.0, 9.0)],
-                                 velocity_scale=2.0)
+                                 1.5, seed=8, box=[(-9.0, 9.0)])
         assert not rep["pass"]
 
 

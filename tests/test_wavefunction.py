@@ -396,7 +396,8 @@ class TestFamilyProtocol:
 
 
 # value and gradient of the five single-term families as they were
-# written before the gradient became log_gradient * value
+# written before the gradient became log_gradient * value (the plane
+# wave's k.x as the row sum that `PlaneWave.value` forms)
 def _parent_gauss_1d(x, t, x0, sigma, k0, m, hbar):
     B = sigma**2 + 0.5j * hbar * t / m
     xc = x0 + hbar * k0 * t / m
@@ -410,7 +411,7 @@ def _parent_gauss_1d(x, t, x0, sigma, k0, m, hbar):
 def _parent_plane_wave(p, x, t, hbar):
     k = np.atleast_1d(np.asarray(p["k"], dtype=float))
     omega = hbar * (k @ k) / (2.0 * p["m"])
-    val = np.exp(1j * (x @ k - omega * t))[None, :]
+    val = np.exp(1j * ((x * k).sum(axis=1) - omega * t))[None, :]
     return val, 1j * k[None, :, None] * val[:, None, :]
 
 
