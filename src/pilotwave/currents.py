@@ -198,7 +198,7 @@ def _flux(val, grad, hbar_m, spin, m, dmag=None):
     return j_c, (spin.g / (2.0 * m)) * _curl(dmag)
 
 
-def current(psi, spin, em=None, at=None, t=None):
+def current(psi, spin, em=None, *, at, t=None):
     """Density, total current and its convective/spin split at points of
     a closed-form state.
 
@@ -225,7 +225,7 @@ def current(psi, spin, em=None, at=None, t=None):
                         in_phase=in_phase)
 
 
-def spin_eigenstate_current(phi_scalar, chi, spin, at=None, t=None):
+def spin_eigenstate_current(phi_scalar, chi, spin, at, t=None):
     """Current of a spin eigenstate psi = phi'(x) chi in factored form.
 
     j = (hbar/2mi)(phi'* grad phi' - c.c.) + (g/2m) curl(|phi'|^2 s) with
@@ -308,7 +308,7 @@ def grid_current_nodes(psi, spin, em=None):
     return j
 
 
-def configuration_velocity(psi, at=None, t=None):
+def configuration_velocity(psi, at, t=None):
     """Spin-0 N-particle guidance velocity in configuration space.
 
     v_k = (hbar / m_k) Im(grad_k psi / psi), returned flattened over the

@@ -16,7 +16,7 @@ currents, which is why a finite energy width is kept everywhere else).
 """
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bessel import j1
 from .errors import ConfigurationError, PhysicsError, ShapeError
@@ -33,12 +33,11 @@ IMAGING_RECORD_EVERY = 4
 
 @dataclass(frozen=True)
 class DecayPairSpec:
-    """Scale parameters of the decaying pair: the initial-separation
-    scale alpha and the two fragment masses."""
+    """Scale parameters of the decaying pair in three dimensions: the
+    initial-separation scale alpha and the two fragment masses."""
     alpha: float
     m1: float
     m2: float
-    d: int = 3
 
     def __post_init__(self):
         if not self.alpha > 0:
@@ -116,7 +115,7 @@ def pair_wavefunction(spec, x1=None, x2=None, t=0.0):
     beta = alpha + i t / 2 mu."""
     psi = ParametricWaveFunction(
         "decaying_pair",
-        {"alpha": spec.alpha, "m1": spec.m1, "m2": spec.m2, "d": spec.d},
+        {"alpha": spec.alpha, "m1": spec.m1, "m2": spec.m2, "d": 3},
         [spec.m1, spec.m2], time=t)
     if x1 is None:
         return psi
@@ -145,8 +144,9 @@ def pair_closed_form(spec, start1, start2, times):
     return x1, x2
 
 
-def pair_trajectories(spec, start1, start2, times, dt=None):
-    """Numerically integrated pair trajectories next to the closed form.
+def pair_trajectories(spec, start1, start2, times):
+    """Numerically integrated pair trajectories, in RK4 steps of
+    max(t_final / 2000, 1e-6), next to the closed form.
 
     Returns dict with the trajectory record, the analytic (x1, x2), and
     the worst relative deviation between them."""
@@ -157,11 +157,11 @@ def pair_trajectories(spec, start1, start2, times, dt=None):
     src = ParametricVelocity(psi)
     start = BeableConfig(positions=np.stack([np.atleast_1d(start1),
                                              np.atleast_1d(start2)]))
-    dt = dt or max(times[-1] / 2000, 1e-6)
+    dt = max(times[-1] / 2000, 1e-6)
     rec = integrate_trajectory(start, src, float(times[-1]),
                                IntegrationControls(dt=dt))
     x1_exact, x2_exact = pair_closed_form(spec, start1, start2, rec.times)
-    numeric = rec.configs.reshape(len(rec.times), 2, spec.d)
+    numeric = rec.configs.reshape(len(rec.times), 2, 3)
     exact = np.stack([x1_exact, x2_exact], axis=1)
     scale = np.max(np.abs(exact))
     dev = float(np.max(np.abs(numeric - exact))) / max(scale, 1e-300)
@@ -175,32 +175,21 @@ def pair_trajectories(spec, start1, start2, times, dt=None):
 
 @dataclass(frozen=True)
 class MomentumCorrelationSpec:
-    """Momentum distribution of the fragments: a Gaussian total-momentum
-    factor exp(-(p1+p2)^2 / sigma) times the pair's relative factor.
+    """Momentum distribution of the fragments in one dimension: a Gaussian
+    total-momentum factor exp(-(p1+p2)^2 / sigma) times the pair's
+    relative factor.
 
-    F is a probability density (real and inversion symmetric, asserted);
-    the corresponding position-space state is the correlated_pair family
-    with center-of-mass width sigma_x = hbar / sqrt(2 sigma), so that
-    Var(p1j + p2j) = sigma / 2 per component.  A custom density callable
-    F(p1j, p2j) per component may replace the Gaussian for quadrature."""
+    The position-space state is the correlated_pair family with
+    center-of-mass width sigma_x = hbar / sqrt(2 sigma), so that
+    Var(p1 + p2) = sigma / 2."""
     sigma: float
     alpha: float
     m1: float
     m2: float
-    d: int = 1
-    density: object = None      # optional F(p1, p2) per component
 
     def __post_init__(self):
         if self.sigma <= 0 or self.alpha <= 0:
             raise ConfigurationError("sigma and alpha must be positive")
-        f = self.density_callable()
-        probe = np.array([0.37, -1.21])
-        fwd = f(probe[0], probe[1])
-        bwd = f(-probe[0], -probe[1])
-        if not np.allclose(fwd, bwd, rtol=1e-10) or np.iscomplexobj(fwd):
-            raise PhysicsError(
-                "momentum distribution must be real and inversion symmetric "
-                "(otherwise the variance cross terms survive)")
 
     @property
     def mu(self):
@@ -210,42 +199,17 @@ class MomentumCorrelationSpec:
     def sigma_x(self):
         return 1.0 / np.sqrt(2.0 * self.sigma)
 
-    def density_callable(self):
-        if self.density is not None:
-            return self.density
-        # F ~ exp(-(p1+p2)^2/sigma) exp(-2 alpha p_rel^2 / hbar)
-        m1, m2 = self.m1, self.m2
-        M = m1 + m2
-
-        def f(p1, p2):
-            prel = (m2 * p1 - m1 * p2) / M
-            return np.exp(-(p1 + p2) ** 2 / self.sigma
-                          - 2.0 * self.alpha * prel**2)
-        return f
-
-    def state(self, d=None):
-        dd = d or self.d
+    def state(self):
         return ParametricWaveFunction(
             "correlated_pair",
             {"alpha": self.alpha, "sigma_x": self.sigma_x, "m1": self.m1,
-             "m2": self.m2, "d": dd},
+             "m2": self.m2, "d": 1},
             [self.m1, self.m2])
 
 
-def _momentum_variance(spec, pmax=None, n=801):
-    """Var(p1j + p2j) under the density F: sigma / 2 for the default F
-    (see `MomentumCorrelationSpec`), else by 2-D trapezoid quadrature."""
-    if spec.density is None:
-        return spec.sigma / 2
-    pmax = pmax or 6.0 * np.sqrt(spec.sigma) + 6.0 * np.sqrt(1.0 / spec.alpha)
-    p = np.linspace(-pmax, pmax, n)
-    p1, p2 = np.meshgrid(p, p, indexing="ij")
-    f = spec.density_callable()(p1, p2)
-    tot = p1 + p2
-    w = np.trapezoid(np.trapezoid(f, p, axis=1), p)
-    mean = np.trapezoid(np.trapezoid(f * tot, p, axis=1), p) / w
-    var = np.trapezoid(np.trapezoid(f * (tot - mean) ** 2, p, axis=1), p) / w
-    return float(var)
+def _momentum_variance(spec):
+    """Var(p1 + p2) of `spec.state()` (see `MomentumCorrelationSpec`)."""
+    return spec.sigma / 2
 
 
 def _position_variance0(spec):
@@ -256,15 +220,15 @@ def _position_variance0(spec):
 
 
 def variance_evolution(spec, times, monte_carlo_n=0, seed=20250101):
-    """Var(m1 x1 + m2 x2)(t) = Var(0) + Var(p1 + p2) t^2 per component.
+    """Var(m1 x1 + m2 x2)(t) = Var(0) + Var(p1 + p2) t^2 of `spec.state()`.
 
-    Var(0) = M^2 sigma_x^2 (M = m1 + m2) and, for the default F,
-    Var(p1 + p2) = sigma / 2 in closed form; a custom F, which need not
-    factor, takes quadrature.
+    Var(0) = M^2 sigma_x^2 (M = m1 + m2) and Var(p1 + p2) = sigma / 2,
+    both in closed form.
     With monte_carlo_n > 0 the formula is cross-validated by propagating
-    an equilibrium ensemble with the exact guidance velocities and
-    measuring the empirical variance at each requested time: one pass
-    through the sorted times, with the step max(times) / 400."""
+    an equilibrium ensemble of the same state with the exact guidance
+    velocities and measuring the empirical variance at each requested
+    time: one pass through the sorted times, with the step
+    max(times) / 400."""
     times = np.asarray(times, dtype=float)
     var_p = _momentum_variance(spec)
     var_x0 = _position_variance0(spec)
@@ -273,7 +237,7 @@ def variance_evolution(spec, times, monte_carlo_n=0, seed=20250101):
            "heisenberg_product": var_p * var_x0,
            "heisenberg_bound": 0.25 * (spec.m1 + spec.m2) ** 2}
     if monte_carlo_n:
-        psi = spec.state(d=1)
+        psi = spec.state()
         lim = 6.0 * spec.sigma_x + 6.0 * np.sqrt(spec.alpha)
         ens = sample_equilibrium(psi, monte_carlo_n, seed,
                                  box=[(-lim, lim)] * 2)
@@ -293,18 +257,18 @@ def variance_evolution(spec, times, monte_carlo_n=0, seed=20250101):
     return out
 
 
-def alignment_analysis(spec, t, l0=None, wavenumber=None, grid_n=201):
+def alignment_analysis(spec, t, l0=None, wavenumber=None):
     """Peak alignment and angular-deviation estimates.
 
-    (i) the grid argmax of |psi(t)|^2 on an (x1, x2) slice lies on
+    (i) the argmax of |psi(t)|^2 on a 201^2 (x1, x2) grid lies on
     m1 x1 + m2 x2 = 0 within one cell; (ii) the angular deviation is
     tan(theta) ~ L(0) m / (p t) for small t and Delta(p1+p2)/p for large
     t, with the crossover at T = L(0)^2 k_c / c; (iii) the transition
     distance R = L(0)^2 k_c for the supplied wavenumber k_c."""
-    psi = spec.state(d=1)
+    psi = spec.state()
     lim = (6.0 * spec.sigma_x + 6.0 * np.sqrt(spec.alpha)
            + 2.0 * np.sqrt(1.0 / spec.alpha) * t / (2 * spec.mu))
-    grid = Grid([(-lim, lim)] * 2, [grid_n] * 2)
+    grid = Grid([(-lim, lim)] * 2, [201] * 2)
     x = grid.axes[0]
     rho = psi.at_time(t).density(grid.nodes()).reshape(grid.shape)
     i, j = np.unravel_index(np.argmax(rho), rho.shape)
@@ -350,10 +314,11 @@ def energy_shell_density(spec, x):
     return float(g[0]) if scalar else g
 
 
-def energy_shell_profile(spec, x_max=50.0, n=20001):
-    """Sampled g and g^2 curves for figure output, plus concentration:
-    the fraction of the integral of g^2 within the first few lambda_c."""
-    x = np.linspace(0.0, x_max, n)
+def energy_shell_profile(spec):
+    """Sampled g and g^2 curves on 20001 points of [0, 50] for figure
+    output, plus concentration: the fraction of the integral of g^2
+    within the first few lambda_c."""
+    x = np.linspace(0.0, 50.0, 20001)
     g = energy_shell_density(spec, x)
     g2 = g * g
     cum = np.concatenate([[0.0], np.cumsum((g2[1:] + g2[:-1]) * np.diff(x) / 2)])

@@ -21,11 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .currents import RHO_FLOOR_REL, SpinSpec, current
 from .errors import (ConfigurationError, DegenerateObserverError,
                      InvariantViolationError, NodeError, PhysicsError,
                      ShapeError)
 from .families import PlaneWaveSum
-from .guide import RHO_FLOOR_REL
 from .matrices import METRIC, bilinears, build_matrix_set
 from .wavefunction import ParametricWaveFunction
 
@@ -39,7 +39,6 @@ ONSHELL_TOL = 1e-9
 class ObserverVector:
     """Constant future-causal 4-vector n^mu (n^0 > 0, n.n >= 0)."""
     n: np.ndarray
-    source: str = "explicit"
 
     def __post_init__(self):
         n = np.asarray(self.n, dtype=float)
@@ -234,7 +233,7 @@ def total_energy_momentum(state, box, points_per_axis=64):
     if p_sq <= 1e-8 * (p_mu @ p_mu):
         raise DegenerateObserverError(
             f"P.P = {p_sq:.3e} not timelike within quadrature error")
-    return p_mu, ObserverVector(p_mu / np.sqrt(p_sq), source="total-P")
+    return p_mu, ObserverVector(p_mu / np.sqrt(p_sq))
 
 
 def charge_current(state, x, t):
@@ -269,24 +268,23 @@ def reduced_nonrel_state(state):
         "amps": wave["amps"][:, rest] / np.sqrt(state.mass)}, [state.mass])
 
 
-def nonrel_limit_check(rep, epsilons, mass=1.0, seed=0, n_points=16,
-                       point_scale=0.5, tau=0.3):
+def nonrel_limit_check(rep, epsilons, seed=0, n_points=16):
     """Deviation of the DKP velocity (n = time observer) from the
     Schroedinger / non-relativistic spin-1 current velocity, per epsilon
-    = |p|/m.  Returns the list of max relative deviations.
+    = |p|/m, for mass m = 1.  Returns the list of max relative deviations.
 
     The comparison uses corresponding states: momenta scale as eps m u,
-    evaluation points as y / (eps m) and the time as tau / (m eps^2), so
-    the interference pattern is epsilon-independent and the deviation
-    scales as a clean eps^2 (ratios ~ 1/4 under halving)."""
-    from .currents import SpinSpec, current
-
+    evaluation points as y / (eps m) with y ~ N(0, 0.5^2) per axis, and
+    the time as tau / (m eps^2) with tau = 0.3, so the interference
+    pattern is epsilon-independent and the deviation scales as a clean
+    eps^2 (ratios ~ 1/4 under halving)."""
+    mass = 1.0
     rng = np.random.default_rng(seed)
     dirs = rng.normal(size=(3, 3))
     mags = np.array([1.0, 0.7, 0.45])
     coefs = rng.normal(size=3) + 1j * rng.normal(size=3)
     pols = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    y_pts = rng.normal(size=(n_points, 3)) * point_scale
+    y_pts = rng.normal(size=(n_points, 3)) * 0.5
     devs = []
     for eps in epsilons:
         waves = []
@@ -298,7 +296,7 @@ def nonrel_limit_check(rep, epsilons, mass=1.0, seed=0, n_points=16,
             waves.append(spec)
         state = build_dkp_state(rep, mass, waves)
         pts = y_pts / (eps * mass)
-        t = tau / (mass * eps * eps)
+        t = 0.3 / (mass * eps * eps)
         _, v_dkp = energy_momentum_current(state, TIME_OBSERVER, pts, t)
         red = reduced_nonrel_state(state)
         spin = SpinSpec(0) if rep == "spin0" else SpinSpec(1)

@@ -5,7 +5,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 
 # Reject grids whose complex field storage would exceed this (bytes).
-DEFAULT_MEMORY_BUDGET = 4 << 30
+MEMORY_BUDGET = 4 << 30
 
 
 class Grid:
@@ -16,7 +16,7 @@ class Grid:
     wavefunction, not by the grid itself.
     """
 
-    def __init__(self, extents, points, memory_budget=DEFAULT_MEMORY_BUDGET):
+    def __init__(self, extents, points):
         extents = tuple((float(lo), float(hi)) for (lo, hi) in extents)
         points = tuple(int(n) for n in points)
         if len(extents) != len(points):
@@ -29,10 +29,10 @@ class Grid:
             if not hi > lo:
                 raise ConfigurationError(f"empty axis interval [{lo}, {hi}]")
         total = int(np.prod(points, dtype=np.int64))
-        if total * 16 > memory_budget:
+        if total * 16 > MEMORY_BUDGET:
             raise ConfigurationError(
                 f"grid of {total} points exceeds memory budget "
-                f"({total * 16} > {memory_budget} bytes)")
+                f"({total * 16} > {MEMORY_BUDGET} bytes)")
         self.extents = extents
         self.points = points
         self.ndim = len(points)

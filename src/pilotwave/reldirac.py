@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .currents import RHO_FLOOR_REL
 from .errors import (CausalityViolationError, NodeError, PhysicsError,
                      ShapeError)
 from .families import PlaneWaveSum
-from .guide import RHO_FLOOR_REL
 from .matrices import PAULI, bilinears, build_matrix_set
 from .wavefunction import ParametricWaveFunction
 

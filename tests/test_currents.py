@@ -60,6 +60,17 @@ class TestCurrentExamples:
         np.testing.assert_allclose(f.j[0], [2.0, 0.0, 0.0], atol=1e-13)
         np.testing.assert_allclose(f.j_s, 0.0, atol=1e-15)
 
+    def test_points_required(self):
+        """A call without points raises instead of evaluating at NaN."""
+        psi = gaussian3(k0=(0.5, 0, 0))
+        for call in (lambda: current(psi, SpinSpec(0)),
+                     lambda: current(psi, SpinSpec(0), None, [[0.1, 0, 0]]),
+                     lambda: configuration_velocity(psi),
+                     lambda: spin_eigenstate_current(psi, [1.0, 0.0],
+                                                     SpinSpec(0.5))):
+            with pytest.raises(TypeError):
+                call()
+
     def test_spin_half_pure_spin_current_vs_fd_oracle(self):
         """Real Gaussian times chi=(1,0), g=2: j_c = 0 and j_s equals a
         finite-difference curl of the magnetization psi^dag S psi."""

@@ -110,27 +110,33 @@ class TestVarianceEvolution:
         (0.5, 0.8, 1.0, 1.0), (0.4, 0.3, 1.0, 1.0), (0.4, 0.3, 1.0, 2.0),
         (0.7, 0.5, 1.0, 3.0)])
     def test_var_x0_matches_quadrature(self, sigma, alpha, m1, m2):
-        """The closed form M^2 sigma_x^2 against the trapezoid rule over
-        |psi(0)|^2 on 1201^2 nodes that it replaced."""
+        """The closed forms M^2 sigma_x^2 and sigma / 2 against the
+        trapezoid rule on 1201^2 nodes over the state the Monte Carlo
+        propagates: Var(m1 x1 + m2 x2) under |psi(0)|^2, and Var(p1 + p2)
+        from |(d1 + d2) psi|^2 and the mean of -i psi* (d1 + d2) psi."""
         spec = MomentumCorrelationSpec(sigma=sigma, alpha=alpha, m1=m1, m2=m2)
         n = 1201
         lim = 8.0 * spec.sigma_x + 8.0 * np.sqrt(spec.alpha)
         x = np.linspace(-lim, lim, n)
         x1, x2 = np.meshgrid(x, x, indexing="ij")
         pts = np.stack([x1.ravel(), x2.ravel()], axis=-1)
-        rho = spec.state(d=1).density(pts).reshape(n, n)
+        val, grad, _ = spec.state().value_gradient_moduli(pts, 0.0)
+        psi = val[0].reshape(n, n)
+        dtot = (grad[0, 0] + grad[0, 1]).reshape(n, n)
+
+        def integral(f):
+            return np.trapezoid(np.trapezoid(f, x, axis=1), x)
+
+        rho = np.abs(psi) ** 2
+        w = integral(rho)
         q = m1 * x1 + m2 * x2
-        w = np.trapezoid(np.trapezoid(rho, x, axis=1), x)
-        mean = np.trapezoid(np.trapezoid(rho * q, x, axis=1), x) / w
-        var = np.trapezoid(np.trapezoid(rho * (q - mean) ** 2, x, axis=1),
-                           x) / w
+        mean = integral(rho * q) / w
+        var = integral(rho * (q - mean) ** 2) / w
+        p_mean = integral(np.real(-1j * psi.conj() * dtot)) / w
+        var_p = integral(np.abs(dtot) ** 2) / w - p_mean**2
         out = variance_evolution(spec, [0.0])
         np.testing.assert_allclose(out["var_x0"], var, rtol=1e-12)
-
-    def test_var_p_gaussian_value(self):
-        """F ~ exp(-(p1+p2)^2/sigma) as a density: Var(p1+p2) = sigma/2."""
-        out = variance_evolution(self.SPEC, [0.0])
-        np.testing.assert_allclose(out["var_p"], self.SPEC.sigma / 2.0, rtol=1e-6)
+        np.testing.assert_allclose(out["var_p"], var_p, rtol=1e-12)
 
     def test_heisenberg_product_at_bound(self):
         out = variance_evolution(self.SPEC, [0.0])
@@ -165,12 +171,6 @@ class TestVarianceEvolution:
         np.testing.assert_array_equal(shuffled["monte_carlo"],
                                       out["monte_carlo"][perm])
         np.testing.assert_array_equal(shuffled["variance"], out["variance"][perm])
-
-    def test_asymmetric_density_rejected(self):
-        with pytest.raises(PhysicsError):
-            MomentumCorrelationSpec(
-                sigma=0.5, alpha=0.8, m1=1.0, m2=1.0,
-                density=lambda p1, p2: np.exp(-(p1 + p2 - 0.3) ** 2))
 
 
 class TestAlignment:
