@@ -13,11 +13,11 @@ is admissible), which is why the gyromagnetic factor g is a free knob
 here with the elementary-particle default g = 1/s.
 
 One kernel, `_flux`, computes both parts from values and gradients: at
-points of a closed-form state (`current`, `spin_eigenstate_current`) and
-on the nodes of a grid state (`grid_current_nodes`).  A grid state has
-that one current: the snapshot velocity source and `continuity_residual`
-use its nodes, and the pointwise functions raise ShapeError for a grid
-state rather than interpolate psi and its stencil gradient.  `_flux`
+points of a closed-form state (`current`) and on the nodes of a grid
+state (`grid_current_nodes`).  A grid state has that one current: the
+snapshot velocity source and `continuity_residual` use its nodes, and
+the pointwise functions raise ShapeError for a grid state rather than
+interpolate psi and its stencil gradient.  `_flux`
 takes hbar/m per configuration axis, so each particle of a many-particle
 state keeps its own mass.  The spin term needs d_j m_k for
 m = psi^dag S psi: the product rule at points, stencil differences of m
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NormalizationError, ShapeError
+from .errors import ConfigurationError, ShapeError
 from .matrices import PAULI, bilinears
 from .wavefunction import grid_gradient
 
@@ -85,25 +85,17 @@ class SpinSpec:
 
 @dataclass(frozen=True)
 class EmPotential:
-    """External electromagnetic potentials V0(x, t) and V(x, t).
+    """An external vector potential V(x, t) and magnetic field B(x, t).
 
-    v0 maps (n, 3) points to (n,) scalars; v maps them to (n, 3) vectors.
-    `scalar`, `vector` and `bfield` take points with 1 to 3 columns and
-    pad them with zero coordinates to 3 before calling v0, v or b, so a
-    2-D state's plane is z = 0; vectors always have 3 components.  The
-    magnetic field is the curl of v by central differences of spacing
-    1e-5 unless an explicit b callable is supplied.
+    v and b map (n, 3) points to (n, 3) vectors.  `vector` and `bfield`
+    take points with 1 to 3 columns and pad them with zero coordinates to
+    3 before calling v or b, so a 2-D state's plane is z = 0.  B is the
+    given b, never derived from v: a potential with v and no b raises
+    ConfigurationError in `bfield`.
     """
-    v0: object = None
     v: object = None
     charge: float = 1.0
     b: object = None
-
-    def scalar(self, x, t):
-        x = _pad3(x)
-        if self.v0 is None:
-            return np.zeros(x.shape[0])
-        return np.asarray(self.v0(x, t), dtype=float)
 
     def vector(self, x, t):
         x = _pad3(x)
@@ -115,13 +107,9 @@ class EmPotential:
         x = _pad3(x)
         if self.b is not None:
             return np.asarray(self.b(x, t), dtype=float)
-        if self.v is None:
-            return np.zeros_like(x)
-        # dv[j][:, k] = d_j V_k
-        h = 1e-5
-        dv = [(self.vector(x + e, t) - self.vector(x - e, t)) / (2 * h)
-              for e in h * np.eye(3)]
-        return _curl(np.transpose(dv, (2, 0, 1))).T
+        if self.v is not None:
+            raise ConfigurationError("EmPotential with v needs an explicit b")
+        return np.zeros_like(x)
 
 
 def _pad3(x):
@@ -204,7 +192,9 @@ def current(psi, spin, em=None, *, at, t=None):
 
     Returns a CurrentField with rho (n,), and j, j_c, j_s shaped (n, 3).
     States with fewer than 3 spatial axes are padded with zero components
-    so curls are well defined.
+    so curls are well defined.  For a spin eigenstate psi = phi chi this
+    is j = (hbar/m) Im phi* grad phi + (g/2m) curl(|phi|^2 s), with the
+    constant spin vector s = chi^dag S chi of a unit spinor chi.
     """
     _require_spin(psi, spin)
     if len(psi.masses) != 1:
@@ -223,35 +213,6 @@ def current(psi, spin, em=None, *, at, t=None):
     in_phase = None if mod is None else np.sum(mod**2, axis=0)
     return CurrentField(rho=rho, j=j_c + j_s, j_c=j_c, j_s=j_s,
                         in_phase=in_phase)
-
-
-def spin_eigenstate_current(phi_scalar, chi, spin, at, t=None):
-    """Current of a spin eigenstate psi = phi'(x) chi in factored form.
-
-    j = (hbar/2mi)(phi'* grad phi' - c.c.) + (g/2m) curl(|phi'|^2 s) with
-    the constant spin vector s = chi^dag S chi.
-    """
-    chi = np.asarray(chi, dtype=complex)
-    if abs(np.vdot(chi, chi) - 1.0) > 1e-10:
-        raise NormalizationError("chi must be a unit spinor")
-    if phi_scalar.spin_dim != 1:
-        raise ShapeError("phi_scalar must be a scalar state")
-    if len(chi) != spin.dim:
-        raise ShapeError("chi length does not match spin")
-    tt = phi_scalar.time if t is None else t
-    at = _closed_form_points(phi_scalar, at)
-    val, grad, _ = phi_scalar.value_gradient_moduli(at, tt)
-    rho = np.abs(val[0]) ** 2
-    svec = bilinears(chi[:, None], spin.generators)[:, 0]
-    # the magnetization is |phi'|^2 s, so d_j m_k = s_k d_j |phi'|^2
-    drho = 2.0 * np.real(grad[0].conj() * val[0])   # (d, n)
-    flux, spin_flux = _flux(val, grad, phi_scalar.hbar_m, spin,
-                            phi_scalar.masses[0],
-                            dmag=svec[:, None, None] * drho[None])
-    j = _pad3(flux.T)
-    if spin_flux is not None:
-        j += spin_flux.T
-    return rho, j, svec
 
 
 def continuity_residual(psi_a, psi_b, spin, em=None):

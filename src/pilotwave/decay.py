@@ -107,22 +107,16 @@ class EnergyShellSpec:
         return 4 * np.pi**2 * np.sqrt(self.e_minus / self.mass)
 
 
-def pair_wavefunction(spec, x1=None, x2=None, t=0.0):
-    """The closed-form pair state; evaluated when x1, x2 are given,
-    otherwise returned as a registered parametric state.
+def pair_wavefunction(spec, t=0.0):
+    """The closed-form pair state, a registered parametric state on
+    (x1, x2) in 3-D:
 
     psi = (pi hbar / beta)^{d/2} exp(-(x1 - x2)^2 / (4 hbar beta)),
     beta = alpha + i t / 2 mu."""
-    psi = ParametricWaveFunction(
+    return ParametricWaveFunction(
         "decaying_pair",
         {"alpha": spec.alpha, "m1": spec.m1, "m2": spec.m2, "d": 3},
         [spec.m1, spec.m2], time=t)
-    if x1 is None:
-        return psi
-    x1 = np.atleast_2d(np.asarray(x1, dtype=float))
-    x2 = np.atleast_2d(np.asarray(x2, dtype=float))
-    vals = psi.evaluate(np.concatenate([x1, x2], axis=1))
-    return vals[0, 0] if vals.shape[1] == 1 else vals[0]
 
 
 def pair_closed_form(spec, start1, start2, times):
@@ -145,11 +139,13 @@ def pair_closed_form(spec, start1, start2, times):
 
 
 def pair_trajectories(spec, start1, start2, times):
-    """Numerically integrated pair trajectories, in RK4 steps of
-    max(t_final / 2000, 1e-6), next to the closed form.
+    """Numerically integrated pair trajectories from t = 0 to
+    t_final = times[-1], in RK4 steps of max(t_final / 2000, 1e-6), next
+    to the closed form.  Only times[0], which must be 0, and times[-1] are
+    read: the record is on the RK4 step clock, not on `times`.
 
-    Returns dict with the trajectory record, the analytic (x1, x2), and
-    the worst relative deviation between them."""
+    Returns dict with the trajectory record, the analytic (x1, x2) at the
+    record's times, and the worst relative deviation between them."""
     times = np.asarray(times, dtype=float)
     if times[0] != 0.0:
         raise ShapeError("time grid must start at the decay time 0")
@@ -244,12 +240,13 @@ def variance_evolution(spec, times, monte_carlo_n=0, seed=20250101):
         if np.any(times < 0):
             raise ShapeError("Monte Carlo times must be >= 0 (the decay time)")
         src = ParametricVelocity(psi)
-        controls = IntegrationControls(dt=float(np.max(times)) / 400)
+        dt = float(np.max(times)) / 400
         mc = np.empty(len(times))
         for i in np.argsort(times, kind="stable"):
             t = float(times[i])
             if t > ens.t:
-                cfg, _ = integrate_ensemble(ens, src, t, controls)
+                cfg, _ = integrate_ensemble(ens, src, t,
+                                            IntegrationControls(dt=dt))
                 ens = Ensemble(configs=cfg, seed=seed, t=t)
             q = spec.m1 * ens.configs[:, 0] + spec.m2 * ens.configs[:, 1]
             mc[i] = np.var(q)

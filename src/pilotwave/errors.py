@@ -25,10 +25,6 @@ class ShapeError(PilotWaveError):
     """Mismatched array shapes, spin dimensions or grids."""
 
 
-class NormalizationError(PilotWaveError):
-    """A state or spinor that was required to be normalized is not."""
-
-
 class PhysicsError(PilotWaveError):
     """Physically inconsistent input (off-shell momentum, non-causal vector)."""
 

@@ -10,12 +10,12 @@ Two methods:
                  coupling, potential and spin-B step, kinetic half step.
 
 The mid step covers a coupling term g(x) p_a with g constant along axis
-a (a von Neumann pointer coupling), the scalar potential V, the electric
-potential e V0 and the Zeeman coupling -(e g / 2 m c) S.B, the latter
-exponentiated exactly with the (2s+1)x(2s+1) matrix exponential at each
-grid point.  Vector-potential terms in the kinetic operator are not
-supported by the split-step path (none of the shipped experiments needs
-them); the boundary is periodic.
+a (a von Neumann pointer coupling), the scalar potential V and the
+Zeeman coupling -(e g / 2 m c) S.B with the `EmPotential`'s B, the
+latter exponentiated exactly with the (2s+1)x(2s+1) matrix exponential
+at each grid point.  Vector-potential terms in the kinetic operator are
+not supported by the split-step path (none of the shipped experiments
+needs them); the boundary is periodic.
 
 Each factor is applied in the representation it is diagonal in (Feit,
 Fleck & Steiger, J. Comput. Phys. 47, 412 (1982)): the kinetic halves in
@@ -46,7 +46,7 @@ class Propagator:
     dt: float
     spin: SpinSpec = field(default_factory=lambda: SpinSpec(0))
     potential: object = None          # V(x, t) -> (n,) scalar
-    em: object = None                 # EmPotential, used for V0 and B
+    em: object = None                 # EmPotential, used for B
     coupling: tuple = None            # (axis, g): g(x) p_axis, g on the nodes
     _coupling_factors: dict = field(default_factory=dict, init=False,
                                     repr=False, compare=False)
@@ -92,13 +92,8 @@ def _kinetic_phase(psi, dt):
 
 
 def _potential_factor(psi, prop, t_mid):
-    """Position-space full-step factor for e V0 + V, diagonal in spin."""
-    pts = psi.grid.nodes()
-    v = np.zeros(pts.shape[0])
-    if prop.potential is not None:
-        v = v + np.asarray(prop.potential(pts, t_mid), dtype=float)
-    if prop.em is not None and prop.em.v0 is not None:
-        v = v + prop.em.charge * prop.em.scalar(pts, t_mid)
+    """Position-space full-step factor for V, diagonal in spin."""
+    v = np.asarray(prop.potential(psi.grid.nodes(), t_mid), dtype=float)
     vmax = float(np.max(np.abs(v))) if v.size else 0.0
     if prop.dt * vmax >= 0.5:
         raise StabilityError(
@@ -149,8 +144,7 @@ def _factors(psi, prop, t_mid):
         axis = prop.coupling[0]
         mid.append((tuple(a == axis for a in range(ndim)),
                     _multiply(prop.coupling_factor(psi.grid))))
-    if prop.potential is not None or (prop.em is not None
-                                      and prop.em.v0 is not None):
+    if prop.potential is not None:
         mid.append((x_space, _multiply(_potential_factor(psi, prop, t_mid))))
     u = _zeeman_unitary(psi, prop, t_mid)
     if u is not None:

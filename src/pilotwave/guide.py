@@ -38,15 +38,16 @@ so runs are reproducible across platforms from the recorded seed.
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
 from .currents import (RHO_FLOOR_REL, current, configuration_velocity,
                        grid_current_nodes)
-from .errors import (NoFluxError, NotSeparatedError, PilotWaveError,
-                     SamplerFailureError, ShapeError)
+from .errors import (ConfigurationError, NoFluxError, NotSeparatedError,
+                     PilotWaveError, SamplerFailureError, ShapeError,
+                     StabilityError)
 from .evolve import Propagator, propagate_to, step
 from .grid import Grid
 from .wavefunction import GridWaveFunction
@@ -65,11 +66,13 @@ MIN_CHUNK = 5000
 
 
 def thread_count():
-    """Worker cap from PILOTWAVE_THREADS (default: single-threaded)."""
-    try:
-        return max(1, int(os.environ.get("PILOTWAVE_THREADS", "1")))
-    except ValueError:
-        return 1
+    """Worker cap from PILOTWAVE_THREADS, a positive integer; 1 when the
+    variable is unset.  Any other value raises ConfigurationError."""
+    raw = os.environ.get("PILOTWAVE_THREADS", "1")
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ConfigurationError(
+            f"PILOTWAVE_THREADS={raw!r} is not a positive integer")
+    return int(raw)
 
 
 @dataclass(frozen=True)
@@ -105,9 +108,13 @@ class IntegrationControls:
     """RK4 step and recording stride.  A recorded run keeps every
     record_every-th step and the last one; a member that has stopped (at
     a node, the floor RHO_FLOOR_REL, or its source's domain) repeats its
-    final position."""
+    final position.  dt must be positive: runs go forward in time."""
     dt: float
     record_every: int = 1
+
+    def __post_init__(self):
+        if not self.dt > 0:
+            raise StabilityError("dt must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +183,10 @@ class ParametricVelocity:
 class SnapshotVelocity:
     """rho and j sampled on grids at snapshot times; multilinear in space
     and linear in time between snapshots.  `snapshots` is a time-ordered
-    iterable of grid states, read once: only each snapshot's density and
-    `grid_current_nodes` current, stacked, are kept."""
+    iterable of scalar grid states, read once: only each snapshot's
+    density and `grid_current_nodes` current, stacked, are kept."""
 
-    def __init__(self, snapshots, spin=None, em=None):
+    def __init__(self, snapshots, em=None):
         self.grid = None
         times, self.fields = [], []
         for s in snapshots:
@@ -191,7 +198,7 @@ class SnapshotVelocity:
                 raise ShapeError("snapshots on mismatched grids")
             times.append(s.time)
             self.fields.append(np.concatenate(
-                [s.density_nodes()[None], grid_current_nodes(s, spin, em)]))
+                [s.density_nodes()[None], grid_current_nodes(s, None, em)]))
         if not self.fields:
             raise ShapeError("need at least one snapshot")
         self.domain = Box(*zip(*self.grid.extents))
@@ -228,15 +235,6 @@ class SnapshotVelocity:
                 / np.where(rho_p > self.floor, rho_p, 1.0)[None, :]
             v[inside] = vv.T
         return v
-
-
-def velocity_source(psi_or_snapshots, spin=None, em=None):
-    """Build the velocity source for a state or a list of grid snapshots."""
-    if isinstance(psi_or_snapshots, (list, tuple)):
-        return SnapshotVelocity(psi_or_snapshots, spin=spin, em=em)
-    if psi_or_snapshots.representation == "parametric":
-        return ParametricVelocity(psi_or_snapshots, spin=spin, em=em)
-    return SnapshotVelocity([psi_or_snapshots], spin=spin, em=em)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +377,7 @@ def _rk4_schedule(span, dt):
 
 
 def _rk4_many(starts, source, t0, t_final, controls, record=False):
-    """RK4 of the members `starts` from t0 to t_final: their final
+    """RK4 of the members `starts` from t0 to t_final > t0: their final
     positions and statuses, and (times, track) when record is set.
 
     Every member starts ``ok`` and active.  While all of them are active
@@ -388,6 +386,8 @@ def _rk4_many(starts, source, t0, t_final, controls, record=False):
     is the index array of the members still going.  Statuses are written
     only on the steps at which some member stops; a stopped member keeps
     its final position (and repeats it in the track)."""
+    if not t_final > t0:
+        raise ShapeError("t_final must exceed the start time")
     x = np.array(starts, dtype=float)
     n = len(x)
     status = np.full(n, STATUS_OK, dtype=object)
@@ -422,12 +422,9 @@ def _rk4_many(starts, source, t0, t_final, controls, record=False):
 
 def integrate_trajectory(start, source, t_final, controls):
     """Integrate one beable configuration; returns a TrajectoryRecord."""
-    t0 = start.t
-    if not t_final > t0:
-        raise ShapeError("t_final must exceed the start time")
-    flat = start.flat()[None, :]
     _, status, (times, track) = _rk4_many(
-        flat, source, t0, t_final, controls, record=True)
+        start.flat()[None, :], source, start.t, t_final, controls,
+        record=True)
     return TrajectoryRecord(times=times, configs=track[:, 0, :], status=status[0])
 
 
@@ -489,8 +486,7 @@ def ks_statistic(samples, grid_x, cdf):
     return float(np.max(np.maximum(np.abs(emp_hi - f), np.abs(f - emp_lo))))
 
 
-def equivariance_check(psi0, propagator, n, t_check, seed=20250101, box=None,
-                       spin=None, em=None):
+def equivariance_check(psi0, propagator, n, t_check, seed=20250101, box=None):
     """Sample at t=0, co-propagate beables and wavefunction, and compare
     per-axis empirical CDFs at t_check against the |psi(t_check)|^2
     marginals computed by quadrature.  Pass iff every axis's KS statistic
@@ -505,13 +501,13 @@ def equivariance_check(psi0, propagator, n, t_check, seed=20250101, box=None,
         psi_t = psi0
     else:
         if propagator.method == "analytic":
-            src = ParametricVelocity(psi0, spin=spin, em=em)
+            src = ParametricVelocity(psi0)
             psi_t = psi0.at_time(t_check)
         else:
             snaps = propagate_to(psi0, propagator, t_check,
                                  snapshot_times=list(
                                      np.linspace(psi0.time, t_check, 48)))
-            src = SnapshotVelocity(snaps, spin=spin, em=em)
+            src = SnapshotVelocity(snaps)
             psi_t = snaps[-1]
         controls = IntegrationControls(dt=(t_check - psi0.time) / 400)
         final, _ = integrate_ensemble(ens, src, t_check, controls)
@@ -612,8 +608,9 @@ def measurement_branching(coefficients, packet_centers, n, seed=20250101,
     Born-weighted share of each packet's |phi_i(x)|^2 at t=0 that lies
     outside its own cell (a(x) drags it to another window); misread is the
     |Psi|^2 mass at read-out in each cell i that lies nearer another
-    window than window i.  At the defaults leak + misread is about 1.4e-6,
-    so the check raises from n ~ 720,000.
+    window than window i.  For centers (-1, 1), equal weights and the
+    other defaults, leak is 2.8e-7 and misread 1.8e-6, so the check
+    raises from n ~ 480,000.
     """
     coefficients = np.asarray(coefficients, dtype=complex)
     coefficients = coefficients / np.linalg.norm(coefficients)
@@ -668,7 +665,7 @@ def measurement_branching(coefficients, packet_centers, n, seed=20250101,
     final, status = integrate_ensemble(
         ens, _PointerDrift(source, centers, coupling), IMPULSE_TIME, controls)
     t_read = IMPULSE_TIME + max(free_flight, 0.0)
-    if free_flight > 0:
+    if t_read > IMPULSE_TIME:
         ok = status == STATUS_OK
         final[ok], status[ok] = integrate_ensemble(
             Ensemble(configs=final[ok], seed=seed, t=IMPULSE_TIME), source,

@@ -9,7 +9,6 @@ import numpy as np
 
 from . import families
 from .errors import ConfigurationError, ShapeError, UnsupportedFamilyError
-from .grid import Grid
 
 
 def axis_masses(masses, config_dim):
@@ -148,7 +147,7 @@ class GridWaveFunction:
         return GridWaveFunction(self.grid, self.values / n, self.masses,
                                 time=self.time)
 
-    def evaluate(self, configs, t=None):
+    def evaluate(self, configs):
         """Multilinear interpolation of each spin component."""
         return self.grid.interpolate(self.values, configs)
 
@@ -160,7 +159,7 @@ class GridWaveFunction:
         """
         return grid_gradient(self.values, self.grid)
 
-    def density(self, configs, t=None):
+    def density(self, configs):
         v = self.evaluate(configs)
         return np.sum(np.abs(v) ** 2, axis=0)
 

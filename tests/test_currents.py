@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 import strategies as rs
 from pilotwave.currents import (EmPotential, SpinSpec, configuration_velocity,
                                 continuity_residual, current,
-                                grid_current_nodes, spin_eigenstate_current)
-from pilotwave.errors import NormalizationError, ShapeError
+                                grid_current_nodes)
+from pilotwave.errors import ShapeError
 from pilotwave.evolve import Propagator, step
 from pilotwave.grid import Grid
 from pilotwave.wavefunction import (GridWaveFunction, ParametricWaveFunction,
@@ -65,9 +65,7 @@ class TestCurrentExamples:
         psi = gaussian3(k0=(0.5, 0, 0))
         for call in (lambda: current(psi, SpinSpec(0)),
                      lambda: current(psi, SpinSpec(0), None, [[0.1, 0, 0]]),
-                     lambda: configuration_velocity(psi),
-                     lambda: spin_eigenstate_current(psi, [1.0, 0.0],
-                                                     SpinSpec(0.5))):
+                     lambda: configuration_velocity(psi)):
             with pytest.raises(TypeError):
                 call()
 
@@ -127,37 +125,12 @@ class TestCurrentExamples:
 
 
 class TestSpinEigenstate:
-    def test_sigma_z_eigenstate_spin_vector(self):
-        phi = gaussian3()
-        _, _, svec = spin_eigenstate_current(phi, [1.0, 0.0], SpinSpec(0.5),
-                                             at=[[0, 0, 0]])
-        np.testing.assert_allclose(svec, [0, 0, 0.5], atol=1e-15)
-
     def test_real_state_g0_current_vanishes(self):
-        phi = gaussian3(sigma=0.7)
-        _, j, _ = spin_eigenstate_current(phi, [1.0, 0.0], SpinSpec(0.5, g=0.0),
-                                          at=np.random.default_rng(0).normal(size=(6, 3)))
-        np.testing.assert_allclose(j, 0.0, atol=1e-13)
-
-    def test_factored_equals_full_spinor_current(self):
-        """spin_eigenstate_current must agree with current() on phi' chi."""
-        params = {"center": [0.2, 0.1, -0.3], "sigma": [0.9, 1.2, 0.8],
-                  "k0": [0.7, -0.4, 0.2], "m": 1.3}
-        chi = np.array([0.6, 0.8j])
-        pts = np.random.default_rng(1).normal(size=(8, 3))
-        for g in (0.0, 0.5, 2.0):
-            spin = SpinSpec(0.5, g=g)
-            phi = gaussian3(**{k: params[k] for k in ("center", "sigma", "k0")},
-                            m=params["m"])
-            rho_f, j_f, _ = spin_eigenstate_current(phi, chi, spin, at=pts)
-            full = current(spinor_state(chi, params, m=params["m"]), spin, at=pts)
-            np.testing.assert_allclose(rho_f, full.rho, rtol=1e-12)
-            np.testing.assert_allclose(j_f, full.j, rtol=1e-10, atol=1e-14)
-
-    def test_non_unit_spinor_rejected(self):
-        with pytest.raises(NormalizationError):
-            spin_eigenstate_current(gaussian3(), [1.0, 1.0], SpinSpec(0.5),
-                                    at=[[0, 0, 0]])
+        psi = spinor_state([1.0, 0.0], {"center": [0.0] * 3, "sigma": 0.7,
+                                        "k0": [0.0] * 3, "m": 1.0})
+        f = current(psi, SpinSpec(0.5, g=0.0),
+                    at=np.random.default_rng(0).normal(size=(6, 3)))
+        np.testing.assert_allclose(f.j, 0.0, atol=1e-13)
 
 
 class TestGridStates:
@@ -174,9 +147,7 @@ class TestGridStates:
         pts = [[0.1, 0.2, -0.3]]
         for call in (lambda: current(psi, SpinSpec(0), at=pts),
                      lambda: current(spinor, SpinSpec(0.5), at=pts),
-                     lambda: configuration_velocity(psi, at=pts),
-                     lambda: spin_eigenstate_current(psi, [1.0, 0.0],
-                                                     SpinSpec(0.5), at=pts)):
+                     lambda: configuration_velocity(psi, at=pts)):
             with pytest.raises(ShapeError, match="grid_current_nodes"):
                 call()
 

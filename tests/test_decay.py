@@ -23,8 +23,9 @@ EQUAL = DecayPairSpec(alpha=1.0, m1=1.0, m2=1.0)
 class TestPairWave:
     def test_peak_at_coincidence(self):
         spec = DecayPairSpec(alpha=0.5, m1=1.0, m2=1.0)
-        same = abs(pair_wavefunction(spec, [0.1, 0, 0], [0.1, 0, 0])) ** 2
-        apart = abs(pair_wavefunction(spec, [0.6, 0, 0], [0.1, 0, 0])) ** 2
+        psi = pair_wavefunction(spec)
+        same = abs(psi.evaluate([[0.1, 0, 0, 0.1, 0, 0]])[0, 0]) ** 2
+        apart = abs(psi.evaluate([[0.6, 0, 0, 0.1, 0, 0]])[0, 0]) ** 2
         assert same > apart
         # |psi(0)|^2 ~ exp(-(x1-x2)^2 / 2 hbar alpha)
         ratio = apart / same

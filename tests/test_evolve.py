@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from pilotwave.currents import EmPotential, SpinSpec, continuity_residual
-from pilotwave.errors import ShapeError, StabilityError, UnsupportedFamilyError
+from pilotwave.errors import (ConfigurationError, ShapeError, StabilityError,
+                              UnsupportedFamilyError)
 from pilotwave.evolve import Propagator, propagate_to, step
 from pilotwave.grid import Grid
 from pilotwave.wavefunction import GridWaveFunction, ParametricWaveFunction
@@ -161,6 +162,18 @@ class TestSplitStep:
         expected = np.stack([np.exp(1j * ang * 0.5) * free.values[0],
                              np.exp(-1j * ang * 0.5) * free.values[1]])
         np.testing.assert_allclose(out.values, expected, atol=1e-10)
+
+    def test_zeeman_needs_an_explicit_b(self):
+        """B is never derived from the vector potential: a spin-1/2 step
+        whose EmPotential has v and no b raises, rather than use B = 0."""
+        grid = Grid([(-10.0, 10.0)], [128])
+        x = grid.axes[0]
+        psi = GridWaveFunction(grid, np.stack([np.exp(-x**2 / 2)] * 2),
+                               [1.0]).normalized()
+        em = EmPotential(v=lambda pts, t: np.stack(
+            [np.zeros(len(pts)), pts[:, 0], np.zeros(len(pts))], axis=1))
+        with pytest.raises(ConfigurationError, match="explicit b"):
+            step(psi, split_prop(0.01, spin=SpinSpec(0.5), em=em))
 
     def test_continuity_convergence_split_step(self):
         """Consecutive split-step snapshots satisfy continuity at joint

@@ -1,5 +1,6 @@
 """Sampling, trajectories, equivariance, arrival times, branching."""
 
+import re
 from collections import Counter
 
 import numpy as np
@@ -10,8 +11,9 @@ from hypothesis.extra.numpy import arrays
 
 from pilotwave import guide
 from pilotwave.currents import EmPotential, SpinSpec, grid_current_nodes
-from pilotwave.errors import (NoFluxError, NotSeparatedError,
-                              SamplerFailureError, ShapeError)
+from pilotwave.errors import (ConfigurationError, NoFluxError,
+                              NotSeparatedError, SamplerFailureError,
+                              ShapeError, StabilityError)
 from pilotwave.evolve import Propagator, propagate_to
 from pilotwave import families
 from pilotwave.families import PlaneWave, get_family
@@ -25,7 +27,7 @@ from pilotwave.guide import (STATUS_EXITED, STATUS_NODE, STATUS_OK,
                              integrate_ensemble, integrate_trajectory,
                              ks_statistic, marginal_cdf_by_quadrature,
                              measurement_branching, sample_equilibrium,
-                             thread_count, velocity_source)
+                             thread_count)
 from pilotwave.wavefunction import GridWaveFunction, ParametricWaveFunction
 from test_wavefunction import FAMILY_PARAMS
 
@@ -85,7 +87,7 @@ class TestSampler:
 class TestTrajectories:
     def test_plane_wave_drifts_linearly(self):
         psi = ParametricWaveFunction("plane_wave", {"k": [1.5], "m": 1.0}, [1.0])
-        src = velocity_source(psi)
+        src = ParametricVelocity(psi)
         rec = integrate_trajectory(
             BeableConfig(positions=np.array([[0.0]])), src, 2.0,
             IntegrationControls(dt=0.01))
@@ -94,7 +96,7 @@ class TestTrajectories:
 
     def test_real_ground_state_is_static(self):
         psi = gaussian(sigma=1.2)     # real at t=0 but spreads; use t~0 window
-        src = velocity_source(psi)
+        src = ParametricVelocity(psi)
         rec = integrate_trajectory(
             BeableConfig(positions=np.array([[0.4]])), src, 1e-6,
             IntegrationControls(dt=1e-7))
@@ -104,7 +106,7 @@ class TestTrajectories:
         """Free Gaussian: x(t) = xc(t) + (x0 - xc(0)) sigma_t / sigma_0."""
         sigma, m, k0 = 0.8, 1.0, 0.5
         psi = gaussian(sigma=sigma, k0=k0, m=m)
-        src = velocity_source(psi)
+        src = ParametricVelocity(psi)
         x0 = 0.9
         t = 3.0
         rec = integrate_trajectory(
@@ -125,7 +127,7 @@ class TestTrajectories:
                       < 1e-12 * psi.density(starts[:1, None]))
         t = 3.0
         final, status = integrate_ensemble(
-            Ensemble(configs=starts[:, None], seed=0), velocity_source(psi),
+            Ensemble(configs=starts[:, None], seed=0), ParametricVelocity(psi),
             t, IntegrationControls(dt=2e-3))
         assert list(status) == ["ok"] * 3
         st = sigma * np.sqrt(1 + (t / (2 * m * sigma**2)) ** 2)
@@ -143,7 +145,7 @@ class TestTrajectories:
         assert psi.evaluate(starts[-1:, None])[0, 0] == 0
         t = 0.5
         final, status = integrate_ensemble(
-            Ensemble(configs=starts[:, None], seed=0), velocity_source(psi),
+            Ensemble(configs=starts[:, None], seed=0), ParametricVelocity(psi),
             t, IntegrationControls(dt=2e-3))
         assert list(status) == ["ok"] * 5
         st = sigma * np.sqrt(1 + (t / (2 * m * sigma**2)) ** 2)
@@ -163,15 +165,41 @@ class TestTrajectories:
                 "spinor_product", {"scalar": "superposition",
                                    "scalar_params": params, "chi": [1.0, 0.0]},
                 [m])
-            src = velocity_source(psi, spin=SpinSpec(0.5))
+            src = ParametricVelocity(psi, spin=SpinSpec(0.5))
         else:
             psi = ParametricWaveFunction("superposition", params, [m])
-            src = velocity_source(psi)
+            src = ParametricVelocity(psi)
         starts = np.array([[0.0], [1e-7], [np.pi / (2 * k)]])
         _, status = integrate_ensemble(
             Ensemble(configs=starts, seed=0), src, 1.0,
             IntegrationControls(dt=0.01))
         assert list(status) == ["node_encounter", "node_encounter", "ok"]
+
+    @pytest.mark.parametrize("t_final, dt, error", [
+        (0.0, 0.01, ShapeError), (2.0, 0.01, ShapeError),
+        (3.0, 0.0, StabilityError), (3.0, -0.01, StabilityError)])
+    def test_runs_only_go_forward(self, t_final, dt, error):
+        """A run from t = 2 that would not go forward raises, for both
+        entry points, rather than take one RK4 step of the whole span or
+        divide by a zero step."""
+        src = ParametricVelocity(gaussian(sigma=0.5))
+        for run, start in (
+                (integrate_trajectory,
+                 BeableConfig(positions=np.array([[0.25]]), t=2.0)),
+                (integrate_ensemble,
+                 Ensemble(configs=np.array([[0.25]]), seed=0, t=2.0))):
+            with pytest.raises(error):
+                run(start, src, t_final, IntegrationControls(dt=dt))
+
+    @pytest.mark.parametrize("value", ["two", "2.5", "0", "-3"])
+    def test_bad_thread_count_named(self, value, monkeypatch):
+        monkeypatch.setenv("PILOTWAVE_THREADS", value)
+        with pytest.raises(ConfigurationError, match=re.escape(repr(value))):
+            thread_count()
+
+    def test_unset_thread_count_is_one(self, monkeypatch):
+        monkeypatch.delenv("PILOTWAVE_THREADS", raising=False)
+        assert thread_count() == 1
 
     def test_exit_status_on_grid_source(self):
         grid = Grid([(-2.0, 2.0)], [128])
@@ -179,7 +207,7 @@ class TestTrajectories:
         vals = np.exp(-x**2 / 2 + 2.0j * x)       # strong rightward drift
         snaps = [GridWaveFunction(grid, vals, [1.0], time=0.0).normalized(),
                  GridWaveFunction(grid, vals, [1.0], time=10.0).normalized()]
-        src = velocity_source(snaps)
+        src = SnapshotVelocity(snaps)
         rec = integrate_trajectory(
             BeableConfig(positions=np.array([[1.8]])), src, 5.0,
             IntegrationControls(dt=0.05))
@@ -191,7 +219,7 @@ class TestTrajectories:
         psi = ParametricWaveFunction(
             "decaying_pair", {"alpha": alpha, "m1": m1, "m2": m2, "d": 1},
             [m1, m2])
-        src = velocity_source(psi)
+        src = ParametricVelocity(psi)
         start = BeableConfig(positions=np.array([[0.3], [-0.1]]))
         rec = integrate_trajectory(start, src, 5.0, IntegrationControls(dt=5e-3))
         com = m1 * rec.configs[:, 0] + m2 * rec.configs[:, 1]
@@ -201,7 +229,7 @@ class TestTrajectories:
     def test_no_crossing_1d(self):
         """Sorted order of 1-D trajectories is preserved at every step."""
         psi = gaussian(sigma=0.6, k0=0.3)
-        src = velocity_source(psi)
+        src = ParametricVelocity(psi)
         starts = np.linspace(-1.5, 1.5, 41)[:, None]
         ens = Ensemble(configs=starts, seed=0)
         final, status, (times, track) = integrate_ensemble(
@@ -284,7 +312,7 @@ class TestDomains:
                  GridWaveFunction(grid, vals, [1.0], time=10.0).normalized()]
         final, status, (times, track) = integrate_ensemble(
             Ensemble(configs=np.array([[1.8], [1.7]]), seed=0),
-            velocity_source(snaps), 5.0,
+            SnapshotVelocity(snaps), 5.0,
             IntegrationControls(dt=0.05, record_every=10), record=True)
         assert list(status) == ["exited", "exited"]
         assert len(times) == 11 and track.shape == (11, 2, 1)
@@ -299,7 +327,7 @@ class TestDomains:
         final positions do not depend on recording."""
         psi = ParametricWaveFunction("plane_wave", {"k": [-1.0, 0.3], "m": 1.0},
                                      [1.0])
-        src = velocity_source(psi)
+        src = ParametricVelocity(psi)
         src.domain = Box([0.0, -np.inf], [np.inf, np.inf])
         starts = np.array([[0.33, 0.1], [1.0, -0.4], [2.71, 0.0], [0.05, 2.0]])
         ens = Ensemble(configs=starts, seed=0)
@@ -342,7 +370,7 @@ class TestDomains:
         snaps = [GridWaveFunction(grid, vals, [1.0], time=0.0).normalized(),
                  GridWaveFunction(grid, vals, [1.0], time=10.0).normalized()]
         rec = integrate_trajectory(
-            BeableConfig(positions=np.array([[1.8]])), velocity_source(snaps),
+            BeableConfig(positions=np.array([[1.8]])), SnapshotVelocity(snaps),
             5.0, IntegrationControls(dt=dt))
         assert rec.status == "exited"
         assert rec.configs[-1, 0] == 2.0
@@ -626,7 +654,7 @@ class TestSnapshotVelocity:
         """A list guides as grid snapshots only: a closed-form state in
         it raises rather than guiding with the first state alone."""
         with pytest.raises(ShapeError):
-            velocity_source([gaussian(), gaussian(k0=1.0)])
+            SnapshotVelocity([gaussian(), gaussian(k0=1.0)])
         with pytest.raises(ShapeError):
             SnapshotVelocity(self.snapshots()[:1] + [gaussian()])
 
@@ -652,10 +680,6 @@ class TestSpinorWithoutSpinSpec:
     def test_snapshot_velocity(self):
         with pytest.raises(ShapeError):
             SnapshotVelocity([self.grid_state()])
-
-    def test_velocity_source(self):
-        with pytest.raises(ShapeError):
-            velocity_source(self.grid_state())
 
 
 class TestEquivariance:
@@ -684,6 +708,30 @@ class TestEquivariance:
         rep = equivariance_check(psi, Propagator("analytic", 0.05), 4000,
                                  1.5, seed=8, box=[(-9.0, 9.0)])
         assert not rep["pass"]
+
+    @staticmethod
+    def split_step_check():
+        """The split-step arm on a 1-D Gaussian sampled on 256 nodes of
+        [-12, 12]: n 2000, t_check 4 sigma^2, seed 5."""
+        sigma = 0.8
+        psi = GridWaveFunction.sample(gaussian(sigma=sigma, k0=0.4), Grid(
+            [(-12.0, 12.0)], [256])).normalized()
+        return equivariance_check(psi, Propagator("split-step", 0.02), 2000,
+                                  4 * sigma**2, seed=5)
+
+    def test_split_step_gaussian_passes(self):
+        """Beables on the snapshot velocities of the propagated grid state
+        keep to |psi|^2 (KS 0.025, critical value 0.036)."""
+        rep = self.split_step_check()
+        assert rep["pass"], rep
+
+    def test_corrupted_snapshot_velocities_fail(self, monkeypatch):
+        """Doubling the snapshot velocity breaks equivariance (KS 0.48)."""
+        velocity = SnapshotVelocity.velocity
+        monkeypatch.setattr(SnapshotVelocity, "velocity",
+                            lambda self, configs, t:
+                            2.0 * velocity(self, configs, t))
+        assert not self.split_step_check()["pass"]
 
 
 class TestArrivalTimes:
