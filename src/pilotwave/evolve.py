@@ -32,7 +32,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .currents import SpinSpec
-from .errors import ShapeError, StabilityError, UnsupportedFamilyError
+from .errors import (ConfigurationError, ShapeError, StabilityError,
+                     UnsupportedFamilyError)
 from .wavefunction import axis_masses
 
 NORM_DRIFT_TOL = 1e-10
@@ -53,7 +54,8 @@ class Propagator:
 
     def __post_init__(self):
         if self.method not in ("analytic", "split-step"):
-            raise ShapeError(f"unknown propagation method {self.method!r}")
+            raise ConfigurationError(
+                f"unknown propagation method {self.method!r}")
         if not self.dt > 0:
             raise StabilityError("dt must be positive")
         if self.coupling is not None:

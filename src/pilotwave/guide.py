@@ -29,7 +29,8 @@ log psi from the family's closed-form log-derivative, which never
 evaluates psi, so a Gaussian tail is followed also where psi itself
 underflows to 0.  A single-term spinor still divides j by rho and is a
 node where both underflow.  Grid snapshots have no terms to compare
-against and use RHO_FLOOR_REL times the largest snapshot density.
+against and use RHO_FLOOR_REL times the largest density of the
+snapshots held.
 
 The ensemble sampler draws from |psi|^2 by rejection against a fitted
 Gaussian (or uniform) envelope using the counter-based Philox generator,
@@ -39,7 +40,6 @@ so runs are reproducible across platforms from the recorded seed.
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -184,28 +184,48 @@ class SnapshotVelocity:
     """rho and j sampled on grids at snapshot times; multilinear in space
     and linear in time between snapshots.  `snapshots` is a time-ordered
     iterable of scalar grid states, read once: only each snapshot's
-    density and `grid_current_nodes` current, stacked, are kept."""
+    density and `grid_current_nodes` current, stacked, are kept.
+    `measurement_branching` holds two at a time, sliding them on
+    interval by interval with `_advance`."""
 
     def __init__(self, snapshots, em=None):
-        self.grid = None
+        self.grid, self.em = None, em
         times, self.fields = [], []
         for s in snapshots:
-            if s.representation != "grid":
-                raise ShapeError("snapshots must be grid states")
-            if self.grid is None:
-                self.grid = s.grid
-            elif s.grid.shape != self.grid.shape:
-                raise ShapeError("snapshots on mismatched grids")
             times.append(s.time)
-            self.fields.append(np.concatenate(
-                [s.density_nodes()[None], grid_current_nodes(s, None, em)]))
+            self.fields.append(self._field(s))
         if not self.fields:
             raise ShapeError("need at least one snapshot")
         self.domain = Box(*zip(*self.grid.extents))
+        self._hold(times)
+
+    def _field(self, s):
+        """The snapshot s as one stacked array: its density, then its
+        `grid_current_nodes` current."""
+        if s.representation != "grid":
+            raise ShapeError("snapshots must be grid states")
+        if self.grid is None:
+            self.grid = s.grid
+        elif s.grid.shape != self.grid.shape:
+            raise ShapeError("snapshots on mismatched grids")
+        return np.concatenate(
+            [s.density_nodes()[None], grid_current_nodes(s, None, self.em)])
+
+    def _hold(self, times):
+        """Take `times` as those of the fields held; the floor is
+        RHO_FLOOR_REL times their largest density."""
         self.times = np.array(times)
         if np.any(np.diff(self.times) <= 0):
             raise ShapeError("snapshots must be strictly time ordered")
         self.floor = RHO_FLOOR_REL * max(float(np.max(f[0])) for f in self.fields)
+
+    def _advance(self, snapshot):
+        """Hold only the last snapshot and the next one, `snapshot`: the
+        two that bracket one interval.  The older fields are dropped and
+        the last one is kept as it is, so no field is built twice."""
+        del self.fields[:-1]
+        self.fields.append(self._field(snapshot))
+        self._hold([self.times[-1], snapshot.time])
 
     def _pair(self, t):
         if t <= self.times[0]:
@@ -246,11 +266,15 @@ def sample_equilibrium(psi, n, seed, box=None, envelope="auto"):
 
     The envelope is fitted from the density's own moments on a probe
     grid: a Gaussian with inflated covariance, or a uniform box when the
-    density is nearly flat.  Deterministic for a given seed (Philox).
-    Gives up after 2000 batches of max(2048, 2n) proposals.
+    density is nearly flat.  envelope="uniform" takes the box always;
+    any value but "auto" and "uniform" raises ConfigurationError.
+    Deterministic for a given seed (Philox).  Gives up after 2000
+    batches of max(2048, 2n) proposals.
     """
     if n < 1:
         raise ShapeError("n must be >= 1")
+    if envelope not in ("auto", "uniform"):
+        raise ConfigurationError(f"unknown envelope {envelope!r}")
     if box is None:
         if psi.representation != "grid":
             raise ShapeError("parametric states need an explicit sampling box")
@@ -587,12 +611,18 @@ def measurement_branching(coefficients, packet_centers, n, seed=20250101,
     Up to T = IMPULSE_TIME the coupling kappa a(x) p_y acts, a(x) = i on
     packet i's Voronoi cell; free flight follows.  The split-step
     snapshots of Psi give j / rho, and the coupling adds the velocity
-    kappa a(x) along y while it is on.  So beables sampled from |Psi|^2
-    run in two legs, [0, T] with that drift and [T, T + free_flight]
-    without it for the members still ``ok``: the drift stops at T, on an
-    RK4 step boundary.  Each packet keeps to its cell, so a member
-    starting at (x0, y0) in cell i follows Bohm's impulsive measurement
-    (Phys. Rev. 85, 180 (1952), Part II, section 2) in closed form,
+    kappa a(x) along y while it is on.  Beables sampled from |Psi|^2 are
+    integrated interval by interval alongside the split step: each step
+    yields the next snapshot, whose density and current are built once,
+    and the members still ``ok`` run by RK4 across that one interval,
+    guided by the two snapshots that bracket it.  The older one is then
+    dropped, so two snapshots are held at a time.  The drift acts on the
+    impulse intervals only, so it stops at T, on an RK4 step boundary;
+    the interval ends are exact, so the impulse ends at T and the
+    read-out is at T + free_flight.  Each packet keeps to its cell, so a
+    member starting at (x0, y0) in cell i follows Bohm's impulsive
+    measurement (Phys. Rev. 85, 180 (1952), Part II, section 2) in
+    closed form,
 
         x(t) = c_i + (x0 - c_i) s_x(t) / s_x(0)
         y(t) = kappa i min(t, T) + y0 s_y(t) / s_y(0)
@@ -603,12 +633,12 @@ def measurement_branching(coefficients, packet_centers, n, seed=20250101,
     the fraction in each channel is reported next to the Born weights
     |c_i|^2, with every member's ``starts`` and ``endpoints``.
 
-    Raises NotSeparatedError when n (leak + misread) >= 1, i.e. when at
-    least one beable is expected in the wrong channel.  leak is the
-    Born-weighted share of each packet's |phi_i(x)|^2 at t=0 that lies
-    outside its own cell (a(x) drags it to another window); misread is the
-    |Psi|^2 mass at read-out in each cell i that lies nearer another
-    window than window i.  For centers (-1, 1), equal weights and the
+    Raises NotSeparatedError after the run, when n (leak + misread) >= 1,
+    i.e. when at least one beable is expected in the wrong channel.  leak
+    is the Born-weighted share of each packet's |phi_i(x)|^2 at t=0 that
+    lies outside its own cell (a(x) drags it to another window); misread
+    is the |Psi|^2 mass at read-out in each cell i that lies nearer
+    another window than window i.  For centers (-1, 1), equal weights and the
     other defaults, leak is 2.8e-7 and misread 1.8e-6, so the check
     raises from n ~ 480,000.
     """
@@ -643,10 +673,29 @@ def measurement_branching(coefficients, packet_centers, n, seed=20250101,
     impulse = Propagator("split-step", IMPULSE_TIME / IMPULSE_SUBSTEPS,
                          coupling=(1, drag))
     props = [impulse] * IMPULSE_SUBSTEPS
+    t_read = IMPULSE_TIME + max(free_flight, 0.0)
+    # the RK4 clock: interval ends set exactly, not accumulated step by step
+    clock = np.linspace(0.0, IMPULSE_TIME, IMPULSE_SUBSTEPS + 1)
     if free_flight > 0:
         nfree = IMPULSE_SUBSTEPS // 2
         props += [Propagator("split-step", free_flight / nfree)] * nfree
-    source = SnapshotVelocity(accumulate(props, step, initial=psi0))
+        clock = np.concatenate(
+            [clock, np.linspace(IMPULSE_TIME, t_read, nfree + 1)[1:]])
+
+    ens = sample_equilibrium(psi0, n, seed)
+    final = np.array(ens.configs)
+    status = np.full(n, STATUS_OK, dtype=object)
+    controls = IntegrationControls(dt=impulse.dt / 4)
+    source = SnapshotVelocity([psi0])
+    drift = _PointerDrift(source, centers, coupling)
+    state = psi0
+    for prop, t0, t1 in zip(props, clock[:-1], clock[1:]):
+        state = step(state, prop)
+        source._advance(state)
+        ok = np.flatnonzero(status == STATUS_OK)
+        final[ok], status[ok] = integrate_ensemble(
+            Ensemble(configs=final[ok], seed=seed, t=t0),
+            drift if prop is impulse else source, t1, controls)
 
     dens = phis ** 2
     outside = cell != np.arange(k)[:, None]
@@ -659,17 +708,6 @@ def measurement_branching(coefficients, packet_centers, n, seed=20250101,
         raise NotSeparatedError(
             f"{expected:.3g} of {n} beables expected in the wrong channel "
             f"(leak {leak:.2e}, misread {misread:.2e})")
-
-    ens = sample_equilibrium(psi0, n, seed)
-    controls = IntegrationControls(dt=impulse.dt / 4)
-    final, status = integrate_ensemble(
-        ens, _PointerDrift(source, centers, coupling), IMPULSE_TIME, controls)
-    t_read = IMPULSE_TIME + max(free_flight, 0.0)
-    if t_read > IMPULSE_TIME:
-        ok = status == STATUS_OK
-        final[ok], status[ok] = integrate_ensemble(
-            Ensemble(configs=final[ok], seed=seed, t=IMPULSE_TIME), source,
-            t_read, controls)
 
     channel = _nearest_window(final[:, 1], windows)
     fractions = np.array([(channel == i).sum() for i in range(k)]) / n

@@ -48,6 +48,11 @@ class TestAnalytic:
             step(gaussian(n_axes=2),
                  Propagator("analytic", 0.1, coupling=(1, np.ones((4, 1)))))
 
+    def test_unknown_method_named(self):
+        """A misspelt method is a bad argument, not a shape mismatch."""
+        with pytest.raises(ConfigurationError, match="'split_step'"):
+            Propagator("split_step", 0.1)
+
 
 def split_prop(dt, **kw):
     return Propagator("split-step", dt, **kw)

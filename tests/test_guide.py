@@ -1,6 +1,7 @@
 """Sampling, trajectories, equivariance, arrival times, branching."""
 
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -82,6 +83,12 @@ class TestSampler:
         with pytest.raises(SamplerFailureError):
             sample_equilibrium(psi, 1000, seed=3, box=[(-5e3, 5e3)],
                                envelope="uniform")
+
+    def test_unknown_envelope_named(self):
+        """A misspelt envelope raises instead of meaning "auto"."""
+        with pytest.raises(ConfigurationError, match="'unifrom'"):
+            sample_equilibrium(gaussian(), 10, seed=3, box=[(-5, 5)],
+                               envelope="unifrom")
 
 
 class TestTrajectories:
@@ -875,6 +882,35 @@ class TestMeasurementBranching:
         assert counts["step"] == 36
         assert counts["norm"] == 73
         assert counts["density_nodes"] == 37 + 38
+
+    def test_threads_bit_identical(self, monkeypatch):
+        """Members go in chunks per interval; with chunks small enough to
+        split, two threads give the endpoints and statuses of one."""
+        monkeypatch.setattr(guide, "MIN_CHUNK", 64)
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("PILOTWAVE_THREADS", threads)
+            runs.append(measurement_branching(
+                [1.0, 1.0], [-1.5, 1.5], n=300, seed=18,
+                grid_points=(128, 256)))
+        np.testing.assert_array_equal(runs[0]["endpoints"],
+                                      runs[1]["endpoints"])
+        np.testing.assert_array_equal(runs[0]["statuses"],
+                                      runs[1]["statuses"])
+
+    def test_two_snapshots_in_memory(self):
+        """One field (density and two current components) of a 128 x 256
+        grid is 3 x 128 x 256 float64; holding all 37 snapshots peaked at
+        41.9 fields, holding the two that bracket an interval at 8.0."""
+        field = 3 * 128 * 256 * 8
+        tracemalloc.start()
+        try:
+            measurement_branching([1.0, 1.0], [-1.5, 1.5], n=300, seed=19,
+                                  grid_points=(128, 256))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * field
 
     def test_three_channels_resolve(self):
         n = 2000
