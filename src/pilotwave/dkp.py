@@ -271,13 +271,15 @@ def reduced_nonrel_state(state):
 def nonrel_limit_check(rep, epsilons, seed=0, n_points=16):
     """Deviation of the DKP velocity (n = time observer) from the
     Schroedinger / non-relativistic spin-1 current velocity, per epsilon
-    = |p|/m, for mass m = 1.  Returns the list of max relative deviations.
+    = |p|/m, for mass m = 1.  Returns per epsilon the median over points
+    of |v_DKP - v_NR|, relative to the largest |v_DKP|.
 
     The comparison uses corresponding states: momenta scale as eps m u,
     evaluation points as y / (eps m) with y ~ N(0, 0.5^2) per axis, and
     the time as tau / (m eps^2) with tau = 0.3, so the interference
-    pattern is epsilon-independent and the deviation scales as a clean
-    eps^2 (ratios ~ 1/4 under halving)."""
+    pattern is epsilon-independent.  The median falls about 4- to 12-fold
+    per halving of eps; the worst point need not, since near a density
+    node v_NR = j / rho is large and its eps^2 law sets in late."""
     mass = 1.0
     rng = np.random.default_rng(seed)
     dirs = rng.normal(size=(3, 3))
@@ -302,8 +304,8 @@ def nonrel_limit_check(rep, epsilons, seed=0, n_points=16):
         spin = SpinSpec(0) if rep == "spin0" else SpinSpec(1)
         f = current(red, spin, at=pts, t=t)
         v_nr = f.j / f.rho[:, None]
-        num = np.linalg.norm(v_dkp - v_nr, axis=-1)
-        devs.append(float(np.max(num) / np.max(np.linalg.norm(v_dkp, axis=-1))))
+        num = np.median(np.linalg.norm(v_dkp - v_nr, axis=-1))
+        devs.append(float(num / np.max(np.linalg.norm(v_dkp, axis=-1))))
     return devs
 
 
@@ -319,39 +321,37 @@ def dkp2_velocity(state_a, state_b, x1, x2, t, a=None, symmetrized=False):
     n^{mu1 mu2} = a^{mu1} a^{mu2} (a future-causal, default the time
     observer), j^{mu1 mu2} = psi^dag G^{mu1} x G^{mu2} psi with
     G^mu = m M^{mu nu} a_nu from `MatrixSet.theta_matrices` (gamma-projected
-    for massless states), and v_r = j^{(r: i)} / j^{00}."""
+    for massless states), and v_r = j^{(r: i)} / j^{00}.  The amplitude
+    psi = c sum_p u_p(x1) w_p(x2), one term (a, b) with c = 1 or, when
+    symmetrized, (a, b) and (b, a) with c = 1/sqrt 2, is never formed:
+    j^{mu1 mu2} = |c|^2 sum_{p,q} (u_p^dag G^{mu1} u_q)(w_p^dag G^{mu2} w_q)
+    takes about 8 dim^2 multiply-adds per pair, where dim^2 x dim^2
+    Kronecker operators on psi take 7 dim^4."""
     if state_a.rep != state_b.rep or state_a.massless != state_b.massless:
         raise ShapeError("two-particle states must share representation")
     if a is None:
         a = TIME_OBSERVER
     elif not isinstance(a, ObserverVector):
         a = ObserverVector(np.asarray(a, dtype=float))
-    # the seven j^{mu1 mu2} the velocities need, as operators on the
-    # flattened (dim^2, n) pair amplitude
     ga, gb = (_flow_matrices(s, a.lower) for s in (state_a, state_b))
-    ops = [np.kron(ga[m1], gb[m2])
-           for m1, m2 in ((0, 0), (1, 0), (2, 0), (3, 0),
-                          (0, 1), (0, 2), (0, 3))]
-
-    x1 = np.atleast_2d(np.asarray(x1, dtype=float))
-    x2 = np.atleast_2d(np.asarray(x2, dtype=float))
-
-    def amp(s1, y1, s2, y2):
-        v1, v2 = s1.evaluate(y1, t), s2.evaluate(y2, t)
-        return (v1[:, None] * v2[None, :]).reshape(-1, v1.shape[1])
-
-    psi = amp(state_a, x1, state_b, x2)
-    if symmetrized:
-        psi = (psi + amp(state_b, x1, state_a, x2)) / np.sqrt(2.0)
-
-    j = bilinears(psi, ops)
-    j00 = j[0]
+    terms = [(state_a, state_b), (state_b, state_a)][:2 if symmetrized else 1]
+    u = [s1.evaluate(x1, t) for s1, _ in terms]
+    w = [s2.evaluate(x2, t) for _, s2 in terms]
+    # j^{mu 0} and j^{0 mu}; G^mu is Hermitian, so the (q, p) term is the
+    # conjugate of the (p, q) one
+    j1 = j2 = 0.0
+    for p in range(len(u)):
+        for q in range(p, len(u)):
+            fa, fb = bilinears(u[p], ga, u[q]), bilinears(w[p], gb, w[q])
+            j1 = j1 + (1 if p == q else 2) * (fa * fb[0]).real
+            j2 = j2 + (1 if p == q else 2) * (fa[0] * fb).real
+    j00 = j1[0] / len(u)
     if np.any(j00 < -1e-12 * state_a.scale() * state_b.scale()):
         raise InvariantViolationError("j^{00} < 0 on a valid state")
     if np.any(j00 <= RHO_FLOOR_REL * state_a.scale() * state_b.scale()):
         raise NodeError("two-particle density at or below floor")
-    v1 = j[1:4].T / j00[:, None]
-    v2 = j[4:7].T / j00[:, None]
+    v1 = j1[1:].T / j1[0][:, None]
+    v2 = j2[1:].T / j2[0][:, None]
     if j00.shape[0] == 1:
         return v1[0], v2[0]
     return v1, v2

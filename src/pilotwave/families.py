@@ -425,7 +425,9 @@ class PlaneWaveSum:
     (nterm, spin_dim) amplitudes, each a coefficient times its constant
     spinor or field vector.  The frequencies are given, so hbar does not
     enter, and any dispersion (relativistic, or with the rest energy
-    removed) is exact.
+    removed) is exact.  k.x and the sum over terms are elementwise sums,
+    not matrix products, whose BLAS rounding would depend on how many
+    points share the call.
     """
 
     @staticmethod
@@ -441,18 +443,21 @@ class PlaneWaveSum:
         """exp(i(K x - w t)), shape (nterm, n)."""
         k = np.asarray(params["k"], dtype=float)
         x = _as_points(x, k.shape[1])
-        return np.exp(1j * (k @ x.T - (np.asarray(params["omega"]) * t)[:, None]))
+        kx = k[:, :1] * x[:, 0]
+        for a in range(1, k.shape[1]):
+            kx = kx + k[:, a:a + 1] * x[:, a]
+        return np.exp(1j * (kx - (np.asarray(params["omega"]) * t)[:, None]))
 
     @classmethod
     def value(cls, params, x, t):
         """Shape (spin_dim, n), C-contiguous."""
-        return np.asarray(params["amps"]).T @ cls._phases(params, x, t)
+        return np.einsum("ts,tn->sn", params["amps"], cls._phases(params, x, t))
 
     @classmethod
     def value_gradient_moduli(cls, params, x, t):
         phases = cls._phases(params, x, t)
         mod = np.sum(np.abs(params["amps"]), axis=0)
-        return (np.asarray(params["amps"]).T @ phases,
+        return (np.einsum("ts,tn->sn", params["amps"], phases),
                 np.einsum("ts,td,tn->sdn", params["amps"],
                           1j * np.asarray(params["k"], dtype=float), phases),
                 np.repeat(mod[:, None], phases.shape[1], axis=1))

@@ -13,8 +13,9 @@ hold in exact arithmetic.  The DKP kinds also carry the idempotent
 projector ``gamma_proj`` of the massless (Harish-Chandra) theory, which
 keeps the mass-independent components of the wavefunction.
 
-Every current built from these sets is a Hermitian bilinear psi^dag M psi
-or a stack of them; ``bilinears`` is the one kernel that evaluates them.
+Every current built from these sets is a bilinear psi^dag M chi, or a
+stack of them, Hermitian (chi = psi) or between two terms of a product
+state; ``bilinears`` is the one kernel that evaluates them.
 """
 
 from dataclasses import dataclass, field
@@ -37,15 +38,18 @@ PAULI.setflags(write=False)
 BLOCK = 16384
 
 
-def bilinears(psi, mats):
-    """Re psi^dag M_k psi at every point, shape (k, n), for psi of shape
-    (dim, n) and a stack of k (dim, dim) matrices."""
+def bilinears(psi, mats, chi=None):
+    """psi^dag M_k chi at every point, shape (k, n), for fields of shape
+    (dim, n) and a stack of k (dim, dim) matrices: complex with chi, and
+    the real Re psi^dag M_k psi without it."""
     mats = np.asarray(mats)
-    out = np.empty((mats.shape[0], psi.shape[1]))
+    real = chi is None
+    chi = psi if real else chi
+    out = np.empty((mats.shape[0], psi.shape[1]), float if real else complex)
     for lo in range(0, psi.shape[1], BLOCK):
-        blk = psi[:, lo:lo + BLOCK]
-        out[:, lo:lo + BLOCK] = np.real(
-            np.einsum("sn,ksn->kn", blk.conj(), mats @ blk))
+        blk = slice(lo, lo + BLOCK)
+        form = np.einsum("sn,ksn->kn", psi[:, blk].conj(), mats @ chi[:, blk])
+        out[:, blk] = form.real if real else form
     return out
 
 

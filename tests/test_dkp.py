@@ -299,6 +299,18 @@ class TestNonRelLimit:
         np.testing.assert_allclose(rec.configs[-1], 3.0 * p / 1.4, atol=1e-12)
 
 
+@pytest.mark.parametrize("seed", [888491463, 842995083, 760394868])
+def test_quadratic_trend_with_a_sample_point_near_a_node(seed):
+    """Draws whose sample holds a point near a spin-0 density node: v_NR
+    = j / rho is large there and its eps^2 law has not set in by eps =
+    0.05, so the worst point fails the trend, but the median point does
+    not."""
+    devs = nonrel_limit_check("spin0", [0.2, 0.1, 0.05], seed=seed)
+    assert devs[1] <= 0.35 * devs[0]
+    assert devs[2] <= 0.35 * devs[1]
+    assert devs[0] > devs[1] > devs[2]
+
+
 class TestTwoParticle:
     def test_product_state_reduces(self):
         rng = np.random.default_rng(5)
@@ -413,6 +425,29 @@ def test_dkp2_velocity_matches_four_operand_contraction(rep, massless,
     ref = _dkp2_four_operand(sa, sb, x1, x2, 0.3, a.lower, symmetrized)
     for g, r in zip(got, ref):
         np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-14)
+
+
+def test_dkp2_velocity_forms_no_pair_amplitude():
+    """One symmetrized call on 1,000 spin-1 pairs peaks below four times
+    the (100, 1000) complex pair amplitude, 6.4 MB: each particle's field
+    is contracted on its own."""
+    rng = np.random.default_rng(13)
+
+    def mk():
+        return spin1_state([
+            {"coef": rng.normal() + 1j * rng.normal(), "p": rng.normal(size=3),
+             "polarization": rng.normal(size=3) + 1j * rng.normal(size=3)}
+            for _ in range(2)])
+
+    sa, sb = mk(), mk()
+    x1, x2 = rng.normal(size=(1000, 3)), rng.normal(size=(1000, 3))
+    tracemalloc.start()
+    try:
+        dkp2_velocity(sa, sb, x1, x2, 0.3, symmetrized=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 100 * 1000 * 16
 
 
 class TestCausalityProperties:

@@ -535,12 +535,10 @@ class TestMemberIndependence:
         assert kinds["probe"] > 0 and kinds["step"] > 0 and kinds["ok"] > 0
         assert grid_kinds[STATUS_EXITED] > 0 and grid_kinds["ok"] > 0
 
-    @pytest.mark.parametrize(
-        "name", sorted(set(FAMILY_PARAMS) - {"plane_wave_sum"}))
+    @pytest.mark.parametrize("name", sorted(FAMILY_PARAMS))
     def test_family_velocity_is_member_independent(self, name):
-        """The velocity of every family but `plane_wave_sum` (whose phases
-        are one matrix product) at each of 300 points alone equals its row
-        in the batch."""
+        """The velocity of every family at each of 300 points alone equals
+        its row in the batch."""
         params = FAMILY_PARAMS[name]
         psi = ParametricWaveFunction(name, params, [1.3])
         src = ParametricVelocity(
