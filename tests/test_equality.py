@@ -13,25 +13,25 @@ equality = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(equality)
 
 
-def _capture(velocity, failures=()):
+def _capture(velocity, failures=(), labels=("dkp2_velocity[spin0]",)):
     """A one-pass capture shaped like the tool's subprocess output."""
     result = (velocity, {"status": np.array(["ok", "ok"], dtype=object)})
     return {"threads": 1, "passes": [{
         "workload": "relativistic", "seed": 5, "index": 0, "attempted": 2,
         "ok": 2 - len(failures), "failures": list(failures),
-        "calls": [{"label": "dkp2_velocity[spin0]",
-                   "leaves": dict(equality.leaves(result))}]}]}
+        "calls": [{"label": label, "leaves": dict(equality.leaves(result))}
+                  for label in labels]}]}
 
 
 def test_a_tree_against_itself_is_equal(tmp_path):
     out = tmp_path / "report.json"
     code = equality.main([str(ROOT), str(ROOT), "--workloads", "relativistic",
-                          "--seeds", "1", "63", "--passes", "1",
-                          "--out", str(out)])
+                          "--seeds", "1", "63", "--out", str(out)])
     report = json.loads(out.read_text())
     assert code == 0
     summary = report["summary"]
-    assert summary["passes"] == 2 and summary["verdicts_differ"] == 0
+    assert summary["passes"] == 4 and summary["verdicts_differ"] == 0
+    assert report["workloads"] == ["relativistic"]
     assert summary["leaves"] > 0
     assert summary["array_equal"] == summary["leaves"]
     assert summary["max_rel"] == 0.0
@@ -65,3 +65,21 @@ def test_shape_changes_and_verdicts_are_reported():
     assert row["shape"] == [[2, 3], [3, 3]] and not row["array_equal"]
     assert report["summary"]["verdicts_differ"] == 1
     assert report["passes"][0]["change"]["ok"] == 1
+
+
+def test_a_call_on_one_side_only_is_reported():
+    # e.g. a skipped energy_momentum_current when total_energy_momentum
+    # raises on one side only
+    v = np.zeros((2, 3))
+    a = _capture(v, labels=("total[spin0]", "current[spin0]", "pair[spin0]"))
+    b = _capture(v, failures=["total[spin0]: raised"],
+                 labels=("total[spin0]", "pair[spin0]"))
+    report = equality.compare(a, b)
+    missing = [r for r in report["leaves"] if "missing" in r]
+    assert missing == [{"workload": "relativistic", "seed": 5, "index": 0,
+                        "call": "current[spin0]", "leaf": None,
+                        "missing": "change", "array_equal": False}]
+    equal = [r for r in report["leaves"] if "missing" not in r]
+    assert {r["call"] for r in equal} == {"total[spin0]", "pair[spin0]"}
+    assert all(r["array_equal"] for r in equal)
+    assert report["summary"]["verdicts_differ"] == 1

@@ -1,17 +1,19 @@
 """Compares the benchmark workloads' outputs between two source trees.
 
     python3 tools/equality.py PARENT CHANGE --seeds 63 179 199 \
-        [--workloads relativistic ...] [--passes 2] [--out report.json]
+        [--workloads relativistic ...] [--out report.json]
 
 PARENT and CHANGE are source checkouts, each with `src/pilotwave` and
 `perfbench/`.  For each tree, one subprocess imports that tree's own
 pilotwave and perfbench workloads and, for every workload and seed, runs
-`build` and then `run_pass` for pass indices 0 .. passes-1, capturing
-the result of every experiment call by wrapping `Tally.run`.  The two
-captures are then compared:
+`build` and then `run_pass` for pass indices 0 and 1, capturing the
+result of every experiment call by wrapping `Tally.run`.  The default
+workloads are all of perfbench's.  The two captures are then compared:
 
 * per leaf of each call's result (walking dicts, sequences and
-  dataclasses): shape or dtype changes, whether the arrays are equal,
+  dataclasses; calls are paired by label, and a call or leaf present on
+  one side only is reported as missing): shape or dtype changes,
+  whether the arrays are equal,
   the max absolute difference over the elements finite on both sides,
   and that difference relative to the leaf's largest magnitude;
 * per pass: `attempted`, `ok` and the failures on both sides.  The
@@ -35,7 +37,9 @@ from pathlib import Path
 
 import numpy as np
 
-WORKLOADS = ("ensemble", "branching", "decay", "relativistic")
+# Only `branching` depends on the pass index (its configuration alternates
+# with index % 2), so two passes cover every configuration of a seed.
+PASSES = 2
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +61,7 @@ def leaves(obj, path=""):
         yield path or "/", np.asarray(obj)
 
 
-def capture(tree, workloads, seeds, passes):
+def capture(tree, workloads, seeds):
     """Every call's leaves and every pass's verdict, for one tree."""
     tree = Path(tree).resolve()
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
@@ -84,11 +88,12 @@ def capture(tree, workloads, seeds, passes):
 
     bench.Tally.run = recording_run
     records = []
+    workloads = list(workloads or bench.WORKLOADS)
     for name in workloads:
         workload = bench.WORKLOADS[name]
         for seed in seeds:
             inputs = workload.build(seed)
-            for index in range(passes):
+            for index in range(PASSES):
                 calls.clear()
                 tally = bench.Tally()
                 workload.run_pass(inputs, tally, index)
@@ -96,7 +101,8 @@ def capture(tree, workloads, seeds, passes):
                     "workload": name, "seed": seed, "index": index,
                     "attempted": tally.attempted, "ok": tally.ok,
                     "failures": list(tally.failures), "calls": list(calls)})
-    return {"threads": thread_count(), "passes": records}
+    return {"threads": thread_count(), "workloads": workloads,
+            "passes": records}
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +136,14 @@ def failing_calls(failures):
     return sorted({f.split(":")[0] for f in failures})
 
 
+def by_label(calls):
+    """A pass's calls keyed by label; labels are unique within a pass."""
+    keyed = {c["label"]: c["leaves"] for c in calls}
+    if len(keyed) != len(calls):
+        raise ValueError("a call label repeats within one pass")
+    return keyed
+
+
 def compare(a, b):
     """The report rows for two captures of the same workloads and seeds."""
     passes, rows = [], []
@@ -141,13 +155,19 @@ def compare(a, b):
         passes.append({**key, "verdict_differs": differs, **{
             side: {k: p[k] for k in ("attempted", "ok", "failures")}
             for side, p in (("parent", pa), ("change", pb))}})
-        for ca, cb in zip(pa["calls"], pb["calls"], strict=True):
-            for path in dict.fromkeys([*ca["leaves"], *cb["leaves"]]):
-                la, lb = ca["leaves"].get(path), cb["leaves"].get(path)
+        ca, cb = by_label(pa["calls"]), by_label(pb["calls"])
+        for label in dict.fromkeys([*ca, *cb]):
+            if label not in ca or label not in cb:
+                rows.append({**key, "call": label, "leaf": None,
+                             "missing": "parent" if label not in ca
+                             else "change", "array_equal": False})
+                continue
+            for path in dict.fromkeys([*ca[label], *cb[label]]):
+                la, lb = ca[label].get(path), cb[label].get(path)
                 row = ({"missing": "parent" if la is None else "change",
                         "array_equal": False}
                        if la is None or lb is None else compare_leaf(la, lb))
-                rows.append({**key, "call": ca["label"], "leaf": path, **row})
+                rows.append({**key, "call": label, "leaf": path, **row})
     rel = [r["max_rel"] for r in rows if "max_rel" in r]
     summary = {
         "passes": len(passes),
@@ -168,13 +188,13 @@ def git_sha(tree):
     return out.stdout.strip() if out.returncode == 0 else None
 
 
-def run_side(tree, workloads, seeds, passes):
+def run_side(tree, workloads, seeds):
     """Capture one tree in its own interpreter."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "capture.pickle"
         subprocess.run(
             [sys.executable, __file__, "--capture", str(tree), "--out",
-             str(out), "--workloads", *workloads, "--passes", str(passes),
+             str(out), *(["--workloads", *workloads] if workloads else []),
              "--seeds", *map(str, seeds)], check=True)
         return pickle.loads(out.read_bytes())
 
@@ -183,9 +203,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("trees", nargs="*", metavar="TREE")
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--workloads", nargs="+", default=list(WORKLOADS),
-                        choices=WORKLOADS)
-    parser.add_argument("--passes", type=int, default=2)
+    parser.add_argument("--workloads", nargs="+",
+                        help="default: every perfbench workload")
     parser.add_argument("--out")
     parser.add_argument("--capture", metavar="TREE",
                         help="capture one tree and pickle it to --out")
@@ -194,16 +213,15 @@ def main(argv=None):
         if not args.out:
             parser.error("--capture needs --out")
         Path(args.out).write_bytes(pickle.dumps(capture(
-            args.capture, args.workloads, args.seeds, args.passes)))
+            args.capture, args.workloads, args.seeds)))
         return 0
     if len(args.trees) != 2:
         parser.error("give two trees: PARENT CHANGE")
-    sides = [run_side(t, args.workloads, args.seeds, args.passes)
-             for t in args.trees]
+    sides = [run_side(t, args.workloads, args.seeds) for t in args.trees]
     report = compare(*sides)
     report.update({
-        "seeds": args.seeds, "workloads": args.workloads,
-        "passes_per_seed": args.passes,
+        "seeds": args.seeds, "workloads": sides[1]["workloads"],
+        "passes_per_seed": PASSES,
         "trees": {side: {"path": str(Path(t).resolve()), "sha": git_sha(t),
                          "threads": s["threads"]}
                   for side, t, s in zip(("parent", "change"), args.trees,
