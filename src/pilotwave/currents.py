@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, ShapeError
+from .errors import ShapeError
 from .matrices import PAULI, bilinears
 from .wavefunction import grid_gradient
 
@@ -90,8 +90,8 @@ class EmPotential:
     v and b map (n, 3) points to (n, 3) vectors.  `vector` and `bfield`
     take points with 1 to 3 columns and pad them with zero coordinates to
     3 before calling v or b, so a 2-D state's plane is z = 0.  B is the
-    given b, never derived from v: a potential with v and no b raises
-    ConfigurationError in `bfield`.
+    given b, never derived from v.  The currents and guidance read v and
+    the split step reads only b: `Propagator` rejects a potential with v.
     """
     v: object = None
     charge: float = 1.0
@@ -105,11 +105,9 @@ class EmPotential:
 
     def bfield(self, x, t):
         x = _pad3(x)
-        if self.b is not None:
-            return np.asarray(self.b(x, t), dtype=float)
-        if self.v is not None:
-            raise ConfigurationError("EmPotential with v needs an explicit b")
-        return np.zeros_like(x)
+        if self.b is None:
+            return np.zeros_like(x)
+        return np.asarray(self.b(x, t), dtype=float)
 
 
 def _pad3(x):
@@ -147,13 +145,12 @@ class CurrentField:
     in_phase: np.ndarray = None
 
 
-def _closed_form_points(psi, at):
-    """`at` as (n, d) points of the closed-form state psi; a grid state's
-    current is `grid_current_nodes`."""
+def _require_closed_form(psi):
+    """Pointwise currents take closed-form states; a grid state's current
+    is `grid_current_nodes`."""
     if psi.representation == "grid":
         raise ShapeError("pointwise currents take closed-form states; a grid "
                          "state's current is grid_current_nodes")
-    return np.atleast_2d(np.asarray(at, dtype=float))
 
 
 def _spin_term(spin):
@@ -201,7 +198,8 @@ def current(psi, spin, em=None, *, at, t=None):
         raise ShapeError("current() is single-particle; see configuration_velocity")
     m = psi.masses[0]
     tt = psi.time if t is None else t
-    at = _closed_form_points(psi, at)
+    _require_closed_form(psi)
+    at = np.atleast_2d(np.asarray(at, dtype=float))
     val, grad, mod = psi.value_gradient_moduli(at, tt)
     rho = np.sum(np.abs(val) ** 2, axis=0)
     flux, spin_flux = _flux(val, grad, psi.hbar_m, spin, m)
@@ -276,19 +274,20 @@ def configuration_velocity(psi, at, t=None):
     configuration axes, shape (n, config_dim).  A single closed-form term
     gives grad log psi in closed form (`log_gradient`), so psi, the
     division and the density never enter: far in a Gaussian tail the
-    velocity stays exact where psi itself underflows.  Otherwise the
-    velocity is grad psi / psi, and a point is a node encounter (NaN
-    velocity) where it is not finite (psi = 0) or where |psi| is at or
-    below sqrt(RHO_FLOOR_REL) times the summed moduli of the state's
-    terms (a sum whose terms cancel).  That is the density test
-    |psi|^2 <= RHO_FLOOR_REL (sum_i |c_i phi_i|)^2 without the squares,
-    which overflow from moduli of about 1e154.  A grid state raises
-    ShapeError: its current is `grid_current_nodes`.
+    velocity stays exact where psi itself underflows, and one finiteness
+    test of the result suffices unless it fails (its non-finite rows are
+    then NaN).  Otherwise the velocity is grad psi / psi, and a point is
+    a node encounter (NaN velocity) where it is not finite (psi = 0) or
+    where |psi| is at or below sqrt(RHO_FLOOR_REL) times the summed
+    moduli of the state's terms (a sum whose terms cancel).  That is the
+    density test |psi|^2 <= RHO_FLOOR_REL (sum_i |c_i phi_i|)^2 without
+    the squares, which overflow from moduli of about 1e154.  A grid state
+    raises ShapeError: its current is `grid_current_nodes`.
     """
     if psi.spin_dim != 1:
         raise ShapeError("configuration_velocity covers scalar states")
+    _require_closed_form(psi)
     tt = psi.time if t is None else t
-    at = _closed_form_points(psi, at)
     dlog = psi.log_gradient(at, tt)
     node = False
     if dlog is None:
@@ -301,6 +300,8 @@ def configuration_velocity(psi, at, t=None):
             floor = np.sqrt(RHO_FLOOR_REL) * mod[0]
             node = (floor > 0) & ~(np.abs(val[0]) > floor)
     v = psi.hbar_m * np.imag(dlog).T
+    if node is False and np.isfinite(v).all():
+        return v
     bad = ~np.isfinite(v).all(axis=1) | node
     if bad.any():
         v[bad] = np.nan

@@ -14,8 +14,8 @@ a (a von Neumann pointer coupling), the scalar potential V and the
 Zeeman coupling -(e g / 2 m c) S.B with the `EmPotential`'s B, the
 latter exponentiated exactly with the (2s+1)x(2s+1) matrix exponential
 at each grid point.  Vector-potential terms in the kinetic operator are
-not supported by the split-step path (none of the shipped experiments
-needs them); the boundary is periodic.
+not supported (none of the shipped experiments needs them), so a
+`Propagator` refuses an `EmPotential` with v; the boundary is periodic.
 
 Each factor is applied in the representation it is diagonal in (Feit,
 Fleck & Steiger, J. Comput. Phys. 47, 412 (1982)): the kinetic halves in
@@ -47,7 +47,7 @@ class Propagator:
     dt: float
     spin: SpinSpec = field(default_factory=lambda: SpinSpec(0))
     potential: object = None          # V(x, t) -> (n,) scalar
-    em: object = None                 # EmPotential, used for B
+    em: object = None                 # EmPotential with B only, no v
     coupling: tuple = None            # (axis, g): g(x) p_axis, g on the nodes
     _coupling_factors: dict = field(default_factory=dict, init=False,
                                     repr=False, compare=False)
@@ -58,6 +58,9 @@ class Propagator:
                 f"unknown propagation method {self.method!r}")
         if not self.dt > 0:
             raise StabilityError("dt must be positive")
+        if self.em is not None and self.em.v is not None:
+            raise ConfigurationError(
+                "the split step has no vector potential; EmPotential.v is set")
         if self.coupling is not None:
             axis, g = self.coupling
             if np.ptp(np.asarray(g, dtype=float), axis=axis).any():

@@ -96,8 +96,8 @@ class _SingleTerm:
 
 def _as_points(x, dim):
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[None, :]
+    if x.ndim < 2:
+        x = x.reshape(1, -1)
     if x.shape[-1] != dim:
         raise ShapeError(
             f"configuration has dimension {x.shape[-1]}, family expects {dim}")

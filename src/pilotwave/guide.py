@@ -357,8 +357,11 @@ def _probe(xa, c, k):
 
 
 def _rk4_step(xa, source, t, h):
-    """One RK4 step of the members xa: their new positions, and the masks
-    of those that hit a node (not moved) and that left the domain."""
+    """One RK4 step of the members xa: their new positions, and None when
+    no member stopped, else the masks of those that hit a node (not
+    moved) and that left the domain.  The masks are built only when dx
+    is not finite (a finite dx means all four stages were) or a member
+    left the domain."""
     half = 0.5 * h
     k1 = source.velocity(xa, t)
     p2 = _probe(xa, half, k1)
@@ -369,16 +372,24 @@ def _rk4_step(xa, source, t, h):
     k4 = source.velocity(p4, t + h)
     dx = (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     new = xa + dx
-    # NaN at the member's own point means a node; NaN only at an
-    # intermediate stage means the step probed past the boundary.
-    node = ~np.isfinite(k1).all(axis=1)
-    moved = np.isfinite(dx).all(axis=1)
-    if not moved.all():
-        new[~moved] = xa[~moved]
     domain = source.domain
-    if domain is None:
-        return new, ~moved, np.zeros_like(node)
-    left = moved & ~domain.contains(new)
+    if np.isfinite(dx).all():
+        if domain is None:
+            return new, None
+        inside = domain.contains(new)
+        if inside.all():
+            return new, None
+        node = np.zeros(len(xa), bool)
+        moved, left = ~node, ~inside
+    else:
+        # NaN at the member's own point means a node; NaN only at an
+        # intermediate stage means the step probed past the boundary.
+        node = ~np.isfinite(k1).all(axis=1)
+        moved = np.isfinite(dx).all(axis=1)
+        new[~moved] = xa[~moved]
+        if domain is None:
+            return new, (~moved, np.zeros_like(node))
+        left = moved & ~domain.contains(new)
     if left.any():
         new[left] = domain.land(xa[left], new[left])
     stopped = ~moved & ~node
@@ -390,7 +401,7 @@ def _rk4_step(xa, source, t, h):
         for p in (p4, p3, p2):
             out = rows[~domain.contains(p[rows])]
             new[out] = domain.land(xa[out], p[out])
-    return new, node, stopped | left
+    return new, (node, stopped | left)
 
 
 def _rk4_schedule(span, dt):
@@ -428,10 +439,11 @@ def _rk4_many(starts, source, t0, t_final, controls, record=False):
     for istep in range(nsteps):
         h = controls.dt if istep < nsteps - 1 else h_last
         if n_active:
-            new, node, exited = _rk4_step(x[active], source, t, h)
+            new, stops = _rk4_step(x[active], source, t, h)
             x[active] = new
-            stop = node | exited
-            if stop.any():
+            if stops is not None:
+                node, exited = stops
+                stop = node | exited
                 ids = np.arange(n)[active]
                 status[ids[node]] = STATUS_NODE
                 status[ids[exited]] = STATUS_EXITED

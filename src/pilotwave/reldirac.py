@@ -114,8 +114,10 @@ class PlaneWaveSpinorState:
 
 
 # [1, alpha^i of each particle] on the one- (4) and two-particle (16)
-# amplitude: psi^dag M psi is rho followed by the currents rho v_r
-_FLOW = {1: np.array([np.eye(4), *_DIRAC.beta_tilde]),
+# amplitude: psi^dag M psi is rho followed by the currents rho v_r; then,
+# for one particle, gamma^0 and gamma^0 i gamma^5 = -gamma^0 gamma^0123
+_FLOW = {1: np.array([np.eye(4), *_DIRAC.beta_tilde, _DIRAC.eta0,
+                      -_DIRAC.eta0 @ np.linalg.multi_dot(_DIRAC.generators)]),
          2: np.array([np.eye(16)]
                      + [np.kron(a, np.eye(4)) for a in _DIRAC.beta_tilde]
                      + [np.kron(np.eye(4), a) for a in _DIRAC.beta_tilde])}
@@ -125,19 +127,21 @@ def dirac_velocity(state, x, t):
     """Guidance velocity v^i = psi^dag alpha^i psi / psi^dag psi and the
     normalized 4-velocity u^mu = j^mu / sqrt(j.j) (None when j is null).
 
-    Raises NodeError at nodes and CausalityViolationError if j were ever
-    spacelike (a test hook; it cannot fire on valid states).
+    j.j is the Fierz sum sigma^2 + omega^2 of sigma = psibar psi and
+    omega = psibar i gamma^5 psi; rho^2 - |j|^2 cancels as |v| -> 1.
+    Raises NodeError at nodes and CausalityViolationError if rho^2 - |j|^2
+    were ever negative (a test hook; it cannot fire on valid states).
     """
     if state.n_particles != 1:
         raise ShapeError("use dirac2_velocity for two-particle states")
-    rho, *j = bilinears(state.amplitude(x, t), _FLOW[1])
+    rho, *j, sigma, omega = bilinears(state.amplitude(x, t), _FLOW[1])
     if np.any(rho <= RHO_FLOOR_REL * PlaneWaveSum.scale(state.wave)):
         raise NodeError("density at or below floor at the requested point")
     v = np.transpose(j) / rho[:, None]
     jsq = rho**2 - np.sum((v * rho[:, None]) ** 2, axis=-1)
     if np.any(jsq < -1e-10 * rho**2):
         raise CausalityViolationError("spacelike Dirac current encountered")
-    u = None
+    u, jsq = None, sigma**2 + omega**2
     if np.all(jsq > 0):
         norm = np.sqrt(jsq)
         u = np.concatenate([(rho / norm)[:, None],

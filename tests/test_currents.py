@@ -123,6 +123,12 @@ class TestCurrentExamples:
         with pytest.raises(ShapeError):
             current(gaussian3(), SpinSpec(0.5), at=[[0, 0, 0]])
 
+    def test_scalar_point_of_a_1d_state(self):
+        """A 0-d point of a 1-D state is the one point [[x]]."""
+        psi = gaussian3(center=(0.2,), k0=(0.7,))
+        np.testing.assert_array_equal(configuration_velocity(psi, 0.5),
+                                      configuration_velocity(psi, [[0.5]]))
+
 
 class TestSpinEigenstate:
     def test_real_state_g0_current_vanishes(self):

@@ -169,16 +169,29 @@ class TestSplitStep:
         np.testing.assert_allclose(out.values, expected, atol=1e-10)
 
     def test_zeeman_needs_an_explicit_b(self):
-        """B is never derived from the vector potential: a spin-1/2 step
-        whose EmPotential has v and no b raises, rather than use B = 0."""
-        grid = Grid([(-10.0, 10.0)], [128])
-        x = grid.axes[0]
-        psi = GridWaveFunction(grid, np.stack([np.exp(-x**2 / 2)] * 2),
-                               [1.0]).normalized()
+        """B is never derived from the vector potential: a spin-1/2
+        propagator whose EmPotential has v and no b is refused when it is
+        built, rather than step with B = 0."""
         em = EmPotential(v=lambda pts, t: np.stack(
             [np.zeros(len(pts)), pts[:, 0], np.zeros(len(pts))], axis=1))
-        with pytest.raises(ConfigurationError, match="explicit b"):
-            step(psi, split_prop(0.01, spin=SpinSpec(0.5), em=em))
+        with pytest.raises(ConfigurationError, match="vector potential"):
+            split_prop(0.01, spin=SpinSpec(0.5), em=em)
+
+    def test_vector_potential_is_refused(self):
+        """The split step has no A term: a uniform electric field given as
+        A = 2t x (E = -dA/dt), with or without a b, is refused when the
+        propagator is built, rather than stepped as the free wave."""
+        def field(pts, t):
+            a = np.zeros((len(pts), 3))
+            a[:, 0] = 2.0 * t
+            return a
+
+        def zero_b(pts, t):
+            return np.zeros((len(pts), 3))
+
+        for em in (EmPotential(v=field), EmPotential(v=field, b=zero_b)):
+            with pytest.raises(ConfigurationError, match="vector potential"):
+                split_prop(0.01, em=em)
 
     def test_continuity_convergence_split_step(self):
         """Consecutive split-step snapshots satisfy continuity at joint

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pilotwave import guide
-from pilotwave.currents import EmPotential, SpinSpec, grid_current_nodes
+from pilotwave.currents import (EmPotential, SpinSpec, configuration_velocity,
+                                grid_current_nodes)
 from pilotwave.errors import (ConfigurationError, NoFluxError,
                               NotSeparatedError, SamplerFailureError,
                               ShapeError, StabilityError)
@@ -30,6 +31,7 @@ from pilotwave.guide import (STATUS_EXITED, STATUS_NODE, STATUS_OK,
                              measurement_branching, sample_equilibrium,
                              thread_count)
 from pilotwave.wavefunction import GridWaveFunction, ParametricWaveFunction
+import strategies as rs
 from test_wavefunction import FAMILY_PARAMS
 
 
@@ -579,6 +581,138 @@ class TestMemberIndependence:
         assert out["record"].status == STATUS_OK
         assert len(out["record"].times) == 2001
         assert calls == [1] * 8000
+
+
+def _reference_single_term_velocity(psi, at, t):
+    """`configuration_velocity` of a single closed-form term with the row
+    mask built on every call: the arithmetic the one-test form keeps."""
+    at = np.atleast_2d(np.asarray(at, dtype=float))
+    v = psi.hbar_m * np.imag(psi.log_gradient(at, t)).T
+    bad = ~np.isfinite(v).all(axis=1)
+    if bad.any():
+        v[bad] = np.nan
+    return v
+
+
+def _reference_rk4_step(xa, source, t, h):
+    """`_rk4_step` with the node, moved and domain masks built on every
+    step: new positions, node mask, exited mask."""
+    half = 0.5 * h
+    k1 = source.velocity(xa, t)
+    p2 = guide._probe(xa, half, k1)
+    k2 = source.velocity(p2, t + half)
+    p3 = guide._probe(xa, half, k2)
+    k3 = source.velocity(p3, t + half)
+    p4 = guide._probe(xa, h, k3)
+    k4 = source.velocity(p4, t + h)
+    dx = (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    new = xa + dx
+    node = ~np.isfinite(k1).all(axis=1)
+    moved = np.isfinite(dx).all(axis=1)
+    if not moved.all():
+        new[~moved] = xa[~moved]
+    domain = source.domain
+    if domain is None:
+        return new, ~moved, np.zeros_like(node)
+    left = moved & ~domain.contains(new)
+    if left.any():
+        new[left] = domain.land(xa[left], new[left])
+    stopped = ~moved & ~node
+    if stopped.any():
+        rows = np.flatnonzero(stopped)
+        for p in (p4, p3, p2):
+            out = rows[~domain.contains(p[rows])]
+            new[out] = domain.land(xa[out], p[out])
+    return new, node, stopped | left
+
+
+# ordinary coordinates, far-tail ones (where psi underflows and the
+# closed-form log-derivative may overflow) and non-finite ones
+_HOT_COORD = st.one_of(st.floats(-3.0, 3.0), st.floats(-1e308, 1e308),
+                       st.sampled_from([np.inf, -np.inf, np.nan, 1e300]))
+
+
+class TestHotPathReference:
+    """The guidance hot path tests finiteness once per single-term
+    velocity and once per RK4 step; it must give exactly what the
+    reference arithmetic above gives."""
+
+    @given(term=rs.single_term_states(), data=st.data(),
+           t=st.floats(0.0, 3.0))
+    def test_single_term_velocity_matches_the_reference(self, term, data, t):
+        name, params, masses = term
+        psi = ParametricWaveFunction(name, params, masses)
+        x = data.draw(arrays(float, (data.draw(st.integers(1, 6)),
+                                     psi.config_dim), elements=_HOT_COORD))
+        with np.errstate(all="ignore"):
+            np.testing.assert_array_equal(
+                configuration_velocity(psi, x, t),
+                _reference_single_term_velocity(psi, x, t))
+            for point in x:
+                np.testing.assert_array_equal(
+                    configuration_velocity(psi, point, t),
+                    _reference_single_term_velocity(psi, point, t))
+
+    def test_far_tail_rows_are_nan_only_where_not_finite(self):
+        """A batch whose middle row's log-derivative overflows: only that
+        row is NaN, as in the reference."""
+        psi = gaussian(sigma=0.3, k0=0.5)
+        x = np.array([[1.0], [1.7e308], [-2.0]])
+        with np.errstate(all="ignore"):
+            v = configuration_velocity(psi, x, 0.5)
+            ref = _reference_single_term_velocity(psi, x, 0.5)
+        np.testing.assert_array_equal(v, ref)
+        assert list(np.isnan(v[:, 0])) == [False, True, False]
+
+    @staticmethod
+    def _compare_steps(source, starts, t_final, dt):
+        """Step `starts` to t_final with both steps, dropping stopped
+        members as `_rk4_many` does; (node, exited, steps without a stop
+        report, steps with one)."""
+        x, t, count = np.array(starts, dtype=float), 0.0, Counter()
+        while t < t_final - 1e-12 and len(x):
+            new, stops = guide._rk4_step(x, source, t, dt)
+            ref, node, exited = _reference_rk4_step(x, source, t, dt)
+            np.testing.assert_array_equal(new, ref)
+            if stops is None:
+                assert not (node.any() or exited.any())
+                count["quiet"] += 1
+            else:
+                np.testing.assert_array_equal(stops[0], node)
+                np.testing.assert_array_equal(stops[1], exited)
+                count["reported"] += 1
+            count["node"] += int(node.sum())
+            count["exited"] += int(exited.sum())
+            x, t = ref[~(node | exited)], t + dt
+        return count
+
+    def test_box_standing_wave_matches_the_reference(self):
+        """The standing wave of `test_batch_equals_each_member_alone`:
+        members on its nodes, members whose full step or whose stage
+        probe leaves the box, and members that stay ok."""
+        src = _NanPastXFaces()
+        starts = np.random.default_rng(0).uniform(-1.4, 1.4, size=(100, 2))
+        starts[:8, 0] = np.pi / (2 * src.K) * np.array([1, -1, 3, -3] * 2)
+        count = self._compare_steps(src, starts, 0.6, 0.05)
+        assert count["node"] == 8
+        assert 0 < count["exited"] < 92
+        assert count["quiet"] > 0 and count["reported"] > 0
+
+    @pytest.mark.parametrize("domain", [None, Box([-3.0, -3.0], [1.5, 3.0])])
+    def test_finite_batch_matches_the_reference(self, domain):
+        """Every stage finite: with no domain no step reports a stop; in
+        a box, members crossing its x = 1.5 face are the only stops."""
+        src = ParametricVelocity(ParametricWaveFunction(
+            "gaussian_packet", {"center": [0.0, 0.0], "sigma": 0.5,
+                                "k0": [3.0, 0.0], "m": 1.0}, [1.0]))
+        src.domain = domain
+        starts = np.random.default_rng(3).normal(scale=0.5, size=(200, 2))
+        count = self._compare_steps(src, starts, 0.6, 0.05)
+        assert count["node"] == 0
+        if domain is None:
+            assert count["reported"] == 0 and count["exited"] == 0
+        else:
+            assert count["exited"] > 0 and count["quiet"] > 0
 
 
 class TestEmGuidance:

@@ -49,6 +49,22 @@ class TestSpinors:
             e = np.sqrt(p @ p + m * m)
             np.testing.assert_allclose(v, p / e, rtol=1e-12, atol=1e-12)
 
+    def test_four_velocity_near_light_speed(self):
+        """u = (E, p)/m to 1e-11 of |u| at |p| = 1e3 m, where 1 - |v| is
+        5e-7: j.j is the Fierz sum sigma^2 + omega^2, not rho^2 - |j|^2,
+        which cancels as |v| -> 1 (up to 1.2e-10 off in these cases)."""
+        m = 1.0
+        rng = np.random.default_rng(5)
+        dirs = np.concatenate([np.eye(3), [[0.6, 0.8, 0.0]],
+                               rng.normal(size=(4, 3))])
+        for d in dirs:
+            p = 1e3 * m * d / np.linalg.norm(d)
+            expected = np.concatenate([[np.sqrt(p @ p + m * m)], p]) / m
+            for spin in (0, 1):
+                st = PlaneWaveSpinorState((one(1.0, p, +1, spin),), mass=m)
+                _, u = dirac_velocity(st, [0.3, -0.2, 0.1], 0.5)
+                assert np.max(np.abs(u - expected)) <= 1e-11 * expected[0]
+
     def test_two_term_interference_oracle(self):
         """Equal +p / -p superposition: the velocity oscillates in x with
         wavelength pi/|p| (in the transverse component: the longitudinal
