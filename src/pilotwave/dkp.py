@@ -85,21 +85,21 @@ class DkpState:
 
     rep is 'spin0' or 'spin1'.  For the massless kinds the `mass` is only
     a normalization scale of the wavefunction layout; the physical
-    dispersion is E = |p|.  `wave` holds the field as `plane_wave_sum`
-    params, with amplitudes coef * components.
+    dispersion is E = |p|.  `wave` is the field as a `plane_wave_sum`,
+    bound once, with amplitudes coef * components.
     """
     rep: str
     mass: float
     terms: tuple                 # (coef, p, E, components) per term
     massless: bool = False
-    wave: dict = field(init=False, repr=False, compare=False)
+    wave: PlaneWaveSum = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "wave", {
-            "k": np.reshape([p for _, p, _, _ in self.terms], (-1, 3)),
-            "omega": np.array([e for _, _, e, _ in self.terms], dtype=float),
-            "amps": np.reshape([c * u for c, _, _, u in self.terms],
-                               (-1, self.dim)).astype(complex)})
+        object.__setattr__(self, "wave", PlaneWaveSum(
+            k=np.reshape([p for _, p, _, _ in self.terms], (-1, 3)),
+            omega=np.array([e for _, _, e, _ in self.terms], dtype=float),
+            amps=np.reshape([c * u for c, _, _, u in self.terms],
+                            (-1, self.dim)).astype(complex)))
 
     @property
     def mats(self):
@@ -111,10 +111,10 @@ class DkpState:
 
     def evaluate(self, x, t):
         """Field amplitude, shape (dim, npoints)."""
-        return PlaneWaveSum.value(self.wave, x, t)
+        return self.wave.value(x, t)
 
     def scale(self):
-        return PlaneWaveSum.scale(self.wave)
+        return self.wave.scale()
 
 
 def build_dkp_state(rep, mass, waves, massless=False):
@@ -216,7 +216,7 @@ def total_energy_momentum(state, box, points_per_axis=64):
 
     For superpositions the box should be a periodicity box of the
     momentum differences so the cross terms integrate out."""
-    k, amps = state.wave["k"], state.wave["amps"]
+    k, amps = state.wave.k, state.wave.amps
     if len(box) != k.shape[1]:
         raise ShapeError(f"box has {len(box)} axes, the state {k.shape[1]}")
     pair = 1.0
@@ -264,8 +264,8 @@ def reduced_nonrel_state(state):
     # the components m^{1/2} phi (spin0) or m^{1/2} A^i (spin1)
     rest = slice(4, 5) if state.rep == "spin0" else slice(6, 9)
     return ParametricWaveFunction("plane_wave_sum", {
-        "k": wave["k"], "omega": wave["omega"] - state.mass,
-        "amps": wave["amps"][:, rest] / np.sqrt(state.mass)}, [state.mass])
+        "k": wave.k, "omega": wave.omega - state.mass,
+        "amps": wave.amps[:, rest] / np.sqrt(state.mass)}, [state.mass])
 
 
 def nonrel_limit_check(rep, epsilons, seed=0, n_points=16):

@@ -7,31 +7,36 @@ normalized values; sampling and norms only ever use |psi|^2 ratios.
 Units are natural, hbar = 1: masses are the only scale, and no kernel
 takes hbar.
 
-The family protocol (all static or class methods):
+The family protocol.  A family is a class; its constructor's keywords
+are its key set, those without a default required, and ``build(name,
+params)`` binds a params dict to them, raising ConfigurationError that
+names the family for a missing or unknown key.  An instance is bound:
+its keys are read and converted once, when it is built, and
 
-* ``config_dim(params)``, ``spin_dim(params)``
-* ``value(params, x, t)``: psi, shape (spin_dim, n); what the sampler
-  and the quadratures need
-* ``value_gradient_moduli(params, x, t)``: (psi, grad psi, moduli),
-  shapes (spin_dim, n), (spin_dim, config_dim, n) and (spin_dim, n),
-  from one evaluation of the exponentials, psi identical to ``value``.
-  moduli is sum_i |c_i phi_i| per spin component over the closed-form
-  terms a sum family is built from (nested sums expanded), which is what
-  guidance compares the density against to tell a node from a tail;
-  None for a single term, which has nothing to cancel.  There is no
-  separate gradient kernel.
-* ``log_gradient(params, x, t)``, single scalar terms only: grad log psi,
-  shape (config_dim, n), a rational expression with no exponential in
-  it.  The five single-term families (``plane_wave``,
-  ``gaussian_packet``, ``decaying_pair``, ``post_collapse_pair``,
-  ``correlated_pair``) have it, and their gradient is
-  ``log_gradient * value`` (`_SingleTerm`).  Guidance reads
-  v = (hbar/m) Im grad log psi from it without evaluating psi, so the
-  velocity stays finite where psi underflows.  ``superposition``,
-  ``spinor_product`` and ``plane_wave_sum`` have none: the log-derivative
-  of a sum needs the sum itself, and a spinor component that vanishes
-  identically would make it 0/0, so guidance divides their gradient by
-  psi instead.
+* ``config_dim``, ``spin_dim`` are attributes, and so is ``masses``:
+  the masses the family's dispersion uses, one per particle, or None
+  when the frequencies are given (``plane_wave_sum``);
+* ``value(x, t)``: psi, shape (spin_dim, n); what the sampler and the
+  quadratures need;
+* ``value_gradient_moduli(x, t)``: (psi, grad psi, moduli), shapes
+  (spin_dim, n), (spin_dim, config_dim, n) and (spin_dim, n), from one
+  evaluation of the exponentials, psi identical to ``value``.  moduli is
+  sum_i |c_i phi_i| per spin component over the closed-form terms a sum
+  family is built from (nested sums expanded), which is what guidance
+  compares the density against to tell a node from a tail; None for a
+  single term, which has nothing to cancel.  There is no separate
+  gradient kernel;
+* ``log_gradient(x, t)``, single scalar terms only: grad log psi, shape
+  (config_dim, n), a rational expression with no exponential in it.
+  The five single-term families (``plane_wave``, ``gaussian_packet``,
+  ``decaying_pair``, ``post_collapse_pair``, ``correlated_pair``) have
+  it, and their gradient is ``log_gradient * value`` (`_SingleTerm`).
+  Guidance reads v = (hbar/m) Im grad log psi from it without evaluating
+  psi, so the velocity stays finite where psi underflows.
+  ``superposition``, ``spinor_product`` and ``plane_wave_sum`` have
+  none: the log-derivative of a sum needs the sum itself, and a spinor
+  component that vanishes identically would make it 0/0, so guidance
+  divides their gradient by psi instead.
 
 A configuration of the wrong dimension raises ShapeError.
 
@@ -50,6 +55,8 @@ Registered families:
 * ``plane_wave_sum``      sum of spinor plane waves with given frequencies
                           (Dirac and DKP states and their reductions)
 """
+
+import inspect
 
 import numpy as np
 
@@ -77,21 +84,29 @@ def family_names():
     return sorted(_REGISTRY)
 
 
+def build(name, params):
+    """The family `name` bound to the keys of `params`; a missing or
+    unknown key raises ConfigurationError."""
+    cls = get_family(name)
+    try:
+        keys = inspect.signature(cls).bind(**params)
+    except TypeError as err:
+        raise ConfigurationError(f"{name}: {err}") from None
+    return cls(*keys.args, **keys.kwargs)
+
+
 class _SingleTerm:
     """A single closed-form scalar term: grad psi = log_gradient * psi."""
 
-    @staticmethod
-    def spin_dim(params):
-        return 1
+    spin_dim = 1
 
-    @classmethod
-    def value_gradient_moduli(cls, params, x, t):
-        val = cls.value(params, x, t)
+    def value_gradient_moduli(self, x, t):
+        val = self.value(x, t)
         # (d, n) * (1, n), not * (n,): numpy multiplies a (1, 1) complex
         # array by a (1,) one without the fused multiply-add of every
         # other shape, so a lone 1-D point would round differently from
         # the same point in a batch
-        return val, (cls.log_gradient(params, x, t) * val)[None], None
+        return val, (self.log_gradient(x, t) * val)[None], None
 
 
 def _as_points(x, dim):
@@ -108,25 +123,21 @@ def _as_points(x, dim):
 class PlaneWave(_SingleTerm):
     """exp(i (k.x - omega t)) with the free dispersion omega = hbar k^2/2m."""
 
-    @staticmethod
-    def config_dim(params):
-        return len(np.atleast_1d(params["k"]))
+    def __init__(self, k, m):
+        self.k = np.atleast_1d(np.asarray(k, dtype=float))
+        self.config_dim = len(self.k)
+        self.masses = (m,)
+        self.omega = (self.k @ self.k) / (2.0 * m)
 
-    @staticmethod
-    def value(params, x, t):
-        k = np.atleast_1d(np.asarray(params["k"], dtype=float))
-        m = params["m"]
-        x = _as_points(x, len(k))
-        omega = (k @ k) / (2.0 * m)
+    def value(self, x, t):
+        x = _as_points(x, self.config_dim)
         # k.x as a row sum, not the product x @ k: BLAS rounds that
         # differently with the number of points that share the call
-        return np.exp(1j * ((x * k).sum(axis=1) - omega * t))[None, :]
+        return np.exp(1j * ((x * self.k).sum(axis=1) - self.omega * t))[None, :]
 
-    @staticmethod
-    def log_gradient(params, x, t):
-        k = np.atleast_1d(np.asarray(params["k"], dtype=float))
-        n = _as_points(x, len(k)).shape[0]
-        return np.broadcast_to(1j * k[:, None], (len(k), n))
+    def log_gradient(self, x, t):
+        n = _as_points(x, self.config_dim).shape[0]
+        return np.broadcast_to(1j * self.k[:, None], (self.config_dim, n))
 
 
 def _gauss_width(x, t, x0, sigma, k0, m):
@@ -157,37 +168,31 @@ def _gauss_1d_dlog(x, t, x0, sigma, k0, m):
 class GaussianPacket(_SingleTerm):
     """Free Gaussian packet, product over axes; exact drift and spreading.
 
-    params: center (d,), sigma (scalar or (d,)), k0 (d,), m.
+    center (d,), sigma (scalar or (d,)), k0 (scalar or (d,)), m.
     """
 
-    @staticmethod
-    def config_dim(params):
-        return len(np.atleast_1d(params["center"]))
+    def __init__(self, center, sigma, m, k0=0.0):
+        self.center = np.atleast_1d(np.asarray(center, dtype=float))
+        self.config_dim = d = len(self.center)
+        self.sigma = np.broadcast_to(np.asarray(sigma, dtype=float), (d,))
+        self.k0 = np.broadcast_to(np.asarray(k0, dtype=float), (d,))
+        self.m = m
+        self.masses = (m,)
 
-    @staticmethod
-    def _axis_params(params):
-        c = np.atleast_1d(np.asarray(params["center"], dtype=float))
-        d = len(c)
-        s = np.broadcast_to(np.asarray(params["sigma"], dtype=float), (d,))
-        k = np.broadcast_to(np.asarray(params.get("k0", 0.0), dtype=float), (d,))
-        return c, s, k, params["m"]
-
-    @classmethod
-    def value(cls, params, x, t):
-        c, s, k, m = cls._axis_params(params)
-        x = _as_points(x, len(c))
+    def value(self, x, t):
+        x = _as_points(x, self.config_dim)
         out = np.ones(x.shape[0], dtype=complex)
-        for a in range(len(c)):
-            out = out * _gauss_1d(x[:, a], t, c[a], s[a], k[a], m)
+        for a in range(self.config_dim):
+            out = out * _gauss_1d(x[:, a], t, self.center[a], self.sigma[a],
+                                  self.k0[a], self.m)
         return out[None, :]
 
-    @classmethod
-    def log_gradient(cls, params, x, t):
-        c, s, k, m = cls._axis_params(params)
-        x = _as_points(x, len(c))
-        dlog = np.empty((len(c), x.shape[0]), dtype=complex)
-        for a in range(len(c)):
-            dlog[a] = _gauss_1d_dlog(x[:, a], t, c[a], s[a], k[a], m)
+    def log_gradient(self, x, t):
+        x = _as_points(x, self.config_dim)
+        dlog = np.empty((self.config_dim, x.shape[0]), dtype=complex)
+        for a in range(self.config_dim):
+            dlog[a] = _gauss_1d_dlog(x[:, a], t, self.center[a],
+                                     self.sigma[a], self.k0[a], self.m)
         return dlog
 
 
@@ -204,32 +209,26 @@ class DecayingPair(_SingleTerm):
     d spatial dimensions per particle.
     """
 
-    @staticmethod
-    def _geom(params):
-        d = int(params.get("d", 3))
-        m1, m2 = params["m1"], params["m2"]
-        mu = m1 * m2 / (m1 + m2)
-        return d, mu
+    def __init__(self, alpha, m1, m2, d=3, N=1.0):
+        self.alpha, self.N = alpha, N
+        self.d = int(d)
+        self.config_dim = 2 * self.d
+        self.masses = (m1, m2)
+        self.mu = m1 * m2 / (m1 + m2)
 
-    @classmethod
-    def config_dim(cls, params):
-        return 2 * cls._geom(params)[0]
-
-    @classmethod
-    def value(cls, params, x, t):
-        d, mu = cls._geom(params)
+    def value(self, x, t):
+        d = self.d
         x = _as_points(x, 2 * d)
-        beta = _pair_beta(params["alpha"], t, mu)
+        beta = _pair_beta(self.alpha, t, self.mu)
         r = x[:, :d] - x[:, d:]
-        pref = params.get("N", 1.0) * (np.pi / beta) ** (d / 2.0)
+        pref = self.N * (np.pi / beta) ** (d / 2.0)
         val = pref * np.exp(-np.sum(r * r, axis=1) / (4.0 * beta))
         return val[None, :]
 
-    @classmethod
-    def log_gradient(cls, params, x, t):
-        d, mu = cls._geom(params)
+    def log_gradient(self, x, t):
+        d = self.d
         x = _as_points(x, 2 * d)
-        beta = _pair_beta(params["alpha"], t, mu)
+        beta = _pair_beta(self.alpha, t, self.mu)
         g = (x[:, :d] - x[:, d:]).T / (2.0 * beta)   # (d, n)
         return np.concatenate([-g, g])
 
@@ -243,28 +242,27 @@ class PostCollapsePair(_SingleTerm):
     width parameter inherited from the pair wave at the collapse instant.
     """
 
-    @staticmethod
-    def config_dim(params):
-        return len(np.atleast_1d(params["a"]))
+    def __init__(self, a, alpha0, m, t0=0.0, N=1.0):
+        self.a = np.atleast_1d(np.asarray(a, dtype=float))
+        self.config_dim = len(self.a)
+        self.alpha0 = complex(alpha0)
+        self.m, self.t0, self.N = m, t0, N
+        self.masses = (m,)
 
-    @staticmethod
-    def _offset(params, x, t):
+    def _offset(self, x, t):
         """beta and a - x, shape (n, d)."""
-        a = np.atleast_1d(np.asarray(params["a"], dtype=float))
-        x = _as_points(x, len(a))
-        beta = complex(params["alpha0"]) + 0.5j * (t - params.get("t0", 0.0)) / params["m"]
-        return beta, a[None, :] - x
+        x = _as_points(x, self.config_dim)
+        beta = self.alpha0 + 0.5j * (t - self.t0) / self.m
+        return beta, self.a[None, :] - x
 
-    @classmethod
-    def value(cls, params, x, t):
-        beta, u = cls._offset(params, x, t)
-        pref = params.get("N", 1.0) * (np.pi / beta) ** (u.shape[1] / 2.0)
+    def value(self, x, t):
+        beta, u = self._offset(x, t)
+        pref = self.N * (np.pi / beta) ** (u.shape[1] / 2.0)
         val = pref * np.exp(-np.sum(u * u, axis=1) / (4.0 * beta))
         return val[None, :]
 
-    @classmethod
-    def log_gradient(cls, params, x, t):
-        beta, u = cls._offset(params, x, t)
+    def log_gradient(self, x, t):
+        beta, u = self._offset(x, t)
         # d/dx of the -(a-x)^2 term
         return u.T / (2.0 * beta)
 
@@ -275,54 +273,47 @@ class CorrelatedPair(_SingleTerm):
 
     Relative factor equals the decaying_pair wave; the weighted
     center-of-mass X = (m1 x1 + m2 x2)/M carries a zero-drift Gaussian of
-    initial width sigma_x, so the state is normalizable along every axis.
-    The momentum-space density of the total momentum P is Gaussian with
-    Var(P_j) = hbar^2 / (4 sigma_x^2) per component.
+    initial width sigma_x, centered on `center`, so the state is
+    normalizable along every axis.  The momentum-space density of the
+    total momentum P is Gaussian with Var(P_j) = hbar^2 / (4 sigma_x^2)
+    per component.
     """
 
-    @staticmethod
-    def _geom(params):
-        d = int(params.get("d", 3))
-        m1, m2 = params["m1"], params["m2"]
-        return d, m1, m2, m1 + m2, m1 * m2 / (m1 + m2)
+    def __init__(self, alpha, sigma_x, m1, m2, d=3, N=1.0, center=0.0):
+        self.alpha, self.sigma_x, self.N = alpha, sigma_x, N
+        self.d = d = int(d)
+        self.config_dim = 2 * d
+        self.center = np.broadcast_to(np.asarray(center, dtype=float), (d,))
+        self.m1, self.m2, self.M = m1, m2, m1 + m2
+        self.mu = m1 * m2 / (m1 + m2)
+        self.masses = (m1, m2)
 
-    @classmethod
-    def config_dim(cls, params):
-        return 2 * cls._geom(params)[0]
+    def _coords(self, x):
+        """Center of mass X and separation r = x1 - x2, shapes (n, d)."""
+        x = _as_points(x, self.config_dim)
+        x1, x2 = x[:, :self.d], x[:, self.d:]
+        return (self.m1 * x1 + self.m2 * x2) / self.M, x1 - x2
 
-    @classmethod
-    def _coords(cls, params, x):
-        """Center of mass X and separation r = x1 - x2, shapes (n, d), and
-        the initial center X0 (d,)."""
-        d, m1, m2, M, _ = cls._geom(params)
-        x = _as_points(x, 2 * d)
-        x1, x2 = x[:, :d], x[:, d:]
-        X0 = np.broadcast_to(np.asarray(params.get("center", 0.0), dtype=float), (d,))
-        return (m1 * x1 + m2 * x2) / M, x1 - x2, X0
-
-    @classmethod
-    def value(cls, params, x, t):
-        d, _, _, M, mu = cls._geom(params)
-        X, r, X0 = cls._coords(params, x)
-        sx = params["sigma_x"]
+    def value(self, x, t):
+        X, r = self._coords(x)
         com = np.ones(X.shape[0], dtype=complex)
-        for a in range(d):
-            com = com * _gauss_1d(X[:, a], t, X0[a], sx, 0.0, M)
-        beta = _pair_beta(params["alpha"], t, mu)
-        rel = (np.pi / beta) ** (d / 2.0) * np.exp(
+        for a in range(self.d):
+            com = com * _gauss_1d(X[:, a], t, self.center[a], self.sigma_x,
+                                  0.0, self.M)
+        beta = _pair_beta(self.alpha, t, self.mu)
+        rel = (np.pi / beta) ** (self.d / 2.0) * np.exp(
             -np.sum(r * r, axis=1) / (4.0 * beta))
-        return (params.get("N", 1.0) * com * rel)[None, :]
+        return (self.N * com * rel)[None, :]
 
-    @classmethod
-    def log_gradient(cls, params, x, t):
-        d, m1, m2, M, mu = cls._geom(params)
-        X, r, X0 = cls._coords(params, x)
-        sx = params["sigma_x"]
-        dlc = np.empty((d, X.shape[0]), dtype=complex)   # d/dX
-        for a in range(d):
-            dlc[a] = _gauss_1d_dlog(X[:, a], t, X0[a], sx, 0.0, M)
-        dlr = -r.T / (2.0 * _pair_beta(params["alpha"], t, mu))   # d/dr
+    def log_gradient(self, x, t):
+        X, r = self._coords(x)
+        dlc = np.empty((self.d, X.shape[0]), dtype=complex)   # d/dX
+        for a in range(self.d):
+            dlc[a] = _gauss_1d_dlog(X[:, a], t, self.center[a], self.sigma_x,
+                                    0.0, self.M)
+        dlr = -r.T / (2.0 * _pair_beta(self.alpha, t, self.mu))   # d/dr
         # chain rule: d/dx1 = (m1/M) d/dX + d/dr, d/dx2 = (m2/M) d/dX - d/dr
+        m1, m2, M = self.m1, self.m2, self.M
         return np.concatenate([(m1 / M) * dlc + dlr, (m2 / M) * dlc - dlr])
 
 
@@ -330,47 +321,36 @@ class CorrelatedPair(_SingleTerm):
 class Superposition:
     """Complex-coefficient sum of registered family states.
 
-    params: components = [(coef, family_name, family_params), ...]
-    All components must share configuration and spin dimensions.
+    components = [(coef, family_name, family_params), ...], bound once
+    into `components` = [(coef, family), ...].  All components must
+    share configuration and spin dimensions and masses.
     """
 
-    @staticmethod
-    def _parts(params):
-        comps = params["components"]
-        if not comps:
+    def __init__(self, components):
+        if not components:
             raise ConfigurationError("superposition needs at least one component")
-        return [(complex(c), get_family(fname), fparams)
-                for (c, fname, fparams) in comps]
+        self.components = [(complex(c), build(name, p))
+                           for c, name, p in components]
+        self.config_dim, self.spin_dim, self.masses = (
+            self._shared(attr) for attr in ("config_dim", "spin_dim", "masses"))
 
-    @classmethod
-    def config_dim(cls, params):
-        parts = cls._parts(params)
-        dims = {fam.config_dim(p) for _, fam, p in parts}
-        if len(dims) != 1:
-            raise ConfigurationError("superposition components disagree on dimension")
-        return dims.pop()
+    def _shared(self, attr):
+        values = {getattr(fam, attr) for _, fam in self.components}
+        if len(values) != 1:
+            raise ConfigurationError(f"superposition components disagree on {attr}")
+        return values.pop()
 
-    @classmethod
-    def spin_dim(cls, params):
-        dims = {fam.spin_dim(p) for _, fam, p in cls._parts(params)}
-        if len(dims) != 1:
-            raise ConfigurationError("superposition components disagree on spin")
-        return dims.pop()
-
-    @classmethod
-    def value(cls, params, x, t):
-        parts = cls._parts(params)
+    def value(self, x, t):
         out = None
-        for c, fam, p in parts:
-            v = c * fam.value(p, x, t)
+        for c, fam in self.components:
+            v = c * fam.value(x, t)
             out = v if out is None else out + v
         return out
 
-    @classmethod
-    def value_gradient_moduli(cls, params, x, t):
+    def value_gradient_moduli(self, x, t):
         val = grad = mod = None
-        for c, fam, p in cls._parts(params):
-            v, g, m = fam.value_gradient_moduli(p, x, t)
+        for c, fam in self.components:
+            v, g, m = fam.value_gradient_moduli(x, t)
             m = abs(c) * (np.abs(v) if m is None else m)
             v, g = c * v, c * g
             val, grad, mod = ((v, g, m) if val is None
@@ -382,37 +362,22 @@ class Superposition:
 class SpinorProduct:
     """Scalar family times a constant spinor (a spin eigenstate)."""
 
-    @staticmethod
-    def _parts(params):
-        chi = np.asarray(params["chi"], dtype=complex)
-        return get_family(params["scalar"]), params["scalar_params"], chi
-
-    @classmethod
-    def config_dim(cls, params):
-        fam, p, _ = cls._parts(params)
-        return fam.config_dim(p)
-
-    @classmethod
-    def spin_dim(cls, params):
-        return len(cls._parts(params)[2])
-
-    @staticmethod
-    def _scalar_only(scalar):
-        if scalar.shape[0] != 1:
+    def __init__(self, scalar, scalar_params, chi):
+        self.scalar = build(scalar, scalar_params)
+        if self.scalar.spin_dim != 1:
             raise UnsupportedFamilyError("spinor_product wraps scalar families only")
-        return scalar[0]
+        self.chi = np.asarray(chi, dtype=complex)
+        self.spin_dim = len(self.chi)
+        self.config_dim = self.scalar.config_dim
+        self.masses = self.scalar.masses
 
-    @classmethod
-    def value(cls, params, x, t):
-        fam, p, chi = cls._parts(params)
-        scalar = cls._scalar_only(fam.value(p, x, t))
-        return chi[:, None] * scalar[None, :]
+    def value(self, x, t):
+        return self.chi[:, None] * self.scalar.value(x, t)[0][None, :]
 
-    @classmethod
-    def value_gradient_moduli(cls, params, x, t):
-        fam, p, chi = cls._parts(params)
-        v, g, m = fam.value_gradient_moduli(p, x, t)
-        return (chi[:, None] * cls._scalar_only(v)[None, :],
+    def value_gradient_moduli(self, x, t):
+        v, g, m = self.scalar.value_gradient_moduli(x, t)
+        chi = self.chi
+        return (chi[:, None] * v[0][None, :],
                 chi[:, None, None] * g[0][None, :, :],
                 None if m is None else np.abs(chi)[:, None] * m[0][None, :])
 
@@ -421,48 +386,44 @@ class SpinorProduct:
 class PlaneWaveSum:
     """Finite plane-wave sum psi = sum_i A_i exp(i(K_i.x - w_i t)).
 
-    params: k (nterm, d) wavevectors, omega (nterm,) frequencies and amps
+    k (nterm, d) wavevectors, omega (nterm,) frequencies and amps
     (nterm, spin_dim) amplitudes, each a coefficient times its constant
-    spinor or field vector.  The frequencies are given, so hbar does not
-    enter, and any dispersion (relativistic, or with the rest energy
-    removed) is exact.  k.x and the sum over terms are elementwise sums,
-    not matrix products, whose BLAS rounding would depend on how many
-    points share the call.
+    spinor or field vector.  The frequencies are given, so hbar and the
+    masses do not enter, and any dispersion (relativistic, or with the
+    rest energy removed) is exact.  k.x and the sum over terms are
+    elementwise sums, not matrix products, whose BLAS rounding would
+    depend on how many points share the call.
     """
 
-    @staticmethod
-    def config_dim(params):
-        return np.shape(params["k"])[1]
+    masses = None
 
-    @staticmethod
-    def spin_dim(params):
-        return np.shape(params["amps"])[1]
+    def __init__(self, k, omega, amps):
+        self.k = np.asarray(k, dtype=float)
+        self.omega = np.asarray(omega)
+        self.amps = np.asarray(amps)
+        self.config_dim = self.k.shape[1]
+        self.spin_dim = self.amps.shape[1]
 
-    @staticmethod
-    def _phases(params, x, t):
+    def _phases(self, x, t):
         """exp(i(K x - w t)), shape (nterm, n)."""
-        k = np.asarray(params["k"], dtype=float)
-        x = _as_points(x, k.shape[1])
+        k = self.k
+        x = _as_points(x, self.config_dim)
         kx = k[:, :1] * x[:, 0]
-        for a in range(1, k.shape[1]):
+        for a in range(1, self.config_dim):
             kx = kx + k[:, a:a + 1] * x[:, a]
-        return np.exp(1j * (kx - (np.asarray(params["omega"]) * t)[:, None]))
+        return np.exp(1j * (kx - (self.omega * t)[:, None]))
 
-    @classmethod
-    def value(cls, params, x, t):
+    def value(self, x, t):
         """Shape (spin_dim, n), C-contiguous."""
-        return np.einsum("ts,tn->sn", params["amps"], cls._phases(params, x, t))
+        return np.einsum("ts,tn->sn", self.amps, self._phases(x, t))
 
-    @classmethod
-    def value_gradient_moduli(cls, params, x, t):
-        phases = cls._phases(params, x, t)
-        mod = np.sum(np.abs(params["amps"]), axis=0)
-        return (np.einsum("ts,tn->sn", params["amps"], phases),
-                np.einsum("ts,td,tn->sdn", params["amps"],
-                          1j * np.asarray(params["k"], dtype=float), phases),
+    def value_gradient_moduli(self, x, t):
+        phases = self._phases(x, t)
+        mod = np.sum(np.abs(self.amps), axis=0)
+        return (np.einsum("ts,tn->sn", self.amps, phases),
+                np.einsum("ts,td,tn->sdn", self.amps, 1j * self.k, phases),
                 np.repeat(mod[:, None], phases.shape[1], axis=1))
 
-    @staticmethod
-    def scale(params):
+    def scale(self):
         """Typical density scale sum_i |A_i|^2."""
-        return float(np.sum(np.abs(params["amps"]) ** 2))
+        return float(np.sum(np.abs(self.amps) ** 2))

@@ -53,15 +53,15 @@ class PlaneWaveSpinorState:
 
     One particle: terms = [(coef, p(3,), energy_sign, spin_label), ...].
     Two particles: terms = [(coef, (p1, sign1, spin1), (p2, sign2, spin2)), ...];
-    the amplitude is a 16-component tensor product per term.  `wave`
-    holds the amplitude as `plane_wave_sum` params: a two-particle term
+    the amplitude is a 16-component tensor product per term.  `wave` is
+    the amplitude as a `plane_wave_sum`, bound once: a two-particle term
     is one plane wave with K = (p1, p2), w = E1 + E2 and A = coef
     kron(u1, u2).
     """
     terms: tuple
     mass: float
     n_particles: int = 1
-    wave: dict = field(init=False, repr=False, compare=False)
+    wave: PlaneWaveSum = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_particles not in (1, 2):
@@ -81,9 +81,8 @@ class PlaneWaveSpinorState:
             k.append(np.concatenate(ps))
             omega.append(e_sum)
             amps.append(amp)
-        object.__setattr__(self, "wave", {
-            "k": np.array(k), "omega": np.array(omega),
-            "amps": np.array(amps)})
+        object.__setattr__(self, "wave", PlaneWaveSum(
+            k=np.array(k), omega=np.array(omega), amps=np.array(amps)))
 
     def _check_term(self, u, e, p):
         p = np.asarray(p, dtype=float)
@@ -110,7 +109,7 @@ class PlaneWaveSpinorState:
         x has shape (n, 3) for one particle, (n, 6) for two; returns
         (4, n) or (16, n).
         """
-        return PlaneWaveSum.value(self.wave, x, t)
+        return self.wave.value(x, t)
 
 
 # [1, alpha^i of each particle] on the one- (4) and two-particle (16)
@@ -135,7 +134,7 @@ def dirac_velocity(state, x, t):
     if state.n_particles != 1:
         raise ShapeError("use dirac2_velocity for two-particle states")
     rho, *j, sigma, omega = bilinears(state.amplitude(x, t), _FLOW[1])
-    if np.any(rho <= RHO_FLOOR_REL * PlaneWaveSum.scale(state.wave)):
+    if np.any(rho <= RHO_FLOOR_REL * state.wave.scale()):
         raise NodeError("density at or below floor at the requested point")
     v = np.transpose(j) / rho[:, None]
     jsq = rho**2 - np.sum((v * rho[:, None]) ** 2, axis=-1)
@@ -158,7 +157,7 @@ def _dirac2_flow(state, x1, x2, t):
     x2 = np.atleast_2d(np.asarray(x2, dtype=float))
     x = np.concatenate([x1, x2], axis=1)
     rho, *j = bilinears(state.amplitude(x, t), _FLOW[2])
-    if np.any(rho <= RHO_FLOOR_REL * PlaneWaveSum.scale(state.wave)):
+    if np.any(rho <= RHO_FLOOR_REL * state.wave.scale()):
         raise NodeError("density at or below floor (antisymmetrized zero?)")
     v = np.transpose(j) / rho[:, None]
     return rho, v[:, :3], v[:, 3:]
@@ -190,9 +189,9 @@ def nonrelativistic_pauli_state(state):
     if state.n_particles != 1:
         raise ShapeError("one-particle states only")
     wave = state.wave
-    if np.any(wave["omega"] < 0):
+    if np.any(wave.omega < 0):
         raise PhysicsError("non-relativistic limit needs positive energies")
     return ParametricWaveFunction("plane_wave_sum", {
-        "k": wave["k"], "omega": wave["omega"] - state.mass,
-        "amps": wave["amps"][:, :2]
-        / np.sqrt(wave["omega"] + state.mass)[:, None]}, [state.mass])
+        "k": wave.k, "omega": wave.omega - state.mass,
+        "amps": wave.amps[:, :2]
+        / np.sqrt(wave.omega + state.mass)[:, None]}, [state.mass])

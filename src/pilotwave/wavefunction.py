@@ -28,7 +28,13 @@ def _hbar_m(masses, config_dim):
 
 
 class ParametricWaveFunction:
-    """Closed-form state from the family registry."""
+    """Closed-form state from the family registry.
+
+    The family is bound to `params` when the state is built
+    (`families.build`): a missing or unknown key raises
+    ConfigurationError, and so do family masses (the `m`, or `m1` and
+    `m2`, that its dispersion uses) other than `masses`.  Evaluation
+    reads the bound family only; `params` is kept for `at_time`."""
 
     representation = "parametric"
 
@@ -39,10 +45,13 @@ class ParametricWaveFunction:
         if any(m <= 0 for m in self.masses):
             raise ConfigurationError("masses must be positive")
         self.time = float(time)
-        self._fam = fam = families.get_family(family)
+        self._fam = fam = families.build(family, params)
+        if fam.masses is not None and tuple(map(float, fam.masses)) != self.masses:
+            raise ConfigurationError(
+                f"{family} params give masses {fam.masses}, the state {self.masses}")
         self._has_log_gradient = hasattr(fam, "log_gradient")
-        self.spin_dim = fam.spin_dim(params)
-        self.config_dim = fam.config_dim(params)
+        self.spin_dim = fam.spin_dim
+        self.config_dim = fam.config_dim
         self.hbar_m = _hbar_m(self.masses, self.config_dim)
 
     def evaluate(self, configs, t=None):
@@ -51,8 +60,7 @@ class ParametricWaveFunction:
         Non-finite values (extreme underflow/overflow arguments) pass
         through; guidance treats them as node encounters, and the public
         `evaluate` wrapper validates finiteness for API users."""
-        return self._fam.value(self.params, configs,
-                               self.time if t is None else t)
+        return self._fam.value(configs, self.time if t is None else t)
 
     def gradient(self, configs, t=None):
         """Spatial gradient, shape (spin_dim, config_dim, npoints)."""
@@ -63,8 +71,7 @@ class ParametricWaveFunction:
         psi; None unless the family is a single closed-form scalar term."""
         if not self._has_log_gradient:
             return None
-        return self._fam.log_gradient(self.params, configs,
-                                      self.time if t is None else t)
+        return self._fam.log_gradient(configs, self.time if t is None else t)
 
     def value_gradient_moduli(self, configs, t=None):
         """(evaluate, gradient, moduli) from one family pass.
@@ -74,7 +81,7 @@ class ParametricWaveFunction:
         added in phase; None for a single closed-form term (nothing can
         cancel)."""
         return self._fam.value_gradient_moduli(
-            self.params, configs, self.time if t is None else t)
+            configs, self.time if t is None else t)
 
     def density(self, configs, t=None):
         v = self.evaluate(configs, t)

@@ -216,9 +216,10 @@ class TestContinuity:
         sampled summed over its nearest images s n h, s in {-1, 0, 1}^2:
         the state the propagator represents.  A plain sample jumps at the
         wrap, which dominates max|d rho/dt| for wide packets at rest."""
+        # sampled at t = 0 only, where the packet's mass does not enter
         state = ParametricWaveFunction(
             "gaussian_packet", {"center": [0.3, -0.2], "sigma": sigma,
-                                "k0": k0, "m": 1.0}, masses)
+                                "k0": k0, "m": 1.0}, [1.0])
         period = np.multiply(grid.spacing, grid.points)
         nodes = grid.nodes()
         images = sum(state.evaluate(nodes + period * np.array(s))

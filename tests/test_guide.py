@@ -18,7 +18,6 @@ from pilotwave.errors import (ConfigurationError, NoFluxError,
                               ShapeError, StabilityError)
 from pilotwave.evolve import Propagator, propagate_to
 from pilotwave import families
-from pilotwave.families import PlaneWave, get_family
 from pilotwave.grid import Grid
 from pilotwave.decay import DecayPairSpec, pair_trajectories
 from pilotwave.guide import (STATUS_EXITED, STATUS_NODE, STATUS_OK,
@@ -250,7 +249,7 @@ class TestTrajectories:
         """One velocity call on a single closed-form term makes one
         log-derivative pass and never evaluates psi."""
         for psi in (correlated_pair(), gaussian()):
-            fam = get_family(psi.family)
+            fam = psi._fam
             calls = {"log_gradient": 0, "value": 0,
                      "value_gradient_moduli": 0, "_gauss_1d": 0}
 
@@ -277,18 +276,17 @@ class TestTrajectories:
         """The node floor's term moduli come from the pass that evaluates
         the terms: a two-term superposition evaluates each leaf once."""
         calls = []
-        value = PlaneWave.value
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return value(*args, **kwargs)
-
-        monkeypatch.setattr(PlaneWave, "value", staticmethod(counted))
         psi = ParametricWaveFunction(
             "superposition",
             {"components": [(1.0, "plane_wave", {"k": [1.0], "m": 1.0}),
                             (0.5j, "plane_wave", {"k": [-2.0], "m": 1.0})]},
             [1.0])
+        for _, leaf in psi._fam.components:
+            def counted(*args, value=leaf.value, **kwargs):
+                calls.append(1)
+                return value(*args, **kwargs)
+
+            monkeypatch.setattr(leaf, "value", counted)
         pts = np.random.default_rng(0).normal(size=(16, 1))
         v = ParametricVelocity(psi).velocity(pts, 0.4)
         assert np.all(np.isfinite(v))
@@ -542,7 +540,8 @@ class TestMemberIndependence:
         """The velocity of every family at each of 300 points alone equals
         its row in the batch."""
         params = FAMILY_PARAMS[name]
-        psi = ParametricWaveFunction(name, params, [1.3])
+        masses = families.build(name, params).masses or [1.3]
+        psi = ParametricWaveFunction(name, params, masses)
         src = ParametricVelocity(
             psi, spin=SpinSpec(0.5) if psi.spin_dim == 2 else None)
         x = np.random.default_rng(2).uniform(-2.0, 2.0, size=(300, 2))

@@ -10,7 +10,8 @@ from hypothesis import strategies as hst
 import strategies as rs
 from pilotwave import families
 from pilotwave.dkp import build_dkp_state
-from pilotwave.errors import ConfigurationError, DomainError, ShapeError
+from pilotwave.errors import (ConfigurationError, DomainError, ShapeError,
+                              UnsupportedFamilyError)
 from pilotwave.families import family_names, get_family
 from pilotwave.grid import Grid
 from pilotwave.guide import ParametricVelocity
@@ -149,6 +150,11 @@ class TestSuperpositionAndSpinor:
         np.testing.assert_allclose(v[1], 0.0)
 
 
+def _sum_params(wave):
+    """The `plane_wave_sum` params of a state's bound sum."""
+    return {"k": wave.k, "omega": wave.omega, "amps": wave.amps}
+
+
 def _dirac_one():
     rng = np.random.default_rng(11)
     terms = tuple((rng.normal() + 1j * rng.normal(), rng.normal(size=3),
@@ -161,7 +167,7 @@ def _dirac_one():
             u, e = free_spinor(p, 0.8, sign, lab)
             out += c * u[:, None] * np.exp(1j * (x @ p - e * t))[None, :]
         return out
-    return st.wave, st.amplitude, reference
+    return _sum_params(st.wave), st.amplitude, reference
 
 
 def _dirac_two_antisymmetrized():
@@ -180,7 +186,7 @@ def _dirac_two_antisymmetrized():
                                  - (e1 + e2) * t))
             out += c * np.kron(u1, u2)[:, None] * phase[None, :]
         return out
-    return st.wave, st.amplitude, reference
+    return _sum_params(st.wave), st.amplitude, reference
 
 
 def _dkp_spin1():
@@ -195,7 +201,7 @@ def _dkp_spin1():
         for c, p, e, comp in st.terms:
             out += c * comp[:, None] * np.exp(1j * (x @ p - e * t))[None, :]
         return out
-    return st.wave, st.evaluate, reference
+    return _sum_params(st.wave), st.evaluate, reference
 
 
 PLANE_WAVE_SUMS = [_dirac_one, _dirac_two_antisymmetrized, _dkp_spin1]
@@ -326,7 +332,8 @@ FAMILY_PARAMS = {
     "correlated_pair": {"alpha": 0.5, "m1": 1.0, "m2": 2.0, "d": 1,
                         "sigma_x": 0.9, "center": 0.2},
     "superposition": {"components": [(0.7, "gaussian_packet", _GAUSS_2D),
-                                     (0.4 - 0.3j, "plane_wave", _PLANE_2D)]},
+                                     (0.4 - 0.3j, "plane_wave",
+                                      dict(_PLANE_2D, m=1.2))]},
     "spinor_product": {"scalar": "gaussian_packet", "scalar_params": _GAUSS_2D,
                        "chi": [0.6, 0.8j]},
     "plane_wave_sum": {"k": [[1.0, 0.5], [-0.7, 0.2], [0.3, -1.1]],
@@ -343,25 +350,25 @@ class TestFamilyProtocol:
 
     @pytest.mark.parametrize("name", family_names())
     def test_fused_value_equals_value(self, name):
-        fam, params = get_family(name), FAMILY_PARAMS[name]
+        fam = families.build(name, FAMILY_PARAMS[name])
         x = np.random.default_rng(6).normal(size=(30, 2))
         for t in (0.0, 0.45, 2.0):
-            val, grad, mod = fam.value_gradient_moduli(params, x, t)
-            np.testing.assert_array_equal(val, fam.value(params, x, t))
-            assert grad.shape == (fam.spin_dim(params), 2, len(x))
+            val, grad, mod = fam.value_gradient_moduli(x, t)
+            np.testing.assert_array_equal(val, fam.value(x, t))
+            assert grad.shape == (fam.spin_dim, 2, len(x))
             assert mod is None or mod.shape == val.shape
 
     @pytest.mark.parametrize("name", family_names())
     @given(pts=hst.lists(_POINT, min_size=1, max_size=4),
            t=hst.floats(0.0, 3.0))
     def test_gradient_matches_central_difference(self, name, pts, t):
-        fam, params = get_family(name), FAMILY_PARAMS[name]
+        fam = families.build(name, FAMILY_PARAMS[name])
         x = np.array(pts)
         h = 1e-6
-        fd = np.stack([(fam.value(params, x + h * e, t)
-                        - fam.value(params, x - h * e, t)) / (2 * h)
+        fd = np.stack([(fam.value(x + h * e, t)
+                        - fam.value(x - h * e, t)) / (2 * h)
                        for e in np.eye(2)], axis=1)
-        val, grad, _ = fam.value_gradient_moduli(params, x, t)
+        val, grad, _ = fam.value_gradient_moduli(x, t)
         scale = np.max(np.abs(val)) + np.max(np.abs(grad))
         np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-7 * scale)
 
@@ -385,14 +392,84 @@ class TestFamilyProtocol:
 
     @pytest.mark.parametrize("name", family_names())
     def test_wrong_dimension_is_a_shape_error(self, name):
-        fam, params = get_family(name), FAMILY_PARAMS[name]
+        fam = families.build(name, FAMILY_PARAMS[name])
         x = np.zeros((4, 3))
         kernels = [fam.value, fam.value_gradient_moduli]
         if hasattr(fam, "log_gradient"):
             kernels.append(fam.log_gradient)
         for kernel in kernels:
             with pytest.raises(ShapeError):
-                kernel(params, x, 0.3)
+                kernel(x, 0.3)
+
+
+class TestKeysAndMasses:
+    """A family's key set is its constructor's keywords, checked when the
+    state is built, and its masses are the state's."""
+
+    @pytest.mark.parametrize("name", family_names())
+    def test_extra_key_raises(self, name):
+        with pytest.raises(ConfigurationError, match=name):
+            families.build(name, dict(FAMILY_PARAMS[name], extra=1.0))
+
+    @pytest.mark.parametrize("name", family_names())
+    def test_dropped_required_key_raises(self, name):
+        keys = inspect.signature(get_family(name)).parameters.values()
+        required = [k.name for k in keys if k.default is k.empty]
+        assert required
+        for key in required:
+            params = {k: v for k, v in FAMILY_PARAMS[name].items() if k != key}
+            with pytest.raises(ConfigurationError, match=name):
+                families.build(name, params)
+
+    @pytest.mark.parametrize("name", family_names())
+    def test_misspelt_k0_raises(self, name):
+        params = {k: v for k, v in FAMILY_PARAMS[name].items() if k != "k0"}
+        with pytest.raises(ConfigurationError, match="kO"):
+            families.build(name, dict(params, kO=[2.0]))
+
+    def test_nested_bad_key_raises(self):
+        bad = dict(_GAUSS_2D, kO=[2.0])
+        for name, params in (
+                ("superposition", {"components": [(1.0, "gaussian_packet", bad)]}),
+                ("spinor_product",
+                 dict(FAMILY_PARAMS["spinor_product"], scalar_params=bad))):
+            with pytest.raises(ConfigurationError, match="gaussian_packet"):
+                families.build(name, params)
+
+    def test_spinor_product_of_a_spinor_raises_when_built(self):
+        with pytest.raises(UnsupportedFamilyError):
+            ParametricWaveFunction("spinor_product", {
+                "scalar": "spinor_product",
+                "scalar_params": FAMILY_PARAMS["spinor_product"],
+                "chi": [1.0, 0.0]}, [1.2])
+
+    def test_state_with_two_masses_raises(self):
+        """params m 1 and masses [3] would guide with hbar/3 a packet that
+        spreads with hbar/1: v = 0.287 where j/rho is 0.86."""
+        packet = {"center": [0.0], "sigma": 1.0, "k0": [1.0], "m": 1.0}
+        with pytest.raises(ConfigurationError):
+            ParametricWaveFunction("gaussian_packet", packet, [3.0])
+        with pytest.raises(ConfigurationError):
+            ParametricWaveFunction("decaying_pair",
+                                   FAMILY_PARAMS["decaying_pair"], [2.0, 1.0])
+        with pytest.raises(ConfigurationError):
+            ParametricWaveFunction("spinor_product",
+                                   FAMILY_PARAMS["spinor_product"], [1.0])
+        with pytest.raises(ConfigurationError, match="masses"):
+            families.build("superposition", {"components": [
+                (1.0, "gaussian_packet", _GAUSS_2D),
+                (1.0, "plane_wave", _PLANE_2D)]})
+
+    def test_family_masses_are_the_params_masses(self):
+        expect = {"plane_wave": (1.3,), "gaussian_packet": (1.2,),
+                  "decaying_pair": (1.0, 2.0), "post_collapse_pair": (1.5,),
+                  "correlated_pair": (1.0, 2.0), "superposition": (1.2,),
+                  "spinor_product": (1.2,), "plane_wave_sum": None}
+        assert {n: families.build(n, FAMILY_PARAMS[n]).masses
+                for n in family_names()} == expect
+        # a plane-wave sum's frequencies are given: any masses guide it
+        ParametricWaveFunction("plane_wave_sum", FAMILY_PARAMS["plane_wave_sum"],
+                               [0.4, 2.0])
 
 
 # value and gradient of the five single-term families as they were
@@ -488,8 +565,7 @@ PARENT_VALUE_AND_GRADIENT = {
 @hst.composite
 def _term_at_points(draw):
     name, params, masses = draw(rs.single_term_states())
-    fam = get_family(name)
-    x = draw(rs.config_points(fam.config_dim(params)))
+    x = draw(rs.config_points(families.build(name, params).config_dim))
     return name, params, masses, x
 
 
@@ -508,10 +584,10 @@ class TestLogGradient:
     @given(case=_term_at_points(), t=rs.times)
     def test_log_gradient_is_grad_over_value(self, case, t):
         name, params, _, x = case
-        fam = get_family(name)
-        dlog = fam.log_gradient(params, x, t)
-        val, grad, _ = fam.value_gradient_moduli(params, x, t)
-        assert dlog.shape == (fam.config_dim(params), len(x))
+        fam = families.build(name, params)
+        dlog = fam.log_gradient(x, t)
+        val, grad, _ = fam.value_gradient_moduli(x, t)
+        assert dlog.shape == (fam.config_dim, len(x))
         assert np.all(np.isfinite(dlog))
         ok = _normal(val[0]) & np.all(_normal(grad[0]) | (grad[0] == 0), axis=0)
         np.testing.assert_allclose(dlog[:, ok], grad[0][:, ok] / val[0][ok],
@@ -520,7 +596,7 @@ class TestLogGradient:
     @given(case=_term_at_points(), t=rs.times)
     def test_value_and_gradient_unchanged(self, case, t):
         name, params, _, x = case
-        got = get_family(name).value_gradient_moduli(params, x, t)
+        got = families.build(name, params).value_gradient_moduli(x, t)
         want = PARENT_VALUE_AND_GRADIENT[name](params, x, t, 1.0)
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
