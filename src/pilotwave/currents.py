@@ -13,12 +13,13 @@ is admissible), which is why the gyromagnetic factor g is a free knob
 here with the elementary-particle default g = 1/s.
 
 One kernel, `_flux`, computes both parts from values and gradients: at
-points of a closed-form state (`current`) and on the nodes of a grid
-state (`grid_current_nodes`).  A grid state has that one current: the
-snapshot velocity source and `continuity_residual` use its nodes, and
-the pointwise functions raise ShapeError for a grid state rather than
-interpolate psi and its stencil gradient.  `_flux`
-takes hbar/m per configuration axis, so each particle of a many-particle
+points of a closed-form state (`current`, and `configuration_velocity`,
+the one guidance law v = j / rho of every closed-form state) and on the
+nodes of a grid state (`grid_current_nodes`).  A grid state has that one
+current: the snapshot velocity source and `continuity_residual` use its
+nodes, and the pointwise functions raise ShapeError for a grid state
+rather than interpolate psi and its stencil gradient.  `_flux` takes
+hbar/m per configuration axis, so each particle of a many-particle
 state keeps its own mass.  The spin term needs d_j m_k for
 m = psi^dag S psi: the product rule at points, stencil differences of m
 on grids.  Stencil differences commute, so the stencil divergence of the
@@ -132,17 +133,12 @@ def _curl(df):
 
 @dataclass(frozen=True)
 class CurrentField:
-    """Density and current at the evaluated points, with decomposition.
-
-    in_phase is the density the state's closed-form terms would give if
-    they all added in phase, sum over spin of the squared moduli of
-    `ParametricWaveFunction.value_gradient_moduli` from the same pass;
-    None for a single term."""
+    """Density and current at the evaluated points, with decomposition
+    (the velocity j / rho is `configuration_velocity`)."""
     rho: np.ndarray
     j: np.ndarray
     j_c: np.ndarray
     j_s: np.ndarray
-    in_phase: np.ndarray = None
 
 
 def _require_closed_form(psi):
@@ -200,7 +196,7 @@ def current(psi, spin, em=None, *, at, t=None):
     tt = psi.time if t is None else t
     _require_closed_form(psi)
     at = np.atleast_2d(np.asarray(at, dtype=float))
-    val, grad, mod = psi.value_gradient_moduli(at, tt)
+    val, grad, _ = psi.value_gradient_moduli(at, tt)
     rho = np.sum(np.abs(val) ** 2, axis=0)
     flux, spin_flux = _flux(val, grad, psi.hbar_m, spin, m)
     # convective part: (hbar/m) Im(psi^dag grad psi) - (e/mc) V rho
@@ -208,9 +204,7 @@ def current(psi, spin, em=None, *, at, t=None):
     if em is not None:
         j_c -= (em.charge / m) * em.vector(at, tt) * rho[:, None]
     j_s = np.zeros_like(j_c) if spin_flux is None else spin_flux.T
-    in_phase = None if mod is None else np.sum(mod**2, axis=0)
-    return CurrentField(rho=rho, j=j_c + j_s, j_c=j_c, j_s=j_s,
-                        in_phase=in_phase)
+    return CurrentField(rho=rho, j=j_c + j_s, j_c=j_c, j_s=j_s)
 
 
 def continuity_residual(psi_a, psi_b, spin, em=None):
@@ -267,42 +261,51 @@ def grid_current_nodes(psi, spin, em=None):
     return j
 
 
-def configuration_velocity(psi, at, t=None):
-    """Spin-0 N-particle guidance velocity in configuration space.
+def configuration_velocity(psi, at, t=None, spin=None, em=None):
+    """The guidance law of a closed-form state: v = j / rho - (e/mc) A,
+    flattened over the configuration axes, shape (n, config_dim).
 
-    v_k = (hbar / m_k) Im(grad_k psi / psi), returned flattened over the
-    configuration axes, shape (n, config_dim).  A single closed-form term
-    gives grad log psi in closed form (`log_gradient`), so psi, the
-    division and the density never enter: far in a Gaussian tail the
-    velocity stays exact where psi itself underflows, and one finiteness
-    test of the result suffices unless it fails (its non-finite rows are
-    then NaN).  Otherwise the velocity is grad psi / psi, and a point is
-    a node encounter (NaN velocity) where it is not finite (psi = 0) or
-    where |psi| is at or below sqrt(RHO_FLOOR_REL) times the summed
-    moduli of the state's terms (a sum whose terms cancel).  That is the
-    density test |psi|^2 <= RHO_FLOOR_REL (sum_i |c_i phi_i|)^2 without
-    the squares, which overflow from moduli of about 1e154.  A grid state
-    raises ShapeError: its current is `grid_current_nodes`.
+    j is the current of `current` (convective, plus the spin term of
+    `spin`; None means spin 0) with hbar/m per configuration axis, and A
+    is `em`'s vector potential.  A single closed-form scalar term gives
+    j / rho = (hbar/m) Im grad log psi in closed form (`log_gradient`),
+    so psi, the division and the density never enter: far in a Gaussian
+    tail the velocity stays exact where psi itself underflows, and one
+    finiteness test of the result suffices unless it fails.  Every other
+    state (a sum, or a spinor) divides `_flux` by rho, with psi and
+    grad psi first divided by each point's largest term modulus, so no
+    square overflows; such a point is a node where |psi|^2 <=
+    RHO_FLOOR_REL (sum_i |c_i phi_i|)^2 summed over spin (its terms
+    cancel).  Node rows and rows that are not finite are NaN.  The spin
+    term and A are single-particle, and a grid state raises ShapeError:
+    its current is `grid_current_nodes`.
     """
-    if psi.spin_dim != 1:
-        raise ShapeError("configuration_velocity covers scalar states")
+    _require_spin(psi, spin)
     _require_closed_form(psi)
+    if (em is not None or _spin_term(spin)) and len(psi.masses) != 1:
+        raise ShapeError("the spin term and em guidance are single-particle")
     tt = psi.time if t is None else t
     dlog = psi.log_gradient(at, tt)
     node = False
-    if dlog is None:
+    if dlog is not None:
+        v = psi.hbar_m * np.imag(dlog).T
+    else:
         val, grad, mod = psi.value_gradient_moduli(at, tt)
-        # psi = 0 divides by zero, a subnormal psi may overflow; the NaN or
-        # inf left behind is the node signal
+        mod = np.abs(val) if mod is None else mod
+        # at least the smallest normal float, whose reciprocal (which
+        # complex division forms) is finite; a zero or non-finite psi
+        # leaves rho 0 or NaN, the node signal
+        scale = np.maximum(mod.max(axis=0), np.finfo(float).tiny)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            dlog = grad[0] / val[0]
-        if mod is not None:
-            floor = np.sqrt(RHO_FLOOR_REL) * mod[0]
-            node = (floor > 0) & ~(np.abs(val[0]) > floor)
-    v = psi.hbar_m * np.imag(dlog).T
-    if node is False and np.isfinite(v).all():
-        return v
-    bad = ~np.isfinite(v).all(axis=1) | node
-    if bad.any():
-        v[bad] = np.nan
+            val, grad, mod = val / scale, grad / scale, mod / scale
+            j, j_s = _flux(val, grad, psi.hbar_m, spin, psi.masses[0])
+            if j_s is not None:
+                j = j + j_s[:len(j)]
+            rho = np.sum(np.abs(val) ** 2, axis=0)
+            v = (j / rho).T
+        node = ~(rho > RHO_FLOOR_REL * np.sum(mod**2, axis=0))
+    if em is not None:
+        v = v - (em.charge / psi.masses[0]) * em.vector(at, tt)[:, :v.shape[1]]
+    if node is not False or not np.isfinite(v).all():
+        v[~np.isfinite(v).all(axis=1) | node] = np.nan
     return v

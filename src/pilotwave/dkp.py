@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .currents import RHO_FLOOR_REL, SpinSpec, current
+from .currents import RHO_FLOOR_REL, SpinSpec, configuration_velocity
 from .errors import (ConfigurationError, DegenerateObserverError,
                      InvariantViolationError, NodeError, PhysicsError,
                      ShapeError)
@@ -270,7 +270,8 @@ def reduced_nonrel_state(state):
 
 def nonrel_limit_check(rep, epsilons, seed=0, n_points=16):
     """Deviation of the DKP velocity (n = time observer) from the
-    Schroedinger / non-relativistic spin-1 current velocity, per epsilon
+    Schroedinger / non-relativistic spin-1 guidance velocity of the
+    reduced state (`configuration_velocity`), per epsilon
     = |p|/m, for mass m = 1.  Returns per epsilon the median over points
     of |v_DKP - v_NR|, relative to the largest |v_DKP|.
 
@@ -302,8 +303,7 @@ def nonrel_limit_check(rep, epsilons, seed=0, n_points=16):
         _, v_dkp = energy_momentum_current(state, TIME_OBSERVER, pts, t)
         red = reduced_nonrel_state(state)
         spin = SpinSpec(0) if rep == "spin0" else SpinSpec(1)
-        f = current(red, spin, at=pts, t=t)
-        v_nr = f.j / f.rho[:, None]
+        v_nr = configuration_velocity(red, pts, t, spin)
         num = np.median(np.linalg.norm(v_dkp - v_nr, axis=-1))
         devs.append(float(num / np.max(np.linalg.norm(v_dkp, axis=-1))))
     return devs

@@ -36,7 +36,7 @@ its keys are read and converted once, when it is built, and
   ``superposition``, ``spinor_product`` and ``plane_wave_sum`` have
   none: the log-derivative of a sum needs the sum itself, and a spinor
   component that vanishes identically would make it 0/0, so guidance
-  divides their gradient by psi instead.
+  divides their current by rho instead.
 
 A configuration of the wrong dimension raises ShapeError.
 
@@ -109,6 +109,15 @@ class _SingleTerm:
         return val, (self.log_gradient(x, t) * val)[None], None
 
 
+def _per_axis(family, key, value, d):
+    """`value` as one float per axis, shape (d,), from one value or d."""
+    try:
+        return np.broadcast_to(np.asarray(value, dtype=float), (d,))
+    except ValueError:
+        raise ConfigurationError(f"{family.name}: {key} has shape "
+                                 f"{np.shape(value)}, not () or ({d},)") from None
+
+
 def _as_points(x, dim):
     x = np.asarray(x, dtype=float)
     if x.ndim < 2:
@@ -174,8 +183,8 @@ class GaussianPacket(_SingleTerm):
     def __init__(self, center, sigma, m, k0=0.0):
         self.center = np.atleast_1d(np.asarray(center, dtype=float))
         self.config_dim = d = len(self.center)
-        self.sigma = np.broadcast_to(np.asarray(sigma, dtype=float), (d,))
-        self.k0 = np.broadcast_to(np.asarray(k0, dtype=float), (d,))
+        self.sigma = _per_axis(self, "sigma", sigma, d)
+        self.k0 = _per_axis(self, "k0", k0, d)
         self.m = m
         self.masses = (m,)
 
@@ -283,7 +292,7 @@ class CorrelatedPair(_SingleTerm):
         self.alpha, self.sigma_x, self.N = alpha, sigma_x, N
         self.d = d = int(d)
         self.config_dim = 2 * d
-        self.center = np.broadcast_to(np.asarray(center, dtype=float), (d,))
+        self.center = _per_axis(self, "center", center, d)
         self.m1, self.m2, self.M = m1, m2, m1 + m2
         self.mu = m1 * m2 / (m1 + m2)
         self.masses = (m1, m2)
@@ -367,6 +376,9 @@ class SpinorProduct:
         if self.scalar.spin_dim != 1:
             raise UnsupportedFamilyError("spinor_product wraps scalar families only")
         self.chi = np.asarray(chi, dtype=complex)
+        if self.chi.ndim != 1:
+            raise ConfigurationError(
+                f"{self.name}: chi has shape {self.chi.shape}, not (spin_dim,)")
         self.spin_dim = len(self.chi)
         self.config_dim = self.scalar.config_dim
         self.masses = self.scalar.masses
@@ -401,6 +413,12 @@ class PlaneWaveSum:
         self.k = np.asarray(k, dtype=float)
         self.omega = np.asarray(omega)
         self.amps = np.asarray(amps)
+        n = self.k.shape[:1]
+        if (self.k.ndim, self.omega.shape, self.amps.ndim,
+                self.amps.shape[:1]) != (2, n, 2, n):
+            raise ConfigurationError(
+                f"{self.name}: k {self.k.shape}, omega {self.omega.shape} and "
+                f"amps {self.amps.shape}, not (nterm, d), (nterm,), (nterm, s)")
         self.config_dim = self.k.shape[1]
         self.spin_dim = self.amps.shape[1]
 

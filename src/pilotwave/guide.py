@@ -17,20 +17,15 @@ face, on the bound exactly; one whose intermediate stage probes outside
 face.  Both are ``exited``.  A NaN stage inside the domain also stops
 the member, at its last position.
 
-The node floor is the constant RHO_FLOOR_REL, relative to the wave at
-the evaluated point, never to other members: a closed-form superposition
-has a node where |psi|^2 <= RHO_FLOOR_REL * (sum_i |c_i phi_i|)^2, i.e.
-where its terms cancel (which is also where Im(grad psi / psi) loses its
-digits); the moduli |c_i phi_i| come from the pass that evaluates the
-terms, and scalar states compare |psi| with sqrt(RHO_FLOOR_REL) times
-their sum, so that no square overflows.  A single closed-form scalar
-term has no floor and no division: its velocity is (hbar/m) Im grad
-log psi from the family's closed-form log-derivative, which never
-evaluates psi, so a Gaussian tail is followed also where psi itself
-underflows to 0.  A single-term spinor still divides j by rho and is a
-node where both underflow.  Grid snapshots have no terms to compare
-against and use RHO_FLOOR_REL times the largest density of the
-snapshots held.
+The node floor is one rule, relative to the wave at the evaluated point
+and never to other members: a closed-form state is at a node where
+|psi|^2 <= RHO_FLOOR_REL (sum_i |c_i phi_i|)^2 summed over spin, i.e.
+where its terms cancel (`configuration_velocity`).  A single term cannot
+cancel, so only its underflow to 0 is a node; a single scalar term never
+forms psi at all, and its velocity (hbar/m) Im grad log psi follows a
+Gaussian tail also where psi underflows.  Grid snapshots have no terms
+to compare against and use RHO_FLOOR_REL times the largest density of
+the snapshots held.
 
 The ensemble sampler draws from |psi|^2 by rejection against a fitted
 Gaussian (or uniform) envelope using the counter-based Philox generator,
@@ -148,12 +143,8 @@ class Box:
 
 
 class ParametricVelocity:
-    """Exact pointwise velocities from a closed-form state.
-
-    Scalar states use the per-particle guidance velocity, less (e/mc) A
-    for one particle in `em`; spinor states use the full current
-    (convective + spin) of the `currents` module.
-    """
+    """Exact pointwise velocities of a closed-form state: the guidance law
+    `configuration_velocity` with the state's `spin` and `em`."""
 
     def __init__(self, psi, spin=None, em=None):
         self.psi = psi
@@ -162,22 +153,7 @@ class ParametricVelocity:
         self.domain = None
 
     def velocity(self, configs, t):
-        psi = self.psi
-        if psi.spin_dim == 1:
-            v = configuration_velocity(psi, configs, t)
-            if self.em is None:
-                return v
-            if len(psi.masses) != 1:
-                raise ShapeError("em guidance is single-particle, as current()")
-            a = self.em.vector(configs, t)[:, :configs.shape[1]]
-            return v - (self.em.charge / psi.masses[0]) * a
-        f = current(psi, self.spin, em=self.em, at=configs, t=t)
-        d = configs.shape[1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v = f.j[:, :d] / f.rho[:, None]
-        floor = 0.0 if f.in_phase is None else RHO_FLOOR_REL * f.in_phase
-        v[~(f.rho > floor)] = np.nan
-        return v
+        return configuration_velocity(self.psi, configs, t, self.spin, self.em)
 
 
 class SnapshotVelocity:

@@ -122,16 +122,6 @@ class GridWaveFunction:
         self._norm = None
 
     @classmethod
-    def from_callable(cls, grid, func, masses, time=0.0):
-        """Sample psi(x) on the grid; func maps stacked meshgrid coords to
-        values of shape (spin_dim, *grid.shape) or (*grid.shape,)."""
-        mesh = grid.meshgrid()
-        vals = np.asarray(func(*mesh), dtype=complex)
-        if vals.ndim == grid.ndim:
-            vals = vals[None, ...]
-        return cls(grid, vals, masses, time=time)
-
-    @classmethod
     def sample(cls, state, grid):
         """Sample a parametric state on a grid."""
         vals = state.evaluate(grid.nodes()).reshape((state.spin_dim,) + grid.shape)

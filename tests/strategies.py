@@ -184,8 +184,25 @@ def scalar_sums(draw):
         "amps": np.array([[draw(coefficients)] for _ in range(n)])}, [m]
 
 
+@st.composite
+def spinor_sums(draw):
+    """(params, masses) of a random ``superposition`` of 1-3 spin-1/2
+    ``spinor_product`` Gaussians in three dimensions, each with its own
+    spinor."""
+    m, n = draw(masses), draw(st.integers(1, 3))
+    return {"components": [
+        (draw(coefficients), "spinor_product",
+         {"scalar": "gaussian_packet",
+          "chi": [draw(coefficients), draw(coefficients)],
+          "scalar_params": {"center": draw(_axis_vector(3)),
+                            "sigma": draw(_widths),
+                            "k0": draw(_axis_vector(3)), "m": m}})
+        for _ in range(n)]}, [m]
+
+
 def scale_coefficients(name, params, c):
-    """The params of a `scalar_sums` state with every coefficient times c."""
+    """The params of a `scalar_sums` or `spinor_sums` state with every
+    coefficient times c."""
     if name == "superposition":
         return {"components": [(c * a, f, p) for a, f, p in params["components"]]}
     return dict(params, amps=c * params["amps"])

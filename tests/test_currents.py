@@ -384,6 +384,43 @@ class TestInvariants:
         bad = ~np.isfinite(v_scaled).all(axis=1)
         assert np.all(np.isnan(v_scaled[bad]))
 
+    @given(case=rs.spinor_sums(), data=st.data(), t=rs.times,
+           g=st.floats(0.0, 3.0), log_s=st.floats(-300.0, 300.0),
+           theta=st.floats(0.0, 2 * np.pi))
+    def test_spinor_sum_velocity_invariant_under_scale_and_phase(
+            self, case, data, t, g, log_s, theta):
+        """The spinor version: every coefficient of a sum of spin-1/2
+        Gaussians times s e^{i theta}, s from 1e-300 to 1e300, leaves v
+        (spin term included) unchanged where every component of s psi
+        and s grad psi is a finite normal float, with no overflow on the
+        way.  The bound is the scalar one, with the cancellation factor
+        sqrt(sum over spin of (sum of term moduli)^2 / rho).  A row that
+        is not finite is all NaN."""
+        params, masses = case
+        spin = SpinSpec(0.5, g=g)
+        bare = ParametricWaveFunction("superposition", params, masses)
+        scaled = ParametricWaveFunction(
+            "superposition", rs.scale_coefficients(
+                "superposition", params, 10.0**log_s * np.exp(1j * theta)),
+            masses)
+        x = data.draw(rs.config_points(3))
+        v_bare = configuration_velocity(bare, x, t, spin)
+        v_scaled = configuration_velocity(scaled, x, t, spin)
+        val, _, mod = bare.value_gradient_moduli(x, t)
+        s_val, s_grad, _ = scaled.value_gradient_moduli(x, t)
+
+        def normal(z):
+            return np.isfinite(z) & (np.abs(z) >= np.finfo(float).tiny)
+
+        ok = (normal(s_val).all(axis=0) & normal(s_grad).all(axis=(0, 1))
+              & np.isfinite(v_bare).all(axis=1))
+        bound = (1e-13 * (np.abs(v_bare).max(axis=1) + 1)
+                 * np.sqrt(np.sum(mod**2, axis=0)
+                           / np.sum(np.abs(val)**2, axis=0)))
+        assert np.all(np.abs(v_scaled - v_bare).max(axis=1)[ok] <= bound[ok])
+        bad = ~np.isfinite(v_scaled).all(axis=1)
+        assert np.all(np.isnan(v_scaled[bad]))
+
     def test_global_phase_leaves_velocity_invariant(self):
         psi = spinor_state(np.array([0.6, 0.8]), {"center": [0.0, 0.0, 0.0],
                                                   "sigma": 1.0,

@@ -55,6 +55,8 @@ def test_a_perturbed_leaf_is_reported():
     assert row["max_rel"] == 2**-53       # relative to the leaf's max |v| 4
     assert report["summary"]["array_equal"] == 1
     assert report["summary"]["verdicts_differ"] == 0
+    assert report["summary"]["calls"] == {
+        "relativistic/dkp2_velocity[spin0]": {"leaves": 1, "max_rel": 2**-53}}
 
 
 def test_shape_changes_and_verdicts_are_reported():

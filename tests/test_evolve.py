@@ -292,9 +292,10 @@ def strang_reference(psi, dt, axis_mass, coupling=None, potential=None,
 
 def packet_2d(points=(32, 64), masses=(1.0, 3.0)):
     grid = Grid([(-6.0, 6.0), (-8.0, 10.0)], list(points))
-    return GridWaveFunction.from_callable(
-        grid, lambda x, y: np.exp(-(x - 0.5)**2 / 2 - (y + 1.0)**2 / 3
-                                  + 1j * (0.4 * x - 0.7 * y)),
+    x, y = grid.meshgrid()
+    return GridWaveFunction(
+        grid, np.exp(-(x - 0.5)**2 / 2 - (y + 1.0)**2 / 3
+                     + 1j * (0.4 * x - 0.7 * y)),
         list(masses)).normalized()
 
 

@@ -436,6 +436,24 @@ class TestKeysAndMasses:
             with pytest.raises(ConfigurationError, match="gaussian_packet"):
                 families.build(name, params)
 
+    @pytest.mark.parametrize("name, params", [
+        ("gaussian_packet", dict(_GAUSS_2D, center=[0.0, 0.0],
+                                 sigma=[1.0, 2.0, 3.0])),
+        ("gaussian_packet", dict(_GAUSS_2D, k0=[0.5, -0.3, 0.1])),
+        ("correlated_pair", dict(FAMILY_PARAMS["correlated_pair"], d=2,
+                                 center=[0.0, 0.1, 0.2])),
+        ("plane_wave_sum", dict(FAMILY_PARAMS["plane_wave_sum"],
+                                k=[1.0, 0.5, -0.2])),
+        ("spinor_product", dict(FAMILY_PARAMS["spinor_product"], chi=0.6)),
+        # one term's k and amps with two omega built and evaluated
+        # silently: one unit term at x = 0, t = 0 gave 2, not 1
+        ("plane_wave_sum", {"k": [[1.0]], "omega": [0.5, 0.7],
+                            "amps": [[1.0]]}),
+    ], ids=["sigma", "k0", "center", "k", "chi", "omega"])
+    def test_value_of_the_wrong_shape_raises(self, name, params):
+        with pytest.raises(ConfigurationError, match=name):
+            families.build(name, params)
+
     def test_spinor_product_of_a_spinor_raises_when_built(self):
         with pytest.raises(UnsupportedFamilyError):
             ParametricWaveFunction("spinor_product", {

@@ -20,6 +20,11 @@ workloads are all of perfbench's.  The two captures are then compared:
   verdicts of a pass differ when `attempted`, `ok` or the set of failing
   calls differ.
 
+Its `summary` counts passes, differing verdicts and leaves, and lists
+under `calls`, per "workload/call label", the leaves that are not
+`array_equal` and their largest relative difference (None when no
+such leaf has one, as for a missing leaf or a shape change).
+
 One JSON report goes to --out (or standard output), with the seeds,
 the trees' git SHAs and each side's thread count.  The exit status is 1
 when any pass's verdict differs, and 0 otherwise.  No tolerance is
@@ -169,12 +174,21 @@ def compare(a, b):
                        if la is None or lb is None else compare_leaf(la, lb))
                 rows.append({**key, "call": label, "leaf": path, **row})
     rel = [r["max_rel"] for r in rows if "max_rel" in r]
+    calls = {}
+    for r in rows:
+        if not r["array_equal"]:
+            call = calls.setdefault(f"{r['workload']}/{r['call']}",
+                                    {"leaves": 0, "max_rel": None})
+            call["leaves"] += 1
+            if "max_rel" in r:
+                call["max_rel"] = max(call["max_rel"] or 0.0, r["max_rel"])
     summary = {
         "passes": len(passes),
         "verdicts_differ": sum(p["verdict_differs"] for p in passes),
         "leaves": len(rows),
         "array_equal": sum(r["array_equal"] for r in rows),
         "max_rel": max(rel, default=0.0),
+        "calls": calls,
     }
     return {"summary": summary, "passes": passes, "leaves": rows}
 
