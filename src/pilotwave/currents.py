@@ -268,13 +268,14 @@ def configuration_velocity(psi, at, t=None, spin=None, em=None):
     j is the current of `current` (convective, plus the spin term of
     `spin`; None means spin 0) with hbar/m per configuration axis, and A
     is `em`'s vector potential.  A single closed-form scalar term gives
-    j / rho = (hbar/m) Im grad log psi in closed form (`log_gradient`),
-    so psi, the division and the density never enter: far in a Gaussian
-    tail the velocity stays exact where psi itself underflows, and one
-    finiteness test of the result suffices unless it fails.  Every other
-    state (a sum, or a spinor) divides `_flux` by rho, with psi and
-    grad psi first divided by each point's largest term modulus, so no
-    square overflows; such a point is a node where |psi|^2 <=
+    j / rho = (hbar/m) grad S, S the phase of psi = R e^{iS}, from its
+    family's `phase_gradient`: real arithmetic on the points, with psi,
+    grad psi and the density never formed.  Far in a Gaussian tail the
+    velocity stays exact where psi itself underflows, and one finiteness
+    test of the result suffices unless it fails.  Every other state (a
+    sum, or a spinor) divides `_flux` by rho, with psi and grad psi
+    first divided by each point's largest term modulus, so no square
+    overflows; such a point is a node where |psi|^2 <=
     RHO_FLOOR_REL (sum_i |c_i phi_i|)^2 summed over spin (its terms
     cancel).  Node rows and rows that are not finite are NaN.  The spin
     term and A are single-particle, and a grid state raises ShapeError:
@@ -285,10 +286,10 @@ def configuration_velocity(psi, at, t=None, spin=None, em=None):
     if (em is not None or _spin_term(spin)) and len(psi.masses) != 1:
         raise ShapeError("the spin term and em guidance are single-particle")
     tt = psi.time if t is None else t
-    dlog = psi.log_gradient(at, tt)
+    dphase = psi.phase_gradient(at, tt)
     node = False
-    if dlog is not None:
-        v = psi.hbar_m * np.imag(dlog).T
+    if dphase is not None:
+        v = psi.hbar_m * dphase
     else:
         val, grad, mod = psi.value_gradient_moduli(at, tt)
         mod = np.abs(val) if mod is None else mod

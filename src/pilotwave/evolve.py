@@ -158,14 +158,14 @@ def _factors(psi, prop, t_mid):
 
 
 def _transform(vals, rep, want):
-    """Take vals (spin axis first) from representation `rep` to `want`,
-    transforming only the grid axes on which they differ."""
+    """Take vals (spin axis first) from representation `rep` to `want`, in
+    place, transforming only the grid axes on which they differ."""
     to_x = tuple(a + 1 for a, (r, w) in enumerate(zip(rep, want)) if r and not w)
     to_k = tuple(a + 1 for a, (r, w) in enumerate(zip(rep, want)) if w and not r)
     if to_x:
-        vals = np.fft.ifftn(vals, axes=to_x)
+        vals = np.fft.ifftn(vals, axes=to_x, out=vals)
     if to_k:
-        vals = np.fft.fftn(vals, axes=to_k)
+        vals = np.fft.fftn(vals, axes=to_k, out=vals)
     return vals
 
 
@@ -187,10 +187,10 @@ def step(psi, prop):
         warnings.warn("split-step grid points are not powers of two; FFTs "
                       "will be slower", stacklevel=2)
 
-    # the first factor is in k space, so vals is a fresh array before any
-    # factor is multiplied in place
+    # one copy of the read-only values; every transform and factor then
+    # works in place on it (or on the fresh array a rotation returns)
     x_space = (False,) * psi.grid.ndim
-    vals, rep = psi.values, x_space
+    vals, rep = psi.values.copy(), x_space
     for want, apply in _factors(psi, prop, psi.time + 0.5 * prop.dt):
         vals = apply(_transform(vals, rep, want))
         rep = want

@@ -30,13 +30,21 @@ its keys are read and converted once, when it is built, and
   (config_dim, n), a rational expression with no exponential in it.
   The five single-term families (``plane_wave``, ``gaussian_packet``,
   ``decaying_pair``, ``post_collapse_pair``, ``correlated_pair``) have
-  it, and their gradient is ``log_gradient * value`` (`_SingleTerm`).
-  Guidance reads v = (hbar/m) Im grad log psi from it without evaluating
-  psi, so the velocity stays finite where psi underflows.
+  it, and their gradient is ``log_gradient * value`` (`_SingleTerm`);
+  sums and spinor products of them read their gradients from it;
+* ``phase_gradient(x, t)``, the same five only: grad S of psi = R e^{iS},
+  i.e. Im grad log psi, shape (n, config_dim).  It is real arithmetic on
+  the points: each complex width, such as B or beta, gives two real
+  factors once per call (`_smith`), and they multiply the arrays.  At a
+  scalar t it equals ``Im log_gradient`` bit for bit; t may also be an
+  array of one time per point, shape (n,).  Guidance needs only this:
+  v = (hbar/m) grad S, and Re grad log psi = grad log |psi| does not
+  enter, so no complex array is formed, psi is never evaluated, and the
+  velocity stays finite where psi underflows.
   ``superposition``, ``spinor_product`` and ``plane_wave_sum`` have
-  none: the log-derivative of a sum needs the sum itself, and a spinor
-  component that vanishes identically would make it 0/0, so guidance
-  divides their current by rho instead.
+  neither: the log-derivative of a sum needs the sum itself, and a
+  spinor component that vanishes identically would make it 0/0, so
+  guidance divides their current by rho instead.
 
 A configuration of the wrong dimension raises ShapeError.
 
@@ -128,6 +136,26 @@ def _as_points(x, dim):
     return x
 
 
+def _smith(a, b):
+    """Real factors (R, S) of the complex width w = a + i b, formed once
+    per call, such that Im(y / 2w) = -(y R) S for a real array y, rounded
+    exactly as numpy's complex division (Smith's method) rounds it:
+    R = b / a and S = 1 / 2(a + b R) where |a| >= |b|, else R = 1 and
+    S = 1 / 2(b + a^2 / b).  So a phase gradient is Im of the matching
+    log-derivative bit for bit.  b is a scalar or one value per point;
+    real arithmetic rounds a lone value as it rounds the same in an
+    array."""
+    if isinstance(b, np.ndarray):
+        first = abs(a) >= np.abs(b)
+        big, small = np.where(first, a, b), np.where(first, b, a)
+        rat = small / big
+        return np.where(first, rat, 1.0), 0.5 / (big + small * rat)
+    if abs(a) >= abs(b):
+        rat = b / a
+        return rat, 0.5 / (a + b * rat)
+    return 1.0, 0.5 / (b + a * (a / b))
+
+
 @register("plane_wave")
 class PlaneWave(_SingleTerm):
     """exp(i (k.x - omega t)) with the free dispersion omega = hbar k^2/2m."""
@@ -147,6 +175,10 @@ class PlaneWave(_SingleTerm):
     def log_gradient(self, x, t):
         n = _as_points(x, self.config_dim).shape[0]
         return np.broadcast_to(1j * self.k[:, None], (self.config_dim, n))
+
+    def phase_gradient(self, x, t):
+        n = _as_points(x, self.config_dim).shape[0]
+        return np.broadcast_to(self.k, (n, self.config_dim))
 
 
 def _gauss_width(x, t, x0, sigma, k0, m):
@@ -171,6 +203,13 @@ def _gauss_1d_dlog(x, t, x0, sigma, k0, m):
     """d log psi / dx = -(x - xc) / 2B + i k0 of the `_gauss_1d` packet."""
     B, xi = _gauss_width(x, t, x0, sigma, k0, m)
     return -xi / (2.0 * B) + 1j * k0
+
+
+def _gauss_1d_phase(x, t, x0, sigma, k0, m):
+    """dS/dx = Im of `_gauss_1d_dlog`, B = s^2 + i hbar t / 2m taken
+    apart by `_smith`."""
+    R, S = _smith(sigma**2, 0.5 * t / m)
+    return ((x - (x0 + k0 * t / m)) * R) * S + k0
 
 
 @register("gaussian_packet")
@@ -203,6 +242,14 @@ class GaussianPacket(_SingleTerm):
             dlog[a] = _gauss_1d_dlog(x[:, a], t, self.center[a],
                                      self.sigma[a], self.k0[a], self.m)
         return dlog
+
+    def phase_gradient(self, x, t):
+        x = _as_points(x, self.config_dim)
+        dphase = np.empty((self.config_dim, x.shape[0]))
+        for a in range(self.config_dim):
+            dphase[a] = _gauss_1d_phase(x[:, a], t, self.center[a],
+                                        self.sigma[a], self.k0[a], self.m)
+        return dphase.T
 
 
 def _pair_beta(alpha, t, mu):
@@ -241,6 +288,13 @@ class DecayingPair(_SingleTerm):
         g = (x[:, :d] - x[:, d:]).T / (2.0 * beta)   # (d, n)
         return np.concatenate([-g, g])
 
+    def phase_gradient(self, x, t):
+        d = self.d
+        x = _as_points(x, 2 * d)
+        R, S = _smith(self.alpha, 0.5 * t / self.mu)
+        g = ((x[:, :d] - x[:, d:]).T * R) * S   # -Im (x1 - x2) / 2 beta
+        return np.concatenate([g, -g]).T
+
 
 @register("post_collapse_pair")
 class PostCollapsePair(_SingleTerm):
@@ -274,6 +328,12 @@ class PostCollapsePair(_SingleTerm):
         beta, u = self._offset(x, t)
         # d/dx of the -(a-x)^2 term
         return u.T / (2.0 * beta)
+
+    def phase_gradient(self, x, t):
+        # x - a = -(a - x) exactly, so this is Im of u / 2 beta, u = a - x
+        R, S = _smith(self.alpha0.real,
+                      self.alpha0.imag + 0.5 * (t - self.t0) / self.m)
+        return (((_as_points(x, self.config_dim) - self.a).T * R) * S).T
 
 
 @register("correlated_pair")
@@ -324,6 +384,18 @@ class CorrelatedPair(_SingleTerm):
         # chain rule: d/dx1 = (m1/M) d/dX + d/dr, d/dx2 = (m2/M) d/dX - d/dr
         m1, m2, M = self.m1, self.m2, self.M
         return np.concatenate([(m1 / M) * dlc + dlr, (m2 / M) * dlc - dlr])
+
+    def phase_gradient(self, x, t):
+        X, r = self._coords(x)
+        dlc = np.empty((self.d, X.shape[0]))   # d/dX
+        for a in range(self.d):
+            dlc[a] = _gauss_1d_phase(X[:, a], t, self.center[a],
+                                     self.sigma_x, 0.0, self.M)
+        R, S = _smith(self.alpha, 0.5 * t / self.mu)
+        dlr = (r.T * R) * S   # d/dr
+        m1, m2, M = self.m1, self.m2, self.M
+        return np.concatenate([(m1 / M) * dlc + dlr,
+                               (m2 / M) * dlc - dlr]).T
 
 
 @register("superposition")

@@ -22,10 +22,10 @@ and never to other members: a closed-form state is at a node where
 |psi|^2 <= RHO_FLOOR_REL (sum_i |c_i phi_i|)^2 summed over spin, i.e.
 where its terms cancel (`configuration_velocity`).  A single term cannot
 cancel, so only its underflow to 0 is a node; a single scalar term never
-forms psi at all, and its velocity (hbar/m) Im grad log psi follows a
-Gaussian tail also where psi underflows.  Grid snapshots have no terms
-to compare against and use RHO_FLOOR_REL times the largest density of
-the snapshots held.
+forms psi at all, and its velocity (hbar/m) grad S, S the phase of psi,
+follows a Gaussian tail also where psi underflows.  Grid snapshots have
+no terms to compare against and use RHO_FLOOR_REL times the largest
+density of the snapshots held.
 
 The ensemble sampler draws from |psi|^2 by rejection against a fitted
 Gaussian (or uniform) envelope using the counter-based Philox generator,
@@ -144,7 +144,9 @@ class Box:
 
 class ParametricVelocity:
     """Exact pointwise velocities of a closed-form state: the guidance law
-    `configuration_velocity` with the state's `spin` and `em`."""
+    `configuration_velocity` with the state's `spin` and `em`.  For a
+    single scalar term that is (hbar/m) times its family's
+    `phase_gradient`, real arithmetic that never evaluates psi."""
 
     def __init__(self, psi, spin=None, em=None):
         self.psi = psi
@@ -332,24 +334,39 @@ def _probe(xa, c, k):
     return xa + c * k
 
 
+def _stages(xa, source, t, h, k1, probe):
+    """The RK4 stages after k1, with their probe points formed by
+    `probe`: (k2, k3, k4, p2, p3, p4)."""
+    half = 0.5 * h
+    p2 = probe(xa, half, k1)
+    k2 = source.velocity(p2, t + half)
+    p3 = probe(xa, half, k2)
+    k3 = source.velocity(p3, t + half)
+    p4 = probe(xa, h, k3)
+    return k2, k3, source.velocity(p4, t + h), p2, p3, p4
+
+
 def _rk4_step(xa, source, t, h):
     """One RK4 step of the members xa: their new positions, and None when
     no member stopped, else the masks of those that hit a node (not
-    moved) and that left the domain.  The masks are built only when dx
-    is not finite (a finite dx means all four stages were) or a member
-    left the domain."""
-    half = 0.5 * h
+    moved) and that left the domain.  The stage probes are plain
+    xa + c k; only when dx is not finite (a finite dx means all four
+    stages were) are the stages after k1 formed again through `_probe`,
+    which keeps a NaN stage from poisoning the next probe, and the masks
+    built.  They are also built when a member left the domain."""
     k1 = source.velocity(xa, t)
-    p2 = _probe(xa, half, k1)
-    k2 = source.velocity(p2, t + half)
-    p3 = _probe(xa, half, k2)
-    k3 = source.velocity(p3, t + half)
-    p4 = _probe(xa, h, k3)
-    k4 = source.velocity(p4, t + h)
+    k2, k3, k4, p2, p3, p4 = _stages(xa, source, t, h, k1,
+                                     lambda x, c, k: x + c * k)
     dx = (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    finite = np.isfinite(dx).all()
+    if not finite:
+        # the stages agree up to a member's first non-finite one, so the
+        # same members have a non-finite dx
+        k2, k3, k4, p2, p3, p4 = _stages(xa, source, t, h, k1, _probe)
+        dx = (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     new = xa + dx
     domain = source.domain
-    if np.isfinite(dx).all():
+    if finite:
         if domain is None:
             return new, None
         inside = domain.contains(new)

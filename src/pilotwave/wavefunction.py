@@ -49,7 +49,7 @@ class ParametricWaveFunction:
         if fam.masses is not None and tuple(map(float, fam.masses)) != self.masses:
             raise ConfigurationError(
                 f"{family} params give masses {fam.masses}, the state {self.masses}")
-        self._has_log_gradient = hasattr(fam, "log_gradient")
+        self._has_phase_gradient = hasattr(fam, "phase_gradient")
         self.spin_dim = fam.spin_dim
         self.config_dim = fam.config_dim
         self.hbar_m = _hbar_m(self.masses, self.config_dim)
@@ -66,12 +66,13 @@ class ParametricWaveFunction:
         """Spatial gradient, shape (spin_dim, config_dim, npoints)."""
         return self.value_gradient_moduli(configs, t)[1]
 
-    def log_gradient(self, configs, t=None):
-        """grad log psi, shape (config_dim, npoints), without evaluating
-        psi; None unless the family is a single closed-form scalar term."""
-        if not self._has_log_gradient:
+    def phase_gradient(self, configs, t=None):
+        """grad S of psi = R e^{iS}, i.e. Im grad log psi, shape (npoints,
+        config_dim), in real arithmetic and without evaluating psi; None
+        unless the family is a single closed-form scalar term."""
+        if not self._has_phase_gradient:
             return None
-        return self._fam.log_gradient(configs, self.time if t is None else t)
+        return self._fam.phase_gradient(configs, self.time if t is None else t)
 
     def value_gradient_moduli(self, configs, t=None):
         """(evaluate, gradient, moduli) from one family pass.

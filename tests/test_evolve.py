@@ -385,6 +385,32 @@ def fft_passes(monkeypatch):
 
 
 class TestTransformPasses:
+    @pytest.mark.parametrize("kind", ["free", "potential+coupled", "zeeman"])
+    def test_step_leaves_the_input_state_alone(self, kind):
+        """The transforms work in place on one copy of the values: the
+        input state's values stay as they were, and read-only."""
+        if kind == "zeeman":
+            grid = Grid([(-10.0, 10.0)], [64])
+            packet = np.exp(-grid.axes[0]**2 / 2 + 0.5j * grid.axes[0])
+            psi = GridWaveFunction(grid, np.stack([0.6 * packet, 0.8j * packet]),
+                                   [1.0]).normalized()
+            em = EmPotential(b=lambda p, t: np.tile([0.3, -0.2, 0.8], (len(p), 1)),
+                             charge=1.0)
+            prop = split_prop(0.05, spin=SpinSpec(0.5, g=2.0), em=em)
+        else:
+            psi = packet_2d()
+            kw = {}
+            if kind != "free":
+                kw = {"coupling": (1, drag(psi.grid, 1)),
+                      "potential": lambda p, t: harmonic(p[:, 0], p[:, 1])}
+            prop = split_prop(0.05, **kw)
+        before = psi.values.copy()
+        out = step(psi, prop)
+        np.testing.assert_array_equal(psi.values, before)
+        assert not psi.values.flags.writeable
+        assert not out.values.flags.writeable
+        assert not np.shares_memory(out.values, psi.values)
+
     @pytest.mark.parametrize("kind, expected", [
         ("free", 4), ("coupled", 6), ("potential", 8),
         ("potential+coupled", 8)])

@@ -197,8 +197,7 @@ class TestTrajectories:
             "chi": chi}, [m])
         x = np.array([[f * sigma, 0.3, -0.4] for f in (0.0, 20.0, 45.0, 54.0)])
         assert np.all(psi.density(x[2:], t) == 0)
-        dlog = ParametricWaveFunction("gaussian_packet", scalar,
-                                      [m]).log_gradient(x, t).T
+        dlog = families.build("gaussian_packet", scalar).log_gradient(x, t).T
         s = np.real(np.einsum("a,kab,b->k", chi.conj(), spin.generators, chi)
                     / np.vdot(chi, chi))
         expected = (np.imag(dlog) + spin.g * np.cross(np.real(dlog), s)) / m
@@ -293,10 +292,11 @@ class TestTrajectories:
 
     def test_velocity_evaluates_the_state_once(self, monkeypatch):
         """One velocity call on a single closed-form term makes one
-        log-derivative pass and never evaluates psi."""
+        phase-gradient pass and never evaluates psi or its complex
+        log-derivative."""
         for psi in (correlated_pair(), gaussian()):
             fam = psi._fam
-            calls = {"log_gradient": 0, "value": 0,
+            calls = {"phase_gradient": 0, "log_gradient": 0, "value": 0,
                      "value_gradient_moduli": 0, "_gauss_1d": 0}
 
             def counted(name, fn):
@@ -306,7 +306,7 @@ class TestTrajectories:
                 return wrapper
 
             with monkeypatch.context() as mp:
-                for name in ("log_gradient", "value",
+                for name in ("phase_gradient", "log_gradient", "value",
                              "value_gradient_moduli"):
                     mp.setattr(fam, name, counted(name, getattr(fam, name)))
                 mp.setattr(families, "_gauss_1d",
@@ -314,8 +314,8 @@ class TestTrajectories:
                 pts = np.random.default_rng(0).normal(size=(16, psi.config_dim))
                 v = ParametricVelocity(psi).velocity(pts, 0.4)
             assert np.all(np.isfinite(v))
-            assert calls == {"log_gradient": 1, "value": 0,
-                             "value_gradient_moduli": 0,
+            assert calls == {"phase_gradient": 1, "log_gradient": 0,
+                             "value": 0, "value_gradient_moduli": 0,
                              "_gauss_1d": 0}, psi.family
 
     def test_superposition_evaluates_each_leaf_once(self, monkeypatch):
@@ -632,7 +632,7 @@ def _reference_single_term_velocity(psi, at, t):
     """`configuration_velocity` of a single closed-form term with the row
     mask built on every call: the arithmetic the one-test form keeps."""
     at = np.atleast_2d(np.asarray(at, dtype=float))
-    v = psi.hbar_m * np.imag(psi.log_gradient(at, t)).T
+    v = psi.hbar_m * psi.phase_gradient(at, t)
     bad = ~np.isfinite(v).all(axis=1)
     if bad.any():
         v[bad] = np.nan
@@ -742,6 +742,34 @@ class TestHotPathReference:
         assert count["node"] == 8
         assert 0 < count["exited"] < 92
         assert count["quiet"] > 0 and count["reported"] > 0
+
+    def test_mixed_batch_step_matches_the_reference(self):
+        """One step of v = (1, 0.3) in the box x <= 1 with a node at
+        x = 0.25 and a hole (0.95, 0.99): a member on the node, one whose
+        k2 probe falls in the hole and whose k4 probe (from the zeroed k2)
+        leaves the box, one whose k2 probe leaves it, and an ok member.
+        Plain probes would carry the hole's NaN into k3 and k4, so the
+        step forms its stages again; positions and masks equal the
+        reference's, with no RuntimeWarning."""
+        class Holed:
+            domain = Box([-10.0, -10.0], [1.0, 10.0])
+
+            def velocity(self, configs, t):
+                x = configs[:, 0]
+                bad = ((x == 0.25) | ((x > 0.95) & (x < 0.99))
+                       | ~self.domain.contains(configs))
+                return np.where(bad[:, None], np.nan, [[1.0, 0.3]])
+
+        xa = np.array([[0.25, 0.0], [0.92, 0.0], [0.992, 0.0], [0.0, 0.0]])
+        new, (node, exited) = guide._rk4_step(xa, Holed(), 0.0, 0.1)
+        ref, ref_node, ref_exited = _reference_rk4_step(xa, Holed(), 0.0, 0.1)
+        np.testing.assert_array_equal(new, ref)
+        np.testing.assert_array_equal(node, ref_node)
+        np.testing.assert_array_equal(exited, ref_exited)
+        assert list(node) == [True, False, False, False]
+        assert list(exited) == [False, True, True, False]
+        assert np.all(np.isfinite(new))
+        np.testing.assert_array_equal(new[:, 0], [0.25, 1.0, 1.0, 0.1])
 
     @pytest.mark.parametrize("domain", [None, Box([-3.0, -3.0], [1.5, 3.0])])
     def test_finite_batch_matches_the_reference(self, domain):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as hst
+from hypothesis.extra.numpy import arrays
 
 import strategies as rs
 from pilotwave import families
@@ -396,7 +397,7 @@ class TestFamilyProtocol:
         x = np.zeros((4, 3))
         kernels = [fam.value, fam.value_gradient_moduli]
         if hasattr(fam, "log_gradient"):
-            kernels.append(fam.log_gradient)
+            kernels += [fam.log_gradient, fam.phase_gradient]
         for kernel in kernels:
             with pytest.raises(ShapeError):
                 kernel(x, 0.3)
@@ -591,13 +592,48 @@ def _normal(z):
     return (np.abs(z) >= np.finfo(float).tiny) & np.isfinite(z)
 
 
+# ordinary coordinates and far-tail ones, where psi underflows
+_FAR_COORD = hst.one_of(hst.floats(-3.0, 3.0), hst.floats(-1e300, 1e300))
+
+
 class TestLogGradient:
-    """The single-term families' log-derivative, over random states."""
+    """The single-term families' log-derivative and phase gradient, over
+    random states."""
 
     def test_exactly_the_single_terms_have_one(self):
-        assert sorted(n for n in family_names()
-                      if hasattr(get_family(n), "log_gradient")) \
-            == sorted(PARENT_VALUE_AND_GRADIENT)
+        for kernel in ("log_gradient", "phase_gradient"):
+            assert sorted(n for n in family_names()
+                          if hasattr(get_family(n), kernel)) \
+                == sorted(PARENT_VALUE_AND_GRADIENT), kernel
+
+    @given(term=rs.single_term_states(), data=hst.data(), t=rs.times)
+    def test_phase_gradient_is_im_log_gradient(self, term, data, t):
+        """grad S in real arithmetic equals Im grad log psi bit for bit
+        wherever both are finite, so within 4 eps of the point's largest
+        |d log psi|; the points reach far into the tails."""
+        name, params, _ = term
+        fam = families.build(name, params)
+        x = data.draw(arrays(float, (data.draw(hst.integers(1, 6)),
+                                     fam.config_dim), elements=_FAR_COORD))
+        dlog = fam.log_gradient(x, t)
+        dphase = fam.phase_gradient(x, t)
+        assert dphase.shape == (len(x), fam.config_dim)
+        assert dphase.dtype == float
+        ok = np.isfinite(dlog).all(axis=0) & np.isfinite(dphase).all(axis=1)
+        np.testing.assert_array_equal(dphase[ok], dlog.imag.T[ok])
+
+    @given(case=_term_at_points(), data=hst.data())
+    def test_one_time_per_point_equals_one_point_calls(self, case, data):
+        """t of shape (n,) gives each point the phase gradient it has
+        alone at its own time, a float or a numpy scalar."""
+        name, params, _, x = case
+        fam = families.build(name, params)
+        t = data.draw(arrays(float, len(x), elements=hst.floats(0.0, 3.0)))
+        batch = fam.phase_gradient(x, t)
+        for cast in (float, np.float64):
+            alone = np.concatenate([fam.phase_gradient(p, cast(ti))
+                                    for p, ti in zip(x, t)])
+            np.testing.assert_array_equal(batch, alone)
 
     @given(case=_term_at_points(), t=rs.times)
     def test_log_gradient_is_grad_over_value(self, case, t):
@@ -638,7 +674,7 @@ class TestLogGradient:
         # that is subnormal, or underflowed to 0 from a nonzero grad log
         # psi, has lost the relative precision grad psi / psi needs
         rho = np.abs(coef * bare.evaluate(x, t)[0]) ** 2
-        dlog = bare.log_gradient(x, t)
+        dlog = families.build(name, params).log_gradient(x, t)
         sgrad = coef * bare.gradient(x, t)[0]
         ok = (np.isfinite(rho) & (1e-12 * rho >= np.finfo(float).tiny)
               & np.all(_normal(sgrad) | (dlog == 0), axis=0))
