@@ -137,7 +137,7 @@ def build_dkp_state(rep, mass, waves, massless=False):
     for spec in waves:
         p = np.asarray(spec["p"], dtype=float)
         if p.shape != (3,):
-            raise PhysicsError("momentum must be a 3-vector")
+            raise ShapeError("momentum must be a 3-vector")
         e = np.linalg.norm(p) if massless else np.sqrt(p @ p + mass * mass)
         if "E" in spec and abs(spec["E"] - e) > ONSHELL_TOL * max(e, 1.0):
             raise PhysicsError(
@@ -150,7 +150,7 @@ def build_dkp_state(rep, mass, waves, massless=False):
             comp = _spin1_components(p, e, mass, spec["polarization"], massless)
         res = mats.constraint_residual_op(p, mass, massless=massless) @ comp
         if np.max(np.abs(res)) > CONSTRAINT_TOL * max(1.0, np.max(np.abs(comp))):
-            raise ConfigurationError(
+            raise InvariantViolationError(
                 "constraint residual above 1e-10: construction bug")
         terms.append((complex(spec.get("coef", 1.0)), p, e, comp))
     return DkpState(rep=rep, mass=mass, terms=tuple(terms), massless=massless)

@@ -46,7 +46,9 @@ its keys are read and converted once, when it is built, and
   spinor component that vanishes identically would make it 0/0, so
   guidance divides their current by rho instead.
 
-A configuration of the wrong dimension raises ShapeError.
+A configuration of the wrong dimension raises ShapeError.  Every kernel
+takes t as a scalar or as one time per point, shape (n,);
+`ParametricWaveFunction` refuses any other shape of t with ShapeError.
 
 Registered families:
 
@@ -501,7 +503,7 @@ class PlaneWaveSum:
         kx = k[:, :1] * x[:, 0]
         for a in range(1, self.config_dim):
             kx = kx + k[:, a:a + 1] * x[:, a]
-        return np.exp(1j * (kx - (self.omega * t)[:, None]))
+        return np.exp(1j * (kx - self.omega[:, None] * t))
 
     def value(self, x, t):
         """Shape (spin_dim, n), C-contiguous."""

@@ -1,5 +1,7 @@
 """Uniform rectangular grids over configuration space."""
 
+from math import prod
+
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
@@ -63,44 +65,30 @@ class Grid:
                     f"coordinate {coord} outside axis {a} extents [{lo}, {hi}]",
                     coordinate=coord)
 
-    def interp_weights(self, configs):
-        """Indices and fractional offsets for multilinear interpolation.
-
-        Returns (idx, frac): integer lower-corner indices and fractional
-        position in the cell, both shaped (npts, ndim).  Points must lie
-        inside the extents.
-        """
-        configs = np.atleast_2d(np.asarray(configs, dtype=float))
-        self.require_inside(configs)
-        idx = np.empty(configs.shape, dtype=np.intp)
-        frac = np.empty(configs.shape)
-        for a in range(self.ndim):
-            lo, _ = self.extents[a]
-            pos = (configs[:, a] - lo) / self.spacing[a]
-            i = np.clip(np.floor(pos).astype(np.intp), 0, self.points[a] - 2)
-            idx[:, a] = i
-            frac[:, a] = pos - i
-        return idx, frac
-
     def corners(self, configs):
         """The 2^ndim cell corners of multilinear interpolation at configs:
-        a list of (flat node index, weight) pairs, each shaped (npts,)."""
-        idx, frac = self.interp_weights(configs)
-        npts = idx.shape[0]
-        base = np.ravel_multi_index(tuple(idx.T), self.points)
-        strides = np.cumprod((1,) + self.points[:0:-1])[::-1]
-        out = []
-        for corner in range(1 << self.ndim):
-            offset = 0
-            w = np.ones(npts)
-            for a in range(self.ndim):
-                if corner >> a & 1:
-                    offset += strides[a]
-                    w = w * frac[:, a]
-                else:
-                    w = w * (1.0 - frac[:, a])
-            out.append((base + offset, w))
-        return out
+        a list of (flat node index, weight) pairs, each shaped (npts,).
+
+        Corner c takes the upper node along axis a when bit a of c is
+        set.  Its weight multiplies, in axis order, the fractional
+        position in the cell, or one minus it.  The lower index clips to
+        n - 2, so a point on an upper face has fraction 1.  Points must
+        lie inside the extents."""
+        configs = np.atleast_2d(np.asarray(configs, dtype=float))
+        self.require_inside(configs)
+        base, out = 0, [(0, None)]
+        for a, n in enumerate(self.points):
+            stride = prod(self.points[a + 1:])
+            # pos >= 0 inside the extents, so the cast is the floor
+            pos = (configs[:, a] - self.extents[a][0]) / self.spacing[a]
+            i = np.minimum(pos.astype(np.intp), n - 2)
+            base = base + i * stride
+            frac = pos - i
+            lower = 1.0 - frac
+            out = ([(off, lower if w is None else w * lower) for off, w in out]
+                   + [(off + stride, frac if w is None else w * frac)
+                      for off, w in out])
+        return [(base + off, w) for off, w in out]
 
     def interpolate(self, values, configs, corners=None):
         """Multilinear interpolation of node values at configurations.
@@ -116,5 +104,7 @@ class Grid:
         flat = values.reshape(lead + (-1,))
         out = np.zeros(lead + corners[0][0].shape, dtype=values.dtype)
         for index, w in corners:
-            out += np.take(flat, index, axis=-1) * w
+            part = np.take(flat, index, axis=-1)
+            part *= w
+            out += part
         return out

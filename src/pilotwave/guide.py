@@ -122,10 +122,24 @@ class Box:
     def __init__(self, lo, hi):
         self.lo = np.asarray(lo, dtype=float)
         self.hi = np.asarray(hi, dtype=float)
+        # the comparisons `contains` makes, column by column: a bound of
+        # -inf below or +inf above holds for every x but NaN, so it is
+        # tested only where it is an axis's one NaN test
+        self._tests = []
+        for a, (lo_a, hi_a) in enumerate(zip(self.lo, self.hi)):
+            if lo_a != -np.inf or hi_a == np.inf:
+                self._tests.append((a, np.greater_equal, lo_a))
+            if hi_a != np.inf:
+                self._tests.append((a, np.less_equal, hi_a))
 
     def contains(self, configs):
-        """Boolean mask of the configurations (n, d) inside the box."""
-        return np.all((configs >= self.lo) & (configs <= self.hi), axis=1)
+        """Boolean mask of the configurations (n, d) inside the box: rows
+        with every x in [lo, hi], so a row with a NaN is outside."""
+        (a, test, bound), *rest = self._tests
+        inside = test(configs[:, a], bound)
+        for a, test, bound in rest:
+            inside &= test(configs[:, a], bound)
+        return inside
 
     def land(self, inside, outside):
         """Where each segment `inside` -> `outside` (n, d) first leaves the
@@ -216,22 +230,35 @@ class SnapshotVelocity:
         return lo, hi, w
 
     def velocity(self, configs, t):
+        """j / rho at configs (n, ndim), interpolated in space at the
+        points, then blended linearly in time.  Rows outside the grid or
+        at most the floor in rho are NaN.  When every row is inside,
+        configs is interpolated as it is, and when every rho is above
+        the floor, v is j / rho with no mask."""
         inside = self.domain.contains(configs)
+        everywhere = inside.all()
+        if not everywhere and not inside.any():
+            return np.full_like(np.asarray(configs, dtype=float), np.nan)
+        pts = configs if everywhere else configs[inside]
+        # interpolate at the points first, then blend in time; both
+        # snapshots share the cell corners
+        lo, hi, w = self._pair(t)
+        corners = self.grid.corners(pts)
+        f = self.grid.interpolate(self.fields[lo], pts, corners)
+        if w:
+            f = (1 - w) * f + w * self.grid.interpolate(
+                self.fields[hi], pts, corners)
+        rho_p, j_p = f[0], f[1:]                     # j_p: (ndim, npts)
+        above = rho_p > self.floor
+        if above.all():
+            vv = j_p / rho_p
+        else:
+            vv = (np.where(above, 1.0, np.nan) * j_p
+                  / np.where(above, rho_p, 1.0))
+        if everywhere:
+            return vv.T
         v = np.full_like(np.asarray(configs, dtype=float), np.nan)
-        if np.any(inside):
-            pts = configs[inside]
-            # interpolate at the points first, then blend in time; both
-            # snapshots share the cell corners
-            lo, hi, w = self._pair(t)
-            corners = self.grid.corners(pts)
-            f = self.grid.interpolate(self.fields[lo], pts, corners)
-            if w:
-                f = (1 - w) * f + w * self.grid.interpolate(
-                    self.fields[hi], pts, corners)
-            rho_p, j_p = f[0], f[1:]                 # j_p: (ndim, npts)
-            vv = np.where(rho_p > self.floor, 1.0, np.nan)[None, :] * j_p \
-                / np.where(rho_p > self.floor, rho_p, 1.0)[None, :]
-            v[inside] = vv.T
+        v[inside] = vv.T
         return v
 
 

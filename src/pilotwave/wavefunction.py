@@ -54,13 +54,29 @@ class ParametricWaveFunction:
         self.config_dim = fam.config_dim
         self.hbar_m = _hbar_m(self.masses, self.config_dim)
 
+    def _at(self, configs, t):
+        """The time of an evaluation at configs: the state's own when t is
+        None, else t, a scalar or one time per point, shape (npoints,).
+        Any other shape raises ShapeError."""
+        if t is None:
+            return self.time
+        if isinstance(t, (float, int)):        # numpy's float64 is a float
+            return t
+        shape = np.shape(t)
+        n = len(configs) if np.ndim(configs) > 1 else 1
+        if shape and shape != (n,):
+            raise ShapeError(f"t has shape {shape}; a time is a scalar or "
+                             f"one per point, shape ({n},)")
+        return t
+
     def evaluate(self, configs, t=None):
-        """Complex amplitude, shape (spin_dim, npoints).
+        """Complex amplitude, shape (spin_dim, npoints), at time t (see
+        `_at`).
 
         Non-finite values (extreme underflow/overflow arguments) pass
         through; guidance treats them as node encounters, and the public
         `evaluate` wrapper validates finiteness for API users."""
-        return self._fam.value(configs, self.time if t is None else t)
+        return self._fam.value(configs, self._at(configs, t))
 
     def gradient(self, configs, t=None):
         """Spatial gradient, shape (spin_dim, config_dim, npoints)."""
@@ -72,7 +88,7 @@ class ParametricWaveFunction:
         unless the family is a single closed-form scalar term."""
         if not self._has_phase_gradient:
             return None
-        return self._fam.phase_gradient(configs, self.time if t is None else t)
+        return self._fam.phase_gradient(configs, self._at(configs, t))
 
     def value_gradient_moduli(self, configs, t=None):
         """(evaluate, gradient, moduli) from one family pass.
@@ -81,8 +97,7 @@ class ParametricWaveFunction:
         shape (spin_dim, n), are what the terms would give if they all
         added in phase; None for a single closed-form term (nothing can
         cancel)."""
-        return self._fam.value_gradient_moduli(
-            configs, self.time if t is None else t)
+        return self._fam.value_gradient_moduli(configs, self._at(configs, t))
 
     def density(self, configs, t=None):
         v = self.evaluate(configs, t)
@@ -120,7 +135,7 @@ class GridWaveFunction:
         self.time = float(time)
         self.config_dim = grid.ndim
         self.hbar_m = _hbar_m(self.masses, self.config_dim)
-        self._norm = None
+        self._density = self._norm = None
 
     @classmethod
     def sample(cls, state, grid):
@@ -129,7 +144,14 @@ class GridWaveFunction:
         return cls(grid, vals, state.masses, time=state.time)
 
     def density_nodes(self):
-        return np.sum(np.abs(self.values) ** 2, axis=0)
+        """|psi|^2 summed over spin at the nodes, read-only; computed
+        once (the state is immutable), for the norm and the snapshot
+        field alike."""
+        if self._density is None:
+            density = np.sum(np.abs(self.values) ** 2, axis=0)
+            density.setflags(write=False)
+            self._density = density
+        return self._density
 
     def norm(self):
         """L2 norm over the grid; computed once (the state is immutable)."""
@@ -173,31 +195,62 @@ class GridWaveFunction:
 def grid_gradient(values, grid):
     """Differentiate (..., *grid.shape) arrays along every grid axis.
 
-    Returns shape (..., ndim, *grid.shape).
+    Returns shape (..., ndim, *grid.shape): fourth-order central
+    differences in the interior, second order at the two outermost
+    layers (one-sided on the very edge).  Each axis's derivative is
+    written straight into its slot of the result; a complex array is
+    differenced as its float view, real and imaginary parts alike.
     """
     lead = values.shape[:values.ndim - grid.ndim]
     out = np.empty(lead + (grid.ndim,) + grid.shape, dtype=values.dtype)
     for a in range(grid.ndim):
-        out[(Ellipsis, a) + (slice(None),) * grid.ndim] = _axis_derivative(
-            values, grid.spacing[a], values.ndim - grid.ndim + a)
+        _axis_derivative(values, grid.spacing[a], values.ndim - grid.ndim + a,
+                         out[(Ellipsis, a) + (slice(None),) * grid.ndim])
     return out
 
 
-def _axis_derivative(f, h, axis):
-    f = np.moveaxis(f, axis, -1)
-    n = f.shape[-1]
-    d = np.empty_like(f)
-    if n < 5:
+def _axis_derivative(f, h, axis, out):
+    """Write the stencil derivative of f along `axis` into out (f's shape).
+
+    A complex f is differenced on its float view, where one node of the
+    last axis is two floats, and scaled by the reciprocal of 12h or 2h:
+    numpy divides a complex array by a real scalar that way, so the
+    result is the complex arithmetic's bit for bit.  A real f is divided.
+    """
+    if f.shape[axis] < 5:
         raise ShapeError("need at least 5 points per axis for derivatives")
-    # 4th-order interior
-    d[..., 2:-2] = (f[..., :-4] - 8 * f[..., 1:-3]
-                    + 8 * f[..., 3:-1] - f[..., 4:]) / (12.0 * h)
+    width = 1
+    if np.iscomplexobj(f):
+        width = 2 if axis == f.ndim - 1 else 1
+        f, out = np.ascontiguousarray(f).view(float), out.view(float)
+
+        def scale(x, c):
+            np.multiply(x, 1.0 / c, out=x)
+    else:
+        def scale(x, c):
+            np.divide(x, c, out=x)
+
+    def nodes(i, j=None):
+        """Index of nodes i:j along the axis (j None: to the end)."""
+        return (slice(None),) * axis + (
+            slice(width * i, None if j is None else width * j),)
+
+    # 4th-order interior, ((f0 - 8 f1) + 8 f3) - f4, through one scratch
+    mid = out[nodes(2, -2)]
+    scratch = np.multiply(f[nodes(1, -3)], 8)
+    np.subtract(f[nodes(0, -4)], scratch, out=mid)
+    np.multiply(f[nodes(3, -1)], 8, out=scratch)
+    np.add(mid, scratch, out=mid)
+    np.subtract(mid, f[nodes(4)], out=mid)
+    scale(mid, 12.0 * h)
     # 2nd-order at the two outermost layers
-    d[..., 0] = (-3 * f[..., 0] + 4 * f[..., 1] - f[..., 2]) / (2.0 * h)
-    d[..., 1] = (f[..., 2] - f[..., 0]) / (2.0 * h)
-    d[..., -2] = (f[..., -1] - f[..., -3]) / (2.0 * h)
-    d[..., -1] = (3 * f[..., -1] - 4 * f[..., -2] + f[..., -3]) / (2.0 * h)
-    return np.moveaxis(d, -1, axis)
+    edge = {i: nodes(i, i + 1 or None) for i in (0, 1, 2, -3, -2, -1)}
+    out[edge[0]] = -3 * f[edge[0]] + 4 * f[edge[1]] - f[edge[2]]
+    out[edge[1]] = f[edge[2]] - f[edge[0]]
+    out[edge[-2]] = f[edge[-1]] - f[edge[-3]]
+    out[edge[-1]] = 3 * f[edge[-1]] - 4 * f[edge[-2]] + f[edge[-3]]
+    for i in (0, 1, -2, -1):
+        scale(out[edge[i]], 2.0 * h)
 
 
 def evaluate(psi, config):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import strategies as rs
 
+from pilotwave import dkp
 from pilotwave.dkp import (TIME_OBSERVER, DkpState, ObserverVector,
                            build_dkp_state, charge_current,
                            constraint_residual, dkp2_tensor_causal,
@@ -16,7 +17,8 @@ from pilotwave.dkp import (TIME_OBSERVER, DkpState, ObserverVector,
                            nonrel_limit_check, reduced_nonrel_state,
                            theta_tensor, total_energy_momentum)
 from pilotwave.errors import (ConfigurationError, DegenerateObserverError,
-                              NodeError, PhysicsError, ShapeError)
+                              InvariantViolationError, NodeError,
+                              PhysicsError, ShapeError)
 from pilotwave.guide import (BeableConfig, IntegrationControls,
                             ParametricVelocity, integrate_trajectory)
 from pilotwave.matrices import METRIC, build_matrix_set
@@ -57,6 +59,21 @@ class TestConstruction:
     def test_unknown_rep_rejected(self):
         with pytest.raises(ConfigurationError):
             build_dkp_state("spin2", 1.0, [])
+
+    @pytest.mark.parametrize("p", [[0.3, 0.0], [[0.3, 0.0, 0.1]], 0.3])
+    def test_momentum_of_wrong_shape_is_a_shape_error(self, p):
+        with pytest.raises(ShapeError, match="3-vector"):
+            build_dkp_state("spin0", 1.0, [{"coef": 1.0, "p": p}])
+
+    def test_components_off_the_constraint_are_an_invariant_violation(
+            self, monkeypatch):
+        """A term whose components miss the constraint surface is a bug
+        in the construction, not in the caller's input."""
+        build = dkp._spin0_components
+        monkeypatch.setattr(dkp, "_spin0_components",
+                            lambda p, e, m: build(p, e, m) + 1e-6)
+        with pytest.raises(InvariantViolationError, match="construction bug"):
+            spin0_state([{"coef": 1.0, "p": [0.3, -0.4, 0.5]}])
 
     def test_massless_spin1_projection(self):
         """gamma psi keeps exactly the six field components (-E, B) and

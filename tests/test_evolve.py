@@ -411,6 +411,20 @@ class TestTransformPasses:
         assert not out.values.flags.writeable
         assert not np.shares_memory(out.values, psi.values)
 
+    def test_step_keeps_the_input_density(self):
+        """A state's density is computed once and read-only; a step reads
+        it for the norm check and leaves it as it was, and the new state
+        has its own."""
+        psi = packet_2d()
+        rho = psi.density_nodes()
+        before = rho.copy()
+        out = step(psi, split_prop(0.05, coupling=(1, drag(psi.grid, 1))))
+        assert psi.density_nodes() is rho and not rho.flags.writeable
+        np.testing.assert_array_equal(rho, before)
+        assert not np.shares_memory(out.density_nodes(), rho)
+        np.testing.assert_array_equal(
+            out.density_nodes(), np.sum(np.abs(out.values) ** 2, axis=0))
+
     @pytest.mark.parametrize("kind, expected", [
         ("free", 4), ("coupled", 6), ("potential", 8),
         ("potential+coupled", 8)])

@@ -7,10 +7,47 @@ from pilotwave.errors import DomainError
 from pilotwave.grid import Grid
 
 
+def cell_positions(grid, configs):
+    """Lower-corner indices and fractional offsets in the cell, both
+    shaped (npts, ndim); the lower index clips to n - 2."""
+    configs = np.atleast_2d(np.asarray(configs, dtype=float))
+    grid.require_inside(configs)
+    idx = np.empty(configs.shape, dtype=np.intp)
+    frac = np.empty(configs.shape)
+    for a in range(grid.ndim):
+        pos = (configs[:, a] - grid.extents[a][0]) / grid.spacing[a]
+        i = np.clip(np.floor(pos).astype(np.intp), 0, grid.points[a] - 2)
+        idx[:, a] = i
+        frac[:, a] = pos - i
+    return idx, frac
+
+
+def reference_corners(grid, configs):
+    """Grid.corners by the generic route: the flat base index from
+    np.ravel_multi_index, the strides from a cumulative product, and
+    every corner's weight as a product started from ones."""
+    idx, frac = cell_positions(grid, configs)
+    npts = idx.shape[0]
+    base = np.ravel_multi_index(tuple(idx.T), grid.points)
+    strides = np.cumprod((1,) + grid.points[:0:-1])[::-1]
+    out = []
+    for corner in range(1 << grid.ndim):
+        offset = 0
+        w = np.ones(npts)
+        for a in range(grid.ndim):
+            if corner >> a & 1:
+                offset += strides[a]
+                w = w * frac[:, a]
+            else:
+                w = w * (1.0 - frac[:, a])
+        out.append((base + offset, w))
+    return out
+
+
 def corner_loop(grid, values, configs):
     """Interpolation by fancy indexing with one index array per axis, in
     the same corner and weight order as Grid.interpolate."""
-    idx, frac = grid.interp_weights(configs)
+    idx, frac = cell_positions(grid, configs)
     npts = idx.shape[0]
     lead = values.shape[:values.ndim - grid.ndim]
     out = np.zeros(lead + (npts,), dtype=values.dtype)
@@ -97,3 +134,31 @@ def test_shared_corners_blend_bit_identical(name):
     apart = ((1 - w) * grid.interpolate(lo, pts)
              + w * grid.interpolate(hi, pts))
     np.testing.assert_array_equal(shared, apart)
+
+
+LENGTHS = [(5,), (40,), (5, 40), (23, 7), (5, 6, 9), (11, 5, 17)]
+
+
+@pytest.mark.parametrize("points", LENGTHS, ids=str)
+def test_corners_bit_identical_to_the_generic_route(points):
+    """Indices and weights of every corner equal the generic route's,
+    at random points, every node and points on the upper faces."""
+    rng = np.random.default_rng(len(points) * 100 + points[0])
+    grid = Grid([(-1.0 - a, 0.7 + 2 * a) for a in range(len(points))],
+                points)
+    pts = probe_points(grid, rng)
+    lean, generic = grid.corners(pts), reference_corners(grid, pts)
+    assert len(lean) == len(generic) == 1 << grid.ndim
+    for (index, w), (index_ref, w_ref) in zip(lean, generic):
+        assert index.dtype == index_ref.dtype
+        np.testing.assert_array_equal(index, index_ref)
+        np.testing.assert_array_equal(w, w_ref)
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_corners_refuse_a_point_outside(name):
+    grid = GRIDS[name]
+    pts = np.array([[e[0] for e in grid.extents]])
+    pts[0, 0] -= 1e-9
+    with pytest.raises(DomainError):
+        grid.corners(pts)

@@ -412,6 +412,25 @@ class TestDomains:
         assert out[0, 0] == 1.0 and out[1, 1] == 1.0 and out[2, 0] == 0.0
         assert np.all(box.contains(out))
 
+    @given(data=st.data())
+    def test_box_contains_equals_the_broadcast_mask(self, data):
+        """Column by column, with infinite bounds left out, the mask is
+        the broadcast all(lo <= x <= hi) over each row, also for rows
+        with NaN or +-inf and for x on a bound."""
+        d = data.draw(st.integers(1, 4))
+        bound = st.one_of(st.floats(-2.0, 2.0),
+                          st.sampled_from([-np.inf, np.inf]))
+        lo, hi = (data.draw(arrays(float, d, elements=bound))
+                  for _ in range(2))
+        special = st.sampled_from([np.nan, np.inf, -np.inf,
+                                   *lo.tolist(), *hi.tolist()])
+        configs = data.draw(arrays(
+            float, (data.draw(st.integers(1, 12)), d),
+            elements=st.one_of(st.floats(-3.0, 3.0), special)))
+        np.testing.assert_array_equal(
+            Box(lo, hi).contains(configs),
+            np.all((configs >= lo) & (configs <= hi), axis=1))
+
     @pytest.mark.parametrize("dt", [0.05, 0.01])
     def test_grid_exit_lands_on_the_face(self, dt):
         """The last RK4 stage of the step that leaves the grid probes
@@ -851,6 +870,52 @@ class TestSnapshotVelocity:
                / grid.interpolate(rho, self.POINTS)).T
         np.testing.assert_allclose(src.velocity(self.POINTS, t), ref,
                                    rtol=1e-13, atol=0)
+
+    @staticmethod
+    def where_form(src, configs, t):
+        """`SnapshotVelocity.velocity` with a NaN buffer scattered into
+        and the floor applied by `where` on every call."""
+        inside = src.domain.contains(configs)
+        v = np.full_like(np.asarray(configs, dtype=float), np.nan)
+        if np.any(inside):
+            pts = configs[inside]
+            lo, hi, w = src._pair(t)
+            corners = src.grid.corners(pts)
+            f = src.grid.interpolate(src.fields[lo], pts, corners)
+            if w:
+                f = (1 - w) * f + w * src.grid.interpolate(
+                    src.fields[hi], pts, corners)
+            rho_p, j_p = f[0], f[1:]
+            vv = np.where(rho_p > src.floor, 1.0, np.nan)[None, :] * j_p \
+                / np.where(rho_p > src.floor, rho_p, 1.0)[None, :]
+            v[inside] = vv.T
+        return v
+
+    def test_velocity_equals_the_where_form(self):
+        """Bit for bit, at the snapshot times, between them and past the
+        last: members all inside and above the floor, members below the
+        floor in the far tail, on the upper faces and nodes, and outside
+        the grid or NaN."""
+        snaps = self.snapshots()
+        src = SnapshotVelocity(snaps)
+        grid = snaps[0].grid
+        rng = np.random.default_rng(9)
+        core = rng.uniform(-2.0, 2.0, size=(200, 2))
+        tail = np.array([[5.9, 5.9], [-6.0, 5.5], [6.0, 6.0]])
+        nodes = grid.nodes()[::97]
+        outside = np.array([[6.5, 0.0], [0.0, -7.0], [np.nan, 0.1],
+                            [np.inf, 0.0]])
+        floor_hits = src.velocity(tail, 0.3)
+        assert np.isnan(floor_hits).all()
+        cases = {"core": core, "tail": np.concatenate([core, tail]),
+                 "faces and nodes": np.concatenate([core, tail, nodes]),
+                 "outside": np.concatenate([core, outside, tail]),
+                 "all outside": outside}
+        for name, configs in cases.items():
+            for t in (0.0, 0.13, 0.2, 0.55, 0.6, 0.7):
+                np.testing.assert_array_equal(
+                    src.velocity(configs, t), self.where_form(src, configs, t),
+                    err_msg=f"{name} at t = {t}")
 
     def test_parametric_velocity_rejects_grid_states(self):
         """A grid state guides through `SnapshotVelocity` only: scalar or

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 import strategies as rs
 from pilotwave import families
+from pilotwave.currents import SpinSpec, configuration_velocity
 from pilotwave.dkp import build_dkp_state
 from pilotwave.errors import (ConfigurationError, DomainError, ShapeError,
                               UnsupportedFamilyError)
@@ -18,7 +19,7 @@ from pilotwave.grid import Grid
 from pilotwave.guide import ParametricVelocity
 from pilotwave.reldirac import PlaneWaveSpinorState, free_spinor
 from pilotwave.wavefunction import (GridWaveFunction, ParametricWaveFunction,
-                                    evaluate)
+                                    evaluate, grid_gradient)
 
 
 def gaussian_1d(**kw):
@@ -295,6 +296,79 @@ class TestGridState:
         psi.density(np.array([[0.1]]))
         np.testing.assert_array_equal(psi.values, before)
         assert abs(psi.norm() - 1.0) < 1e-9
+
+
+def moveaxis_derivative(f, h, axis):
+    """The stencil derivative along `axis` by moving it last: complex
+    arithmetic on strided slices, divided by 12h and 2h."""
+    f = np.moveaxis(f, axis, -1)
+    d = np.empty_like(f)
+    d[..., 2:-2] = (f[..., :-4] - 8 * f[..., 1:-3]
+                    + 8 * f[..., 3:-1] - f[..., 4:]) / (12.0 * h)
+    d[..., 0] = (-3 * f[..., 0] + 4 * f[..., 1] - f[..., 2]) / (2.0 * h)
+    d[..., 1] = (f[..., 2] - f[..., 0]) / (2.0 * h)
+    d[..., -2] = (f[..., -1] - f[..., -3]) / (2.0 * h)
+    d[..., -1] = (3 * f[..., -1] - 4 * f[..., -2] + f[..., -3]) / (2.0 * h)
+    return np.moveaxis(d, -1, axis)
+
+
+class TestGridGradient:
+    """`grid_gradient` differences a complex array as its float view; it
+    must equal the moved-axis complex stencil bit for bit."""
+
+    @pytest.mark.parametrize("points", [
+        (5,), (17,), (40,), (5, 40), (23, 7), (40, 5), (5, 6, 9),
+        (11, 5, 17)], ids=str)
+    @pytest.mark.parametrize("lead", [(), (2,), (3, 2)], ids=str)
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_equals_the_moveaxis_stencil(self, points, lead, dtype):
+        grid = Grid([(-1.0 - a, 0.5 + 1.3 * a) for a in range(len(points))],
+                    points)
+        rng = np.random.default_rng(sum(points) + len(lead))
+        values = rng.standard_normal(lead + grid.shape)
+        if dtype is complex:
+            values = values + 1j * rng.standard_normal(lead + grid.shape)
+        before = values.copy()
+        out = grid_gradient(values, grid)
+        assert out.shape == lead + (grid.ndim,) + grid.shape
+        assert out.dtype == values.dtype
+        for a in range(grid.ndim):
+            np.testing.assert_array_equal(
+                out[(Ellipsis, a) + (slice(None),) * grid.ndim],
+                moveaxis_derivative(values, grid.spacing[a], len(lead) + a))
+        np.testing.assert_array_equal(values, before)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_non_contiguous_values(self, dtype):
+        """A strided or Fortran-ordered array gives what its contiguous
+        copy gives."""
+        grid = Grid([(-2.0, 2.0), (0.0, 3.0)], [9, 12])
+        rng = np.random.default_rng(8)
+        big, wide = (rng.standard_normal(shape).astype(dtype)
+                     for shape in ((2, 18, 12), (2, 12, 9)))
+        if dtype is complex:
+            big, wide = big + 1j, wide - 0.5j
+        for values in (big[:, ::2], big[::-1, 1::2],
+                       np.asfortranarray(big[:, ::2]), wide.transpose(0, 2, 1)):
+            np.testing.assert_array_equal(
+                grid_gradient(values, grid),
+                grid_gradient(np.ascontiguousarray(values), grid))
+
+    def test_fewer_than_five_points_is_a_shape_error(self):
+        grid = Grid([(-1.0, 1.0), (-1.0, 1.0)], [8, 4])
+        with pytest.raises(ShapeError, match="5 points"):
+            grid_gradient(np.ones((8, 4), dtype=complex), grid)
+
+    def test_density_nodes_computed_once_and_read_only(self):
+        grid = Grid([(-2.0, 2.0), (0.0, 3.0)], [9, 12])
+        values = np.random.default_rng(2).standard_normal((2, 9, 12)) + 0.5j
+        psi = GridWaveFunction(grid, values, [1.0])
+        rho = psi.density_nodes()
+        assert psi.density_nodes() is rho
+        assert not rho.flags.writeable
+        with pytest.raises(ValueError):
+            rho[0, 0] = 1.0
+        np.testing.assert_array_equal(rho, np.sum(np.abs(values) ** 2, axis=0))
 
 
 class TestParticleAxes:
@@ -681,3 +755,46 @@ class TestLogGradient:
         scale = np.max(np.abs(dlog), axis=0) / min(masses)
         assert np.all(np.abs(v_scaled[ok] - v_bare[ok])
                       <= 1e-12 * scale[ok, None])
+
+
+class TestTimeShape:
+    """An evaluation time is a scalar or one time per point, shape (n,);
+    `ParametricWaveFunction` refuses any other shape with ShapeError, in
+    every kernel and for every family."""
+
+    X = np.random.default_rng(4).normal(size=(6, 2))
+
+    @staticmethod
+    def state(name):
+        params = FAMILY_PARAMS[name]
+        return ParametricWaveFunction(
+            name, params, families.build(name, params).masses or [1.3])
+
+    @pytest.mark.parametrize("name", family_names())
+    def test_wrong_shape_is_a_shape_error(self, name):
+        psi = self.state(name)
+        spin = SpinSpec(0.5) if psi.spin_dim == 2 else None
+        kernels = [psi.evaluate, psi.value_gradient_moduli, psi.density,
+                   lambda x, t: configuration_velocity(psi, x, t, spin)]
+        if psi.phase_gradient(self.X) is not None:
+            kernels.append(psi.phase_gradient)
+        for t in (np.full((6, 1), 0.4), np.full((1, 6), 0.4), np.full(5, 0.4)):
+            for kernel in kernels:
+                with pytest.raises(ShapeError, match="one per point"):
+                    kernel(self.X, t)
+
+    @pytest.mark.parametrize("name", family_names())
+    def test_one_time_per_point_is_each_point_alone(self, name):
+        """Each row at its own time agrees with the point evaluated alone
+        at that time: a float, a numpy scalar, or an array of one."""
+        psi = self.state(name)
+        t = np.linspace(0.0, 2.0, len(self.X))
+        val, grad, _ = psi.value_gradient_moduli(self.X, t)
+        np.testing.assert_array_equal(val, psi.evaluate(self.X, t))
+        for i, (p, ti) in enumerate(zip(self.X, t)):
+            for at in (float(ti), ti, np.array([ti])):
+                one_val, one_grad, _ = psi.value_gradient_moduli(p, at)
+                np.testing.assert_allclose(val[:, i], one_val[:, 0],
+                                           rtol=1e-14, atol=0)
+                np.testing.assert_allclose(grad[..., i], one_grad[..., 0],
+                                           rtol=1e-14, atol=0)
