@@ -14,12 +14,12 @@ formulas, so each can be read against the literature.
 from .grid import Grid
 from .matrices import MatrixSet, build_matrix_set
 from .wavefunction import (ParametricWaveFunction, GridWaveFunction,
-                           evaluate, grid_gradient)
+                           grid_gradient)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Grid", "MatrixSet", "build_matrix_set",
-    "ParametricWaveFunction", "GridWaveFunction", "evaluate", "grid_gradient",
+    "ParametricWaveFunction", "GridWaveFunction", "grid_gradient",
     "__version__",
 ]

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import InvariantViolationError, ShapeError
 from .matrices import PAULI, bilinears
 from .wavefunction import grid_gradient
 
@@ -46,25 +46,35 @@ from .wavefunction import grid_gradient
 RHO_FLOOR_REL = 1e-12
 
 
-def spin_generators(s):
-    """Rotation generators in the (2s+1)-dimensional representation."""
-    if s == 0:
-        return np.zeros((3, 1, 1), dtype=complex)
-    if s == 0.5:
-        return 0.5 * PAULI
-    if s == 1:
-        eps = np.zeros((3, 3, 3))
-        for (i, j, k), sign in {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
-                                (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1}.items():
-            eps[i, j, k] = sign
-        return -1j * eps
-    raise ShapeError(f"unsupported spin {s}; use 0, 1/2 or 1")
+def _spin_generators():
+    """Rotation generators S_i in the (2s+1)-dimensional representation
+    of each supported spin s, read-only, their commutators checked."""
+    eps = np.zeros((3, 3, 3))
+    for (i, j, k), sign in {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
+                            (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1}.items():
+        eps[i, j, k] = sign
+    sets = {0: np.zeros((3, 1, 1), dtype=complex), 0.5: 0.5 * PAULI,
+            1: -1j * eps}
+    for gens in sets.values():
+        # [S_i, S_j] = i hbar eps_ijk S_k, checked entrywise
+        for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            comm = gens[i] @ gens[j] - gens[j] @ gens[i]
+            if not np.allclose(comm, 1j * gens[k], atol=1e-14):
+                raise InvariantViolationError(
+                    "generator commutation relations failed")
+        gens.setflags(write=False)
+    return sets
+
+
+_GENERATORS = _spin_generators()
 
 
 @dataclass(frozen=True)
 class SpinSpec:
     """Spin value, gyromagnetic factor and generators.
 
+    s is 0, 1/2 or 1, and any other value raises ShapeError; generators
+    is that spin's read-only set, built and verified once, at import.
     g defaults to 0 for spin 0 and 1/s otherwise (the elementary value),
     but is overridable: time-of-arrival experiments contrast g choices.
     """
@@ -73,14 +83,10 @@ class SpinSpec:
     generators: np.ndarray = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.s not in (0, 0.5, 1):
-            raise ShapeError(f"unsupported spin {self.s}")
-        gens = spin_generators(self.s)
-        # [S_i, S_j] = i hbar eps_ijk S_k, checked entrywise
-        for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            comm = gens[i] @ gens[j] - gens[j] @ gens[i]
-            if not np.allclose(comm, 1j * gens[k], atol=1e-14):
-                raise ShapeError("generator commutation relations failed")
+        try:
+            gens = _GENERATORS[self.s]
+        except (KeyError, TypeError):
+            raise ShapeError(f"unsupported spin {self.s}; use 0, 1/2 or 1") from None
         object.__setattr__(self, "generators", gens)
         if self.g is None:
             object.__setattr__(self, "g", 0.0 if self.s == 0 else 1.0 / self.s)
@@ -257,8 +263,8 @@ def grid_current_nodes(psi, spin, em=None):
         mag = bilinears(val.reshape(len(val), -1), spin.generators).reshape(
             (3,) + grid.shape)
         dmag = grid_gradient(mag, grid)
-    j, spin_flux = _flux(val, psi.gradient_nodes(), psi.hbar_m, spin, m,
-                         dmag)
+    j, spin_flux = _flux(val, grid_gradient(val, grid), psi.hbar_m, spin,
+                         m, dmag)
     if em is not None:
         vvec = em.vector(grid.nodes(), psi.time)[:, :grid.ndim].T
         j -= (em.charge / m) * vvec.reshape(j.shape) * psi.density_nodes()

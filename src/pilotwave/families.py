@@ -46,8 +46,12 @@ its keys are read and converted once, when it is built, and
   spinor component that vanishes identically would make it 0/0, so
   guidance divides their current by rho instead.
 
-A configuration of the wrong dimension raises ShapeError.  Every kernel
-takes t as a scalar or as one time per point, shape (n,);
+Every kernel takes the points as a float array (n, config_dim) and
+converts nothing: `ParametricWaveFunction` converts them, once per call,
+and refuses a configuration of another dimension with ShapeError.
+``plane_wave_sum`` converts its points itself (`_as_points`), since the
+Dirac and DKP states hand it their callers' points directly.  Every
+kernel takes t as a scalar or as one time per point, shape (n,);
 `ParametricWaveFunction` refuses any other shape of t with ShapeError.
 
 Registered families:
@@ -129,6 +133,8 @@ def _per_axis(family, key, value, d):
 
 
 def _as_points(x, dim):
+    """x as float points (n, dim), a single point as one row; another
+    dimension raises ShapeError."""
     x = np.asarray(x, dtype=float)
     if x.ndim < 2:
         x = x.reshape(1, -1)
@@ -169,18 +175,15 @@ class PlaneWave(_SingleTerm):
         self.omega = (self.k @ self.k) / (2.0 * m)
 
     def value(self, x, t):
-        x = _as_points(x, self.config_dim)
         # k.x as a row sum, not the product x @ k: BLAS rounds that
         # differently with the number of points that share the call
         return np.exp(1j * ((x * self.k).sum(axis=1) - self.omega * t))[None, :]
 
     def log_gradient(self, x, t):
-        n = _as_points(x, self.config_dim).shape[0]
-        return np.broadcast_to(1j * self.k[:, None], (self.config_dim, n))
+        return np.broadcast_to(1j * self.k[:, None], (self.config_dim, len(x)))
 
     def phase_gradient(self, x, t):
-        n = _as_points(x, self.config_dim).shape[0]
-        return np.broadcast_to(self.k, (n, self.config_dim))
+        return np.broadcast_to(self.k, (len(x), self.config_dim))
 
 
 def _gauss_width(x, t, x0, sigma, k0, m):
@@ -230,7 +233,6 @@ class GaussianPacket(_SingleTerm):
         self.masses = (m,)
 
     def value(self, x, t):
-        x = _as_points(x, self.config_dim)
         out = np.ones(x.shape[0], dtype=complex)
         for a in range(self.config_dim):
             out = out * _gauss_1d(x[:, a], t, self.center[a], self.sigma[a],
@@ -238,7 +240,6 @@ class GaussianPacket(_SingleTerm):
         return out[None, :]
 
     def log_gradient(self, x, t):
-        x = _as_points(x, self.config_dim)
         dlog = np.empty((self.config_dim, x.shape[0]), dtype=complex)
         for a in range(self.config_dim):
             dlog[a] = _gauss_1d_dlog(x[:, a], t, self.center[a],
@@ -246,7 +247,6 @@ class GaussianPacket(_SingleTerm):
         return dlog
 
     def phase_gradient(self, x, t):
-        x = _as_points(x, self.config_dim)
         dphase = np.empty((self.config_dim, x.shape[0]))
         for a in range(self.config_dim):
             dphase[a] = _gauss_1d_phase(x[:, a], t, self.center[a],
@@ -276,7 +276,6 @@ class DecayingPair(_SingleTerm):
 
     def value(self, x, t):
         d = self.d
-        x = _as_points(x, 2 * d)
         beta = _pair_beta(self.alpha, t, self.mu)
         r = x[:, :d] - x[:, d:]
         pref = self.N * (np.pi / beta) ** (d / 2.0)
@@ -285,14 +284,12 @@ class DecayingPair(_SingleTerm):
 
     def log_gradient(self, x, t):
         d = self.d
-        x = _as_points(x, 2 * d)
         beta = _pair_beta(self.alpha, t, self.mu)
         g = (x[:, :d] - x[:, d:]).T / (2.0 * beta)   # (d, n)
         return np.concatenate([-g, g])
 
     def phase_gradient(self, x, t):
         d = self.d
-        x = _as_points(x, 2 * d)
         R, S = _smith(self.alpha, 0.5 * t / self.mu)
         g = ((x[:, :d] - x[:, d:]).T * R) * S   # -Im (x1 - x2) / 2 beta
         return np.concatenate([g, -g]).T
@@ -316,7 +313,6 @@ class PostCollapsePair(_SingleTerm):
 
     def _offset(self, x, t):
         """beta and a - x, shape (n, d)."""
-        x = _as_points(x, self.config_dim)
         beta = self.alpha0 + 0.5j * (t - self.t0) / self.m
         return beta, self.a[None, :] - x
 
@@ -335,7 +331,7 @@ class PostCollapsePair(_SingleTerm):
         # x - a = -(a - x) exactly, so this is Im of u / 2 beta, u = a - x
         R, S = _smith(self.alpha0.real,
                       self.alpha0.imag + 0.5 * (t - self.t0) / self.m)
-        return (((_as_points(x, self.config_dim) - self.a).T * R) * S).T
+        return (((x - self.a).T * R) * S).T
 
 
 @register("correlated_pair")
@@ -361,7 +357,6 @@ class CorrelatedPair(_SingleTerm):
 
     def _coords(self, x):
         """Center of mass X and separation r = x1 - x2, shapes (n, d)."""
-        x = _as_points(x, self.config_dim)
         x1, x2 = x[:, :self.d], x[:, self.d:]
         return (self.m1 * x1 + self.m2 * x2) / self.M, x1 - x2
 

@@ -44,7 +44,7 @@ from .errors import (ConfigurationError, NoFluxError, NotSeparatedError,
                      PilotWaveError, SamplerFailureError, ShapeError,
                      StabilityError)
 from .evolve import Propagator, propagate_to, step
-from .grid import Grid
+from .grid import Box, Grid
 from .wavefunction import GridWaveFunction
 
 KS_CRITICAL_1PCT = 1.628  # sup|F_n - F| * sqrt(n) at the 1% level
@@ -116,46 +116,6 @@ class IntegrationControls:
 # velocity sources
 
 
-class Box:
-    """Domain lo <= x <= hi per axis; a bound may be infinite."""
-
-    def __init__(self, lo, hi):
-        self.lo = np.asarray(lo, dtype=float)
-        self.hi = np.asarray(hi, dtype=float)
-        # the comparisons `contains` makes, column by column: a bound of
-        # -inf below or +inf above holds for every x but NaN, so it is
-        # tested only where it is an axis's one NaN test
-        self._tests = []
-        for a, (lo_a, hi_a) in enumerate(zip(self.lo, self.hi)):
-            if lo_a != -np.inf or hi_a == np.inf:
-                self._tests.append((a, np.greater_equal, lo_a))
-            if hi_a != np.inf:
-                self._tests.append((a, np.less_equal, hi_a))
-
-    def contains(self, configs):
-        """Boolean mask of the configurations (n, d) inside the box: rows
-        with every x in [lo, hi], so a row with a NaN is outside."""
-        (a, test, bound), *rest = self._tests
-        inside = test(configs[:, a], bound)
-        for a, test, bound in rest:
-            inside &= test(configs[:, a], bound)
-        return inside
-
-    def land(self, inside, outside):
-        """Where each segment `inside` -> `outside` (n, d) first leaves the
-        box; the crossed coordinate is set to its bound exactly."""
-        d = outside - inside
-        bound = np.where(outside < self.lo, self.lo, self.hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = np.where((outside < self.lo) | (outside > self.hi),
-                         (bound - inside) / d, np.inf)
-        rows = np.arange(len(d))
-        face = np.argmin(s, axis=1)
-        out = np.clip(inside + s[rows, face][:, None] * d, self.lo, self.hi)
-        out[rows, face] = bound[rows, face]
-        return out
-
-
 class ParametricVelocity:
     """Exact pointwise velocities of a closed-form state: the guidance law
     `configuration_velocity` with the state's `spin` and `em`.  For a
@@ -188,7 +148,7 @@ class SnapshotVelocity:
             self.fields.append(self._field(s))
         if not self.fields:
             raise ShapeError("need at least one snapshot")
-        self.domain = Box(*zip(*self.grid.extents))
+        self.domain = self.grid.box
         self._hold(times)
 
     def _field(self, s):
@@ -297,6 +257,7 @@ def sample_equilibrium(psi, n, seed, box=None, envelope="auto"):
     rng = np.random.default_rng(np.random.Philox(seed))
     widths = np.array([hi - lo for lo, hi in box])
     los = np.array([lo for lo, _ in box])
+    domain = Box(los, los + widths)
 
     if envelope == "uniform" or (envelope == "auto" and flat):
         bound = peak * 1.05
@@ -331,7 +292,7 @@ def sample_equilibrium(psi, n, seed, box=None, envelope="auto"):
         proposed += batch
         u = rng.random(batch)
         rho = np.zeros(batch)
-        inside = np.all((x >= los) & (x <= los + widths), axis=1)
+        inside = domain.contains(x)
         if np.any(inside):
             rho[inside] = psi.density(x[inside])
         accept = u * c * env_density(x) < rho

@@ -8,7 +8,7 @@ pure, so instances are safe to share across threads.
 import numpy as np
 
 from . import families
-from .errors import ConfigurationError, ShapeError, UnsupportedFamilyError
+from .errors import ConfigurationError, ShapeError
 
 
 def axis_masses(masses, config_dim):
@@ -55,28 +55,27 @@ class ParametricWaveFunction:
         self.hbar_m = _hbar_m(self.masses, self.config_dim)
 
     def _at(self, configs, t):
-        """The time of an evaluation at configs: the state's own when t is
-        None, else t, a scalar or one time per point, shape (npoints,).
-        Any other shape raises ShapeError."""
+        """The points and time of an evaluation, the family kernels' one
+        reader of both: configs as floats (npoints, config_dim), a single
+        point as one row, and the state's own time when t is None, else
+        t, a scalar or one time per point, shape (npoints,).  Another
+        dimension or any other shape of t raises ShapeError."""
+        x = families._as_points(configs, self.config_dim)
         if t is None:
-            return self.time
+            return x, self.time
         if isinstance(t, (float, int)):        # numpy's float64 is a float
-            return t
+            return x, t
         shape = np.shape(t)
-        n = len(configs) if np.ndim(configs) > 1 else 1
-        if shape and shape != (n,):
+        if shape and shape != (len(x),):
             raise ShapeError(f"t has shape {shape}; a time is a scalar or "
-                             f"one per point, shape ({n},)")
-        return t
+                             f"one per point, shape ({len(x)},)")
+        return x, t
 
     def evaluate(self, configs, t=None):
         """Complex amplitude, shape (spin_dim, npoints), at time t (see
-        `_at`).
-
-        Non-finite values (extreme underflow/overflow arguments) pass
-        through; guidance treats them as node encounters, and the public
-        `evaluate` wrapper validates finiteness for API users."""
-        return self._fam.value(configs, self._at(configs, t))
+        `_at`).  Non-finite values (extreme underflow/overflow arguments)
+        pass through; guidance treats them as node encounters."""
+        return self._fam.value(*self._at(configs, t))
 
     def gradient(self, configs, t=None):
         """Spatial gradient, shape (spin_dim, config_dim, npoints)."""
@@ -88,7 +87,7 @@ class ParametricWaveFunction:
         unless the family is a single closed-form scalar term."""
         if not self._has_phase_gradient:
             return None
-        return self._fam.phase_gradient(configs, self._at(configs, t))
+        return self._fam.phase_gradient(*self._at(configs, t))
 
     def value_gradient_moduli(self, configs, t=None):
         """(evaluate, gradient, moduli) from one family pass.
@@ -97,7 +96,7 @@ class ParametricWaveFunction:
         shape (spin_dim, n), are what the terms would give if they all
         added in phase; None for a single closed-form term (nothing can
         cancel)."""
-        return self._fam.value_gradient_moduli(configs, self._at(configs, t))
+        return self._fam.value_gradient_moduli(*self._at(configs, t))
 
     def density(self, configs, t=None):
         v = self.evaluate(configs, t)
@@ -107,10 +106,6 @@ class ParametricWaveFunction:
         """Same state at another time (families are exact free solutions)."""
         return ParametricWaveFunction(self.family, self.params, self.masses,
                                       time=t)
-
-    def __repr__(self):
-        return (f"ParametricWaveFunction({self.family!r}, spin_dim={self.spin_dim}, "
-                f"t={self.time})")
 
 
 class GridWaveFunction:
@@ -171,14 +166,6 @@ class GridWaveFunction:
         """Multilinear interpolation of each spin component."""
         return self.grid.interpolate(self.values, configs)
 
-    def gradient_nodes(self):
-        """Spatial gradient at the nodes, shape (spin, ndim, *shape).
-
-        Fourth-order central differences in the interior; second order at
-        the two outermost layers (one-sided on the very edge).
-        """
-        return grid_gradient(self.values, self.grid)
-
     def density(self, configs):
         v = self.evaluate(configs)
         return np.sum(np.abs(v) ** 2, axis=0)
@@ -186,10 +173,6 @@ class GridWaveFunction:
     def with_values(self, values, time=None):
         return GridWaveFunction(self.grid, values, self.masses,
                                 time=self.time if time is None else time)
-
-    def __repr__(self):
-        return (f"GridWaveFunction(shape={self.grid.shape}, "
-                f"spin_dim={self.spin_dim}, t={self.time})")
 
 
 def grid_gradient(values, grid):
@@ -251,13 +234,3 @@ def _axis_derivative(f, h, axis, out):
     out[edge[-1]] = 3 * f[edge[-1]] - 4 * f[edge[-2]] + f[edge[-3]]
     for i in (0, 1, -2, -1):
         scale(out[edge[i]], 2.0 * h)
-
-
-def evaluate(psi, config):
-    """Evaluate a state at one configuration point; returns the complex
-    spin vector of length spin_dim."""
-    out = psi.evaluate(np.atleast_2d(np.asarray(config, dtype=float)))
-    if not np.all(np.isfinite(out)):
-        raise UnsupportedFamilyError(
-            "state evaluated to non-finite values at this configuration")
-    return out[:, 0]

@@ -5,6 +5,7 @@ import pytest
 
 from pilotwave.errors import DomainError
 from pilotwave.grid import Grid
+from pilotwave.wavefunction import GridWaveFunction
 
 
 def cell_positions(grid, configs):
@@ -156,9 +157,29 @@ def test_corners_bit_identical_to_the_generic_route(points):
 
 
 @pytest.mark.parametrize("name", sorted(GRIDS))
-def test_corners_refuse_a_point_outside(name):
+def test_require_inside_refuses_a_point_outside(name):
+    """`corners` tests no points; its callers do, with `require_inside`
+    or `box.contains`.  A point just below a lower face is refused."""
     grid = GRIDS[name]
     pts = np.array([[e[0] for e in grid.extents]])
     pts[0, 0] -= 1e-9
-    with pytest.raises(DomainError):
-        grid.corners(pts)
+    with pytest.raises(DomainError) as err:
+        grid.require_inside(pts)
+    assert err.value.coordinate == pts[0, 0]
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=str)
+def test_non_finite_coordinate_is_outside(name, bad):
+    """NaN and +-inf in any column lie outside the extents: `interpolate`
+    and a grid state's `evaluate` raise DomainError with the coordinate."""
+    grid = GRIDS[name]
+    psi = GridWaveFunction(grid, np.ones(grid.shape), [1.0])
+    for a in range(grid.ndim):
+        pts = np.array([[np.mean(e) for e in grid.extents]] * 2)
+        pts[1, a] = bad
+        for call in (lambda: grid.interpolate(psi.values, pts),
+                     lambda: psi.evaluate(pts)):
+            with pytest.raises(DomainError) as err:
+                call()
+            np.testing.assert_equal(err.value.coordinate, bad)

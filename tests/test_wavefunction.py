@@ -19,7 +19,7 @@ from pilotwave.grid import Grid
 from pilotwave.guide import ParametricVelocity
 from pilotwave.reldirac import PlaneWaveSpinorState, free_spinor
 from pilotwave.wavefunction import (GridWaveFunction, ParametricWaveFunction,
-                                    evaluate, grid_gradient)
+                                    grid_gradient)
 
 
 def gaussian_1d(**kw):
@@ -31,7 +31,7 @@ def gaussian_1d(**kw):
 class TestPlaneWave:
     def test_phase_zero_at_origin(self):
         psi = ParametricWaveFunction("plane_wave", {"k": [2.0], "m": 1.0}, [1.0])
-        v = evaluate(psi, [0.0])
+        v = psi.evaluate([0.0])[:, 0]
         assert v.shape == (1,)
         np.testing.assert_allclose(v[0], 1.0 + 0.0j, atol=1e-15)
 
@@ -88,7 +88,7 @@ class TestDecayingPair:
         # alpha=1, mu=1/2 (m1=m2=1), hbar=1, t=0, x1=x2 -> N (pi hbar / alpha)^{3/2}
         psi = ParametricWaveFunction(
             "decaying_pair", {"alpha": 1.0, "m1": 1.0, "m2": 1.0, "d": 3}, [1.0, 1.0])
-        v = evaluate(psi, [0.2, -0.1, 0.4, 0.2, -0.1, 0.4])
+        v = psi.evaluate([0.2, -0.1, 0.4, 0.2, -0.1, 0.4])[:, 0]
         np.testing.assert_allclose(v[0], np.pi ** 1.5, rtol=1e-13)
 
     def test_density_depends_on_separation_only(self):
@@ -257,7 +257,7 @@ class TestGridState:
         x = g.axes[0]
         vals = np.exp(-x**2 / 2) / np.pi**0.25
         psi = GridWaveFunction(g, vals, [1.0])
-        v = evaluate(psi, [0.0])
+        v = psi.evaluate([[0.0]])[:, 0]
         np.testing.assert_allclose(v[0], np.pi**-0.25, atol=1e-8)
 
     def test_norm_and_normalize(self):
@@ -467,13 +467,20 @@ class TestFamilyProtocol:
 
     @pytest.mark.parametrize("name", family_names())
     def test_wrong_dimension_is_a_shape_error(self, name):
-        fam = families.build(name, FAMILY_PARAMS[name])
+        """The kernels convert no points: the state does, for each of its
+        kernels, and refuses another dimension.  `plane_wave_sum`, which
+        the Dirac and DKP states call bare, refuses it itself."""
+        params = FAMILY_PARAMS[name]
+        fam = families.build(name, params)
+        psi = ParametricWaveFunction(name, params, fam.masses or [1.3])
         x = np.zeros((4, 3))
-        kernels = [fam.value, fam.value_gradient_moduli]
-        if hasattr(fam, "log_gradient"):
-            kernels += [fam.log_gradient, fam.phase_gradient]
+        kernels = [psi.evaluate, psi.value_gradient_moduli, psi.density]
+        if hasattr(fam, "phase_gradient"):
+            kernels.append(psi.phase_gradient)
+        if name == "plane_wave_sum":
+            kernels += [fam.value, fam.value_gradient_moduli]
         for kernel in kernels:
-            with pytest.raises(ShapeError):
+            with pytest.raises(ShapeError, match="dimension 3, family expects 2"):
                 kernel(x, 0.3)
 
 
@@ -705,7 +712,7 @@ class TestLogGradient:
         t = data.draw(arrays(float, len(x), elements=hst.floats(0.0, 3.0)))
         batch = fam.phase_gradient(x, t)
         for cast in (float, np.float64):
-            alone = np.concatenate([fam.phase_gradient(p, cast(ti))
+            alone = np.concatenate([fam.phase_gradient(p[None], cast(ti))
                                     for p, ti in zip(x, t)])
             np.testing.assert_array_equal(batch, alone)
 
