@@ -1,6 +1,9 @@
-"""Non-relativistic probability density and current with spin.
+"""Non-relativistic density and current with spin, and both guidance
+laws with their node floor RHO_FLOOR_REL: `configuration_velocity`
+(v = j / rho of a closed-form state) and `bilinear_flow` (v = j^i / j^0
+of every Dirac and DKP bilinear current).
 
-The current splits as j = j_c + j_s:
+The non-relativistic current splits as j = j_c + j_s:
 
     j_c = (hbar / 2 m i) (psi^dag D psi - (D psi)^dag psi)
     j_s = (g / 2 m) curl(psi^dag S psi)
@@ -38,12 +41,30 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvariantViolationError, ShapeError
+from .errors import (CausalityViolationError, InvariantViolationError,
+                     NodeError, ShapeError)
 from .matrices import PAULI, bilinears
 from .wavefunction import grid_gradient
 
 # the relative node floor of every guidance velocity (see `guide`)
 RHO_FLOOR_REL = 1e-12
+
+
+def bilinear_flow(j, scale):
+    """The relativistic flow law: v = j^i / j^0, shape (n, 3k), from the
+    bilinears j of k particles, time component first, shape (1 + 3k, n).
+
+    With the state's density scale, j^0 < -1e-12 scale raises
+    InvariantViolationError, j^0 <= RHO_FLOOR_REL scale NodeError, and a
+    particle with |v_r|^2 > 1 + 1e-10 CausalityViolationError."""
+    if np.any(j[0] < -1e-12 * scale):
+        raise InvariantViolationError("j^0 < 0 on a supposedly valid state")
+    if np.any(j[0] <= RHO_FLOOR_REL * scale):
+        raise NodeError("density j^0 at or below floor")
+    v = j[1:].T / j[0][:, None]
+    if np.any(np.sum(v.reshape(len(v), -1, 3) ** 2, axis=-1) > 1 + 1e-10):
+        raise CausalityViolationError("spacelike current: |v| > 1")
+    return v
 
 
 def _spin_generators():

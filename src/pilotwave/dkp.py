@@ -21,10 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .currents import RHO_FLOOR_REL, SpinSpec, configuration_velocity
+from .currents import SpinSpec, bilinear_flow, configuration_velocity
 from .errors import (ConfigurationError, DegenerateObserverError,
-                     InvariantViolationError, NodeError, PhysicsError,
-                     ShapeError)
+                     InvariantViolationError, PhysicsError, ShapeError)
 from .families import PlaneWaveSum
 from .matrices import METRIC, bilinears, build_matrix_set
 from .wavefunction import ParametricWaveFunction
@@ -66,7 +65,7 @@ def _spin0_components(p, e, mass):
 def _spin1_components(p, e, mass, pol, massless):
     pol = np.asarray(pol, dtype=complex)
     if pol.shape != (3,):
-        raise PhysicsError("spin-1 terms need a 3-component polarization")
+        raise ShapeError("spin-1 terms need a 3-component polarization")
     if massless:
         if abs(p @ pol) > 1e-10 * max(np.linalg.norm(p) * np.linalg.norm(pol), 1e-30):
             raise PhysicsError("massless spin-1 polarization must be transverse")
@@ -185,23 +184,13 @@ def _flow_matrices(state, lower):
 
 
 def energy_momentum_current(state, n, x, t):
-    """j^mu = Theta^{mu nu} n_nu and the velocity v = j / j^0.
-
-    Raises NodeError where j^0 falls below the floor and
-    InvariantViolationError if j^0 were ever negative (cannot happen for
-    valid states; kept as a test hook)."""
+    """j^mu = Theta^{mu nu} n_nu, shape (npoints, 4), and the velocity
+    v = j^i / j^0, shape (npoints, 3), by `currents.bilinear_flow` with
+    its errors."""
     if not isinstance(n, ObserverVector):
         n = ObserverVector(np.asarray(n, dtype=float))
-    j = bilinears(state.evaluate(x, t), _flow_matrices(state, n.lower)).T
-    j0 = j[:, 0]
-    if np.any(j0 < -1e-12 * state.scale()):
-        raise InvariantViolationError("j^0 < 0 on a supposedly valid state")
-    if np.any(j0 <= RHO_FLOOR_REL * state.scale()):
-        raise NodeError("energy density at or below floor")
-    v = j[:, 1:] / j0[:, None]
-    if j.shape[0] == 1:
-        return j[0], v[0]
-    return j, v
+    j = bilinears(state.evaluate(x, t), _flow_matrices(state, n.lower))
+    return j.T, bilinear_flow(j, state.scale())
 
 
 def total_energy_momentum(state, box, points_per_axis=64):
@@ -326,7 +315,8 @@ def dkp2_velocity(state_a, state_b, x1, x2, t, a=None, symmetrized=False):
     symmetrized, (a, b) and (b, a) with c = 1/sqrt 2, is never formed:
     j^{mu1 mu2} = |c|^2 sum_{p,q} (u_p^dag G^{mu1} u_q)(w_p^dag G^{mu2} w_q)
     takes about 8 dim^2 multiply-adds per pair, where dim^2 x dim^2
-    Kronecker operators on psi take 7 dim^4."""
+    Kronecker operators on psi take 7 dim^4.  Returns v1 and v2, each
+    (npoints, 3), by `currents.bilinear_flow` with its errors."""
     if state_a.rep != state_b.rep or state_a.massless != state_b.massless:
         raise ShapeError("two-particle states must share representation")
     if a is None:
@@ -345,22 +335,7 @@ def dkp2_velocity(state_a, state_b, x1, x2, t, a=None, symmetrized=False):
             fa, fb = bilinears(u[p], ga, u[q]), bilinears(w[p], gb, w[q])
             j1 = j1 + (1 if p == q else 2) * (fa * fb[0]).real
             j2 = j2 + (1 if p == q else 2) * (fa[0] * fb).real
-    j00 = j1[0] / len(u)
-    if np.any(j00 < -1e-12 * state_a.scale() * state_b.scale()):
-        raise InvariantViolationError("j^{00} < 0 on a valid state")
-    if np.any(j00 <= RHO_FLOOR_REL * state_a.scale() * state_b.scale()):
-        raise NodeError("two-particle density at or below floor")
-    v1 = j1[1:].T / j1[0][:, None]
-    v2 = j2[1:].T / j2[0][:, None]
-    if j00.shape[0] == 1:
-        return v1[0], v2[0]
-    return v1, v2
-
-
-def dkp2_tensor_causal(state_a, state_b, x1, x2, t, a=None, symmetrized=False):
-    """Minkowski norms of j^{0 mu_r 0} for r = 1, 2 (must be >= 0)."""
-    v1, v2 = dkp2_velocity(state_a, state_b, x1, x2, t, a=a,
-                           symmetrized=symmetrized)
-    v1 = np.atleast_2d(v1)
-    v2 = np.atleast_2d(v2)
-    return 1.0 - np.sum(v1**2, axis=-1), 1.0 - np.sum(v2**2, axis=-1)
+    # j1[0] and j2[0] are the same sum j^{00}, and 1 / len(u) is exact
+    v = bilinear_flow(np.concatenate([j1, j2[1:]]) / len(u),
+                      state_a.scale() * state_b.scale())
+    return v[:, :3], v[:, 3:]

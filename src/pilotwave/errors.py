@@ -56,7 +56,7 @@ class NotSeparatedError(PilotWaveError):
 
 
 class CausalityViolationError(PilotWaveError):
-    """A current that must be future-causal came out spacelike (test hook)."""
+    """A Dirac or DKP flow has a particle with |v|^2 > 1 + 1e-10."""
 
 
 class InvariantViolationError(PilotWaveError):

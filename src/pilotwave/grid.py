@@ -6,7 +6,7 @@ from math import prod
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, ShapeError
 
 # Reject grids whose complex field storage would exceed this (bytes).
 MEMORY_BUDGET = 4 << 30
@@ -98,11 +98,14 @@ class Grid:
         return float(np.prod(self.spacing))
 
     def require_inside(self, configs):
-        """Raise DomainError unless every configuration (npts, ndim) lies
-        inside the extents, by `box.contains`: a NaN coordinate is outside,
-        and so is an infinite one.  The error's coordinate is the first
-        offending coordinate of the first configuration outside."""
+        """Raise ShapeError unless the configurations have ndim columns,
+        and DomainError unless every one lies inside the extents, by
+        `box.contains`: a NaN coordinate is outside, and so is an
+        infinite one.  The error's coordinate is the first offending
+        coordinate of the first configuration outside."""
         configs = np.atleast_2d(np.asarray(configs, dtype=float))
+        if configs.shape[1] != self.ndim:
+            raise ShapeError(f"{configs.shape[1]} columns on a {self.ndim}-D grid")
         inside = self.box.contains(configs)
         if not inside.all():
             row = configs[np.argmin(inside)]

@@ -41,8 +41,7 @@ import numpy as np
 from .currents import (RHO_FLOOR_REL, current, configuration_velocity,
                        grid_current_nodes)
 from .errors import (ConfigurationError, NoFluxError, NotSeparatedError,
-                     PilotWaveError, SamplerFailureError, ShapeError,
-                     StabilityError)
+                     SamplerFailureError, ShapeError, StabilityError)
 from .evolve import Propagator, propagate_to, step
 from .grid import Box, Grid
 from .wavefunction import GridWaveFunction
@@ -232,9 +231,10 @@ def sample_equilibrium(psi, n, seed, box=None, envelope="auto"):
     The envelope is fitted from the density's own moments on a probe
     grid: a Gaussian with inflated covariance, or a uniform box when the
     density is nearly flat.  envelope="uniform" takes the box always;
-    any value but "auto" and "uniform" raises ConfigurationError.
-    Deterministic for a given seed (Philox).  Gives up after 2000
-    batches of max(2048, 2n) proposals.
+    any value but "auto" and "uniform" raises ConfigurationError.  A
+    density on one probe node raises SamplerFailureError.  Deterministic
+    for a given seed (Philox).  Gives up after 2000 batches of
+    max(2048, 2n) proposals.
     """
     if n < 1:
         raise ShapeError("n must be >= 1")
@@ -271,6 +271,8 @@ def sample_equilibrium(psi, n, seed, box=None, envelope="auto"):
         mean = w @ probes
         dev = probes - mean
         cov = (dev * w[:, None]).T @ dev
+        if not np.max(cov) > 0:
+            raise SamplerFailureError("density on one probe node")
         cov = cov * 1.8 + np.eye(dim) * 1e-12 * np.max(cov)
         chol = np.linalg.cholesky(cov)
         inv = np.linalg.inv(cov)
@@ -479,7 +481,8 @@ def integrate_ensemble(ensemble, source, t_final, controls, record=False):
 
 def marginal_cdf_by_quadrature(psi, axis, box):
     """CDF of the |psi|^2 marginal along one axis, by trapezoid quadrature
-    over the remaining axes of the box."""
+    over the remaining axes of the box; a box that holds no mass raises
+    ConfigurationError."""
     dim = len(box)
     per_axis = {1: 4001, 2: 801, 3: 101, 4: 61}.get(dim, 31)
     grid = Grid(box, [per_axis] * dim)
@@ -490,7 +493,7 @@ def marginal_cdf_by_quadrature(psi, axis, box):
     x = grid.axes[axis]
     cdf = np.concatenate([[0.0], np.cumsum((rho[1:] + rho[:-1]) * np.diff(x) / 2)])
     if cdf[-1] <= 0:
-        raise PilotWaveError("marginal mass vanished; box too small?")
+        raise ConfigurationError("marginal mass vanished; box too small?")
     return x, cdf / cdf[-1]
 
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .currents import RHO_FLOOR_REL
-from .errors import (CausalityViolationError, NodeError, PhysicsError,
-                     ShapeError)
+from .currents import bilinear_flow
+from .errors import (ConfigurationError, InvariantViolationError,
+                     PhysicsError, ShapeError)
 from .families import PlaneWaveSum
 from .matrices import PAULI, bilinears, build_matrix_set
 from .wavefunction import ParametricWaveFunction
@@ -33,9 +33,9 @@ def free_spinor(p, mass, energy_sign, spin_label):
     """
     p = np.asarray(p, dtype=float)
     if energy_sign not in (+1, -1):
-        raise PhysicsError("energy sign must be +1 or -1")
+        raise ConfigurationError("energy sign must be +1 or -1")
     if spin_label not in (0, 1):
-        raise PhysicsError("spin label must be 0 or 1")
+        raise ConfigurationError("spin label must be 0 or 1")
     e = np.sqrt(p @ p + mass * mass)
     chi = np.zeros(2, dtype=complex)
     chi[spin_label] = 1.0
@@ -89,8 +89,11 @@ class PlaneWaveSpinorState:
         d = (_DIRAC.generators[0] * e
              - sum(_DIRAC.generators[i + 1] * p[i] for i in range(3))
              - self.mass * np.eye(4))
-        if np.max(np.abs(d @ u)) > 1e-12 * max(1.0, np.max(np.abs(u))):
-            raise PhysicsError("constructed spinor fails the Dirac equation")
+        # |d @ u| is at most 3e-16 max(|E|, m) max|u| for |p| 1e2 to 1e8 m
+        size = max(abs(e), self.mass) * np.max(np.abs(u))
+        if np.max(np.abs(d @ u)) > 1e-12 * size:
+            raise InvariantViolationError(
+                "constructed spinor fails the Dirac equation")
 
     def antisymmetrized(self):
         """Two-particle state with exchanged-partner terms subtracted."""
@@ -123,55 +126,50 @@ _FLOW = {1: np.array([np.eye(4), *_DIRAC.beta_tilde, _DIRAC.eta0,
 
 
 def dirac_velocity(state, x, t):
-    """Guidance velocity v^i = psi^dag alpha^i psi / psi^dag psi and the
-    normalized 4-velocity u^mu = j^mu / sqrt(j.j) (None when j is null).
+    """Guidance velocity v^i = psi^dag alpha^i psi / psi^dag psi, shape
+    (npoints, 3), and the normalized 4-velocity u^mu = j^mu / sqrt(j.j),
+    shape (npoints, 4), or None when j is null at some point.
 
-    j.j is the Fierz sum sigma^2 + omega^2 of sigma = psibar psi and
-    omega = psibar i gamma^5 psi; rho^2 - |j|^2 cancels as |v| -> 1.
-    Raises NodeError at nodes and CausalityViolationError if rho^2 - |j|^2
-    were ever negative (a test hook; it cannot fire on valid states).
+    v is `currents.bilinear_flow` of (rho, rho v), with its errors.  j.j
+    is the Fierz sum sigma^2 + omega^2 of sigma = psibar psi and omega =
+    psibar i gamma^5 psi; rho^2 - |j|^2 cancels as |v| -> 1.
     """
     if state.n_particles != 1:
         raise ShapeError("use dirac2_velocity for two-particle states")
-    rho, *j, sigma, omega = bilinears(state.amplitude(x, t), _FLOW[1])
-    if np.any(rho <= RHO_FLOOR_REL * state.wave.scale()):
-        raise NodeError("density at or below floor at the requested point")
-    v = np.transpose(j) / rho[:, None]
-    jsq = rho**2 - np.sum((v * rho[:, None]) ** 2, axis=-1)
-    if np.any(jsq < -1e-10 * rho**2):
-        raise CausalityViolationError("spacelike Dirac current encountered")
+    rho, *_, sigma, omega = flows = bilinears(state.amplitude(x, t), _FLOW[1])
+    v = bilinear_flow(flows[:4], state.wave.scale())
     u, jsq = None, sigma**2 + omega**2
     if np.all(jsq > 0):
         norm = np.sqrt(jsq)
         u = np.concatenate([(rho / norm)[:, None],
                             v * (rho / norm)[:, None]], axis=-1)
-    return (v[0], u[0] if u is not None else None) if v.shape[0] == 1 else (v, u)
+    return v, u
 
 
 def _dirac2_flow(state, x1, x2, t):
     """Density (n,) and the two per-particle velocities (n, 3) of a
-    two-particle state, from one amplitude evaluation."""
+    two-particle state, from one amplitude evaluation, by
+    `currents.bilinear_flow` with its errors."""
     if state.n_particles != 2:
         raise ShapeError("state is not two-particle")
     x1 = np.atleast_2d(np.asarray(x1, dtype=float))
     x2 = np.atleast_2d(np.asarray(x2, dtype=float))
     x = np.concatenate([x1, x2], axis=1)
-    rho, *j = bilinears(state.amplitude(x, t), _FLOW[2])
-    if np.any(rho <= RHO_FLOOR_REL * state.wave.scale()):
-        raise NodeError("density at or below floor (antisymmetrized zero?)")
-    v = np.transpose(j) / rho[:, None]
-    return rho, v[:, :3], v[:, 3:]
+    flows = bilinears(state.amplitude(x, t), _FLOW[2])
+    v = bilinear_flow(flows, state.wave.scale())
+    return flows[0], v[:, :3], v[:, 3:]
 
 
 def dirac2_velocity(state, x1, x2, t):
-    """Per-particle velocities of a two-particle plane-wave state."""
-    _, v1, v2 = _dirac2_flow(state, x1, x2, t)
-    return (v1[0], v2[0]) if v1.shape[0] == 1 else (v1, v2)
+    """Per-particle velocities of a two-particle plane-wave state, each
+    (npoints, 3), with the errors of `_dirac2_flow`."""
+    return _dirac2_flow(state, x1, x2, t)[1:]
 
 
 def tensor_current_causal(state, x1, x2, t):
-    """j^{0 mu_r 0} j_{0 mu_r 0} >= 0 check for both particles; returns the
-    two Minkowski norms (they must be nonnegative for valid states)."""
+    """The Minkowski norms rho^2 - |rho v_r|^2 of j^{0 mu_r 0} of both
+    particles, each (npoints,): >= -1e-10 rho^2, since `_dirac2_flow`
+    refuses |v_r|^2 > 1 + 1e-10."""
     rho, v1, v2 = _dirac2_flow(state, x1, x2, t)
     return tuple(rho**2 - np.sum((v * rho[:, None]) ** 2, axis=-1)
                  for v in (v1, v2))

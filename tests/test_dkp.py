@@ -12,10 +12,10 @@ import strategies as rs
 from pilotwave import dkp
 from pilotwave.dkp import (TIME_OBSERVER, DkpState, ObserverVector,
                            build_dkp_state, charge_current,
-                           constraint_residual, dkp2_tensor_causal,
-                           dkp2_velocity, energy_momentum_current,
-                           nonrel_limit_check, reduced_nonrel_state,
-                           theta_tensor, total_energy_momentum)
+                           constraint_residual, dkp2_velocity,
+                           energy_momentum_current, nonrel_limit_check,
+                           reduced_nonrel_state, theta_tensor,
+                           total_energy_momentum)
 from pilotwave.errors import (ConfigurationError, DegenerateObserverError,
                               InvariantViolationError, NodeError,
                               PhysicsError, ShapeError)
@@ -114,6 +114,7 @@ class TestEnergyMomentumCurrent:
             e = np.sqrt(p @ p + m * m)
             j, v = energy_momentum_current(st, TIME_OBSERVER,
                                            rng.normal(size=3), 0.3)
+            v = v[0]
             np.testing.assert_allclose(v, p / e, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(v, 2 * e * p / (2 * e * e), rtol=1e-12,
                                        atol=1e-12)
@@ -375,13 +376,13 @@ class TestTwoParticle:
                 mass=rng.uniform(0.5, 1.5))
             sa, sb = mk(), mk()
             try:
-                n1, n2 = dkp2_tensor_causal(sa, sb, rng.normal(size=(50, 3)),
-                                            rng.normal(size=(50, 3)), 0.2,
-                                            symmetrized=True)
+                v1, v2 = dkp2_velocity(sa, sb, rng.normal(size=(50, 3)),
+                                       rng.normal(size=(50, 3)), 0.2,
+                                       symmetrized=True)
             except NodeError:
                 continue
-            assert np.all(n1 >= -1e-10)
-            assert np.all(n2 >= -1e-10)
+            assert np.all(1.0 - np.sum(v1**2, axis=-1) >= -1e-10)
+            assert np.all(1.0 - np.sum(v2**2, axis=-1) >= -1e-10)
             checked += 50
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pilotwave.errors import DomainError
+from pilotwave.errors import DomainError, ShapeError
 from pilotwave.grid import Grid
 from pilotwave.wavefunction import GridWaveFunction
 
@@ -183,3 +183,18 @@ def test_non_finite_coordinate_is_outside(name, bad):
             with pytest.raises(DomainError) as err:
                 call()
             np.testing.assert_equal(err.value.coordinate, bad)
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+@pytest.mark.parametrize("extra", [1, -1], ids=["too_many", "too_few"])
+def test_wrong_column_count_is_a_shape_error(name, extra):
+    """Configurations with more or fewer columns than the grid has axes
+    raise ShapeError from `interpolate` and a grid state's `evaluate`."""
+    grid = GRIDS[name]
+    psi = GridWaveFunction(grid, np.ones(grid.shape), [1.0])
+    centre = [np.mean(e) for e in grid.extents]
+    pts = np.array([centre + [0.0]] if extra > 0 else [centre[:-1]])
+    for call in (lambda: grid.interpolate(psi.values, pts),
+                 lambda: psi.evaluate(pts)):
+        with pytest.raises(ShapeError):
+            call()

@@ -1,6 +1,6 @@
-"""Every refusal of the state, grid, family, current and guidance modules,
-one row each: the smallest input that reaches it and the class it must
-raise.
+"""Every refusal of the package, one row each: the smallest input that
+reaches it and the class it must raise.  A guard on the program's own
+results, which no input reaches, is forced with `mock.patch`.
 
 A row names its `raise` statement by module, enclosing function, error
 class and, where those three are shared, a fragment of the statement's
@@ -20,23 +20,34 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from pilotwave import families, guide
-from pilotwave.currents import (EmPotential, SpinSpec, configuration_velocity,
-                                continuity_residual, current)
-from pilotwave.errors import (ConfigurationError, DomainError,
-                              NoFluxError, NotSeparatedError, PilotWaveError,
+from pilotwave import decay, dkp, evolve, families, guide, reldirac
+from pilotwave.currents import (EmPotential, SpinSpec, bilinear_flow,
+                                configuration_velocity, continuity_residual,
+                                current)
+from pilotwave.decay import (DecayPairSpec, EnergyShellSpec, LensSpec,
+                             MomentumCorrelationSpec)
+from pilotwave.dkp import ObserverVector, build_dkp_state
+from pilotwave.errors import (CausalityViolationError, ConfigurationError,
+                              DegenerateObserverError, DomainError,
+                              InvariantViolationError, NodeError, NoFluxError,
+                              NotSeparatedError, PhysicsError, PilotWaveError,
                               SamplerFailureError, ShapeError, StabilityError,
                               UnsupportedFamilyError)
+from pilotwave.evolve import Propagator, propagate_to
 from pilotwave.grid import Grid
+from pilotwave.matrices import build_matrix_set
+from pilotwave.reldirac import PlaneWaveSpinorState, free_spinor
 from pilotwave.wavefunction import (GridWaveFunction, ParametricWaveFunction,
                                     grid_gradient)
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pilotwave"
-MODULES = ("currents", "families", "grid", "guide", "wavefunction")
+# every module of the package: one that raises nothing adds no site
+MODULES = sorted(path.stem for path in SRC.glob("*.py"))
 
 # (module, function) of the checks that run once, at import, and fire
 # only on a bug in the module itself
-IMPORT_CHECKS = {("currents", "_spin_generators")}
+IMPORT_CHECKS = {("currents", "_spin_generators"),
+                 ("matrices", "_check_dirac"), ("matrices", "_check_dkp")}
 
 
 class Site(NamedTuple):
@@ -108,6 +119,57 @@ def threads(raw):
 
 PLANE_WAVE_SUM = {"k": [[1.0, 0.0, 0.0]], "omega": [1.0], "amps": [[1.0]]}
 
+
+def spin0(p=(0.0, 0.0, 0.0), massless=False):
+    return build_dkp_state("spin0", 1.0, [{"p": list(p)}], massless=massless)
+
+
+def dirac(*parts, sign=+1):
+    """A one-term Dirac state: one particle at rest, or, given parts
+    (p, sign, spin), that many particles."""
+    if not parts:
+        return PlaneWaveSpinorState(((1.0, [0.0] * 3, sign, 0),), 1.0)
+    return PlaneWaveSpinorState(((1.0,) + parts,), 1.0, n_particles=len(parts))
+
+
+def pauli_pair():
+    """Two particles in the same mode, antisymmetrized: zero everywhere."""
+    mode = ([0.5, 0.0, 0.0], +1, 0)
+    return dirac(mode, mode).antisymmetrized()
+
+
+def patched(module, call, **names):
+    """call() with the given names of `module` replaced."""
+    with mock.patch.multiple(module, **names):
+        return call()
+
+
+def imaging():
+    return decay.imaging_trajectories(
+        DecayPairSpec(alpha=0.01, m1=1.0, m2=1.0), LensSpec(f=1.0, S=2.0),
+        [2.0, 0.1, 0.0], n=4)
+
+
+def runs_left_the_lens_unreached(ensemble, *args, **kwargs):
+    """`integrate_ensemble` with every run reported `ok`, none `exited`."""
+    lens_hit, status, record = guide.integrate_ensemble(ensemble, *args,
+                                                        **kwargs)
+    return lens_hit, np.full_like(status, "ok"), record
+
+
+class BeamThatNeverLands(decay._ConvergingGaussianSource):
+    def first_crossing(self, starts, x_plane, t_end):
+        return np.zeros(len(starts)), np.zeros(len(starts), dtype=bool)
+
+
+def doubling(psi, prop, t_mid):
+    """A split step's one factor, which doubles psi and so its norm."""
+    return [((False,) * psi.grid.ndim, lambda vals: 2.0 * vals)]
+
+
+def split_step(**kwargs):
+    return Propagator("split-step", 0.1, **kwargs)
+
 ROWS = [
     # currents
     Row("currents", "SpinSpec.__post_init__", ShapeError,
@@ -129,6 +191,138 @@ ROWS = [
         "time ordered"),
     Row("currents", "configuration_velocity", ShapeError,
         lambda: configuration_velocity(pair(), [[0.0, 0.0]], em=EmPotential())),
+    Row("currents", "bilinear_flow", InvariantViolationError,
+        lambda: bilinear_flow(np.array([[-1.0], [0.0], [0.0], [0.0]]), 1.0)),
+    Row("currents", "bilinear_flow", NodeError,
+        lambda: reldirac.dirac2_velocity(pauli_pair(), [[0.1, 0.2, 0.3]],
+                                         [[-0.4, 0.5, 0.6]], 0.1)),
+    Row("currents", "bilinear_flow", CausalityViolationError,
+        lambda: bilinear_flow(np.array([[1.0], [0.5], [0.0], [0.0], [1.5],
+                                        [0.0], [0.0]]), 1.0)),
+    # decay
+    Row("decay", "DecayPairSpec.__post_init__", ConfigurationError,
+        lambda: DecayPairSpec(alpha=0.0, m1=1.0, m2=1.0), "alpha"),
+    Row("decay", "DecayPairSpec.__post_init__", ConfigurationError,
+        lambda: DecayPairSpec(alpha=1.0, m1=0.0, m2=1.0), "masses"),
+    Row("decay", "LensSpec.__post_init__", ConfigurationError,
+        lambda: LensSpec(f=0.0, S=1.0), "focal length"),
+    Row("decay", "LensSpec.__post_init__", ConfigurationError,
+        lambda: LensSpec(f=1.0), "give S"),
+    Row("decay", "LensSpec.__post_init__", ConfigurationError,
+        lambda: LensSpec(f=1.0, S=2.0, S_image=3.0), "thin-lens"),
+    Row("decay", "LensSpec.__post_init__", ConfigurationError,
+        lambda: LensSpec(f=1.0, S=0.5), "distances"),
+    Row("decay", "LensSpec.__post_init__", ConfigurationError,
+        lambda: LensSpec(f=1.0, S=2.0, waist=0.0), "waist"),
+    Row("decay", "EnergyShellSpec.__post_init__", ConfigurationError,
+        lambda: EnergyShellSpec(e_plus=1.0, e_minus=2.0), "E_minus"),
+    Row("decay", "EnergyShellSpec.__post_init__", ConfigurationError,
+        lambda: EnergyShellSpec(e_plus=2.0, e_minus=1.0, mass=0.0), "mass"),
+    Row("decay", "pair_trajectories", ShapeError,
+        lambda: decay.pair_trajectories(
+            DecayPairSpec(alpha=1.0, m1=1.0, m2=1.0), [0.0] * 3, [1.0] * 3,
+            [1.0, 2.0])),
+    Row("decay", "MomentumCorrelationSpec.__post_init__", ConfigurationError,
+        lambda: MomentumCorrelationSpec(sigma=0.0, alpha=1.0, m1=1.0, m2=1.0)),
+    Row("decay", "variance_evolution", ShapeError,
+        lambda: decay.variance_evolution(
+            MomentumCorrelationSpec(sigma=0.5, alpha=0.8, m1=1.0, m2=1.0),
+            [-1.0, 1.0], monte_carlo_n=1)),
+    Row("decay", "energy_shell_density", ShapeError,
+        lambda: decay.energy_shell_density(
+            EnergyShellSpec(e_plus=2.0, e_minus=1.0), -1.0)),
+    Row("decay", "imaging_trajectories", PhysicsError,
+        lambda: decay.imaging_trajectories(
+            DecayPairSpec(alpha=0.01, m1=1.0, m2=2.0), LensSpec(f=1.0, S=2.0),
+            [2.0, 0.0, 0.0], n=4), "equal masses"),
+    Row("decay", "imaging_trajectories", ShapeError,
+        lambda: decay.imaging_trajectories(
+            DecayPairSpec(alpha=0.01, m1=1.0, m2=1.0), LensSpec(f=1.0, S=2.0),
+            [2.0, 0.0], n=4)),
+    Row("decay", "imaging_trajectories", PhysicsError,
+        lambda: decay.imaging_trajectories(
+            DecayPairSpec(alpha=0.01, m1=1.0, m2=1.0), LensSpec(f=1.0, S=2.0),
+            [1.0, 0.0, 0.0], n=4), "detector-1 plane"),
+    Row("decay", "imaging_trajectories", PhysicsError,
+        lambda: patched(decay, imaging,
+                        integrate_ensemble=runs_left_the_lens_unreached),
+        "lens plane"),
+    Row("decay", "imaging_trajectories", PhysicsError,
+        lambda: patched(decay, imaging,
+                        _ConvergingGaussianSource=BeamThatNeverLands),
+        "image plane"),
+    # dkp
+    Row("dkp", "ObserverVector.__post_init__", ShapeError,
+        lambda: ObserverVector(np.ones(3))),
+    Row("dkp", "ObserverVector.__post_init__", PhysicsError,
+        lambda: ObserverVector([-1.0, 0.0, 0.0, 0.0]), "positive time"),
+    Row("dkp", "ObserverVector.__post_init__", PhysicsError,
+        lambda: ObserverVector([1.0, 2.0, 0.0, 0.0]), "causal"),
+    Row("dkp", "_spin1_components", ShapeError,
+        lambda: build_dkp_state("spin1", 1.0, [
+            {"p": [0.0] * 3, "polarization": [1.0, 0.0]}])),
+    Row("dkp", "_spin1_components", PhysicsError,
+        lambda: build_dkp_state("spin1", 1.0, [
+            {"p": [1.0, 0.0, 0.0], "polarization": [1.0, 0.0, 0.0]}],
+            massless=True)),
+    Row("dkp", "build_dkp_state", ConfigurationError,
+        lambda: build_dkp_state("spin2", 1.0, [])),
+    Row("dkp", "build_dkp_state", PhysicsError,
+        lambda: build_dkp_state("spin0", 0.0, []), "must be positive"),
+    Row("dkp", "build_dkp_state", ShapeError,
+        lambda: build_dkp_state("spin0", 1.0, [{"p": [1.0]}])),
+    Row("dkp", "build_dkp_state", PhysicsError,
+        lambda: build_dkp_state("spin0", 1.0, [{"p": [0.0] * 3, "E": 2.0}]),
+        "off-shell"),
+    Row("dkp", "build_dkp_state", PhysicsError,
+        lambda: spin0(massless=True), "nonzero momentum"),
+    Row("dkp", "build_dkp_state", InvariantViolationError,
+        lambda: patched(dkp, spin0,
+                        _spin0_components=lambda p, e, m: np.ones(5))),
+    Row("dkp", "total_energy_momentum", ShapeError,
+        lambda: dkp.total_energy_momentum(spin0(), [(0.0, 1.0)])),
+    Row("dkp", "total_energy_momentum", DegenerateObserverError,
+        lambda: dkp.total_energy_momentum(spin0([1.0, 0.0, 0.0], True),
+                                          [(0.0, 2.0 * np.pi)] * 3, 4)),
+    Row("dkp", "reduced_nonrel_state", PhysicsError,
+        lambda: dkp.reduced_nonrel_state(spin0([1.0, 0.0, 0.0], True))),
+    Row("dkp", "dkp2_velocity", ShapeError,
+        lambda: dkp.dkp2_velocity(spin0(), spin0([1.0, 0.0, 0.0], True),
+                                  [[0.0] * 3], [[0.0] * 3], 0.0)),
+    # evolve
+    Row("evolve", "Propagator.__post_init__", ConfigurationError,
+        lambda: Propagator("euler", 0.1), "unknown propagation method"),
+    Row("evolve", "Propagator.__post_init__", StabilityError,
+        lambda: Propagator("analytic", 0.0)),
+    Row("evolve", "Propagator.__post_init__", ConfigurationError,
+        lambda: split_step(em=EmPotential(v=lambda x, t: x)),
+        "no vector potential"),
+    Row("evolve", "Propagator.__post_init__", ShapeError,
+        lambda: split_step(coupling=(0, np.array([[0.0, 0.0], [1.0, 1.0]])))),
+    Row("evolve", "_potential_factor", StabilityError,
+        lambda: evolve.step(on_grid(), Propagator(
+            "split-step", 1.0, potential=lambda x, t: np.ones(len(x))))),
+    Row("evolve", "step", UnsupportedFamilyError,
+        lambda: evolve.step(on_grid(), Propagator("analytic", 0.1)),
+        "needs a parametric state"),
+    Row("evolve", "step", UnsupportedFamilyError,
+        lambda: evolve.step(packet(), Propagator(
+            "analytic", 0.1, potential=lambda x, t: np.zeros(len(x)))),
+        "evolve freely"),
+    Row("evolve", "step", ShapeError,
+        lambda: evolve.step(packet(), split_step()), "needs a grid state"),
+    Row("evolve", "step", ShapeError,
+        lambda: evolve.step(on_grid(), split_step(spin=SpinSpec(0.5))),
+        "spin does not match"),
+    Row("evolve", "step", StabilityError,
+        lambda: patched(evolve, lambda: evolve.step(on_grid(), split_step()),
+                        _factors=doubling)),
+    Row("evolve", "propagate_to", ShapeError,
+        lambda: propagate_to(packet(), Propagator("analytic", 0.1), 1.0,
+                             [0.5, 0.2]), "strictly increasing"),
+    Row("evolve", "propagate_to", ShapeError,
+        lambda: propagate_to(packet(), Propagator("analytic", 0.1), 1.0,
+                             [2.0]), "within"),
     # families
     Row("families", "get_family", ConfigurationError,
         lambda: families.build("no_such_family", {})),
@@ -168,6 +362,8 @@ ROWS = [
         lambda: Grid([(1.0, 1.0)], [2]), "empty axis interval"),
     Row("grid", "Grid.__init__", ConfigurationError,
         lambda: Grid([(0.0, 1.0)] * 3, [4096] * 3), "memory budget"),
+    Row("grid", "Grid.require_inside", ShapeError,
+        lambda: Grid([(0.0, 1.0)], [2]).require_inside([[0.5, 0.5]])),
     Row("grid", "Grid.require_inside", DomainError,
         lambda: Grid([(0.0, 1.0)], [2]).require_inside([[2.0]])),
     # guide
@@ -196,6 +392,10 @@ ROWS = [
                                          seed=1),
         "density vanished"),
     Row("guide", "sample_equilibrium", SamplerFailureError,
+        lambda: guide.sample_equilibrium(narrow_edge_packet(1e-5), 1, seed=1,
+                                         box=[(-1.0, 1.0)]),
+        "one probe node"),
+    Row("guide", "sample_equilibrium", SamplerFailureError,
         lambda: guide.sample_equilibrium(narrow_edge_packet(1e-5), 100, seed=1,
                                          box=[(-1.0, 1.0)], envelope="uniform"),
         "acceptance rate"),
@@ -209,7 +409,7 @@ ROWS = [
             guide.BeableConfig(np.zeros((1, 1))),
             guide.ParametricVelocity(packet()), 0.0,
             guide.IntegrationControls(dt=0.1))),
-    Row("guide", "marginal_cdf_by_quadrature", PilotWaveError,
+    Row("guide", "marginal_cdf_by_quadrature", ConfigurationError,
         lambda: guide.marginal_cdf_by_quadrature(packet(), 0, [(100.0, 101.0)])),
     Row("guide", "equivariance_check", ShapeError,
         lambda: guide.equivariance_check(packet(), None, 999, 1.0)),
@@ -226,6 +426,36 @@ ROWS = [
                                             seed=15, coupling=1.0,
                                             free_flight=0.0,
                                             grid_points=(32, 64))),
+    # matrices
+    Row("matrices", "MatrixSet.constraint_residual_op", ConfigurationError,
+        lambda: build_matrix_set("dirac4").constraint_residual_op(
+            np.zeros(3), 1.0)),
+    Row("matrices", "build_matrix_set", ConfigurationError,
+        lambda: build_matrix_set("dkp99")),
+    # reldirac
+    Row("reldirac", "free_spinor", ConfigurationError,
+        lambda: free_spinor([0.0] * 3, 1.0, 0, 0), "energy sign"),
+    Row("reldirac", "free_spinor", ConfigurationError,
+        lambda: free_spinor([0.0] * 3, 1.0, 1, 2), "spin label"),
+    Row("reldirac", "PlaneWaveSpinorState.__post_init__", ShapeError,
+        lambda: PlaneWaveSpinorState(((1.0, [0.0] * 3, 1, 0),), 1.0,
+                                     n_particles=3), "one- and two-particle"),
+    Row("reldirac", "PlaneWaveSpinorState.__post_init__", ShapeError,
+        lambda: PlaneWaveSpinorState((), 1.0), "at least one term"),
+    Row("reldirac", "PlaneWaveSpinorState._check_term", InvariantViolationError,
+        lambda: patched(reldirac, dirac, free_spinor=lambda p, m, sign, spin:
+                        (np.ones(4, dtype=complex), 1.0))),
+    Row("reldirac", "PlaneWaveSpinorState.antisymmetrized", ShapeError,
+        lambda: dirac().antisymmetrized()),
+    Row("reldirac", "dirac_velocity", ShapeError,
+        lambda: reldirac.dirac_velocity(pauli_pair(), [[0.0] * 6], 0.0)),
+    Row("reldirac", "_dirac2_flow", ShapeError,
+        lambda: reldirac.dirac2_velocity(dirac(), [[0.0] * 3], [[0.0] * 3],
+                                         0.0)),
+    Row("reldirac", "nonrelativistic_pauli_state", ShapeError,
+        lambda: reldirac.nonrelativistic_pauli_state(pauli_pair())),
+    Row("reldirac", "nonrelativistic_pauli_state", PhysicsError,
+        lambda: reldirac.nonrelativistic_pauli_state(dirac(sign=-1))),
     # wavefunction
     Row("wavefunction", "axis_masses", ConfigurationError,
         lambda: GridWaveFunction(Grid([(0.0, 1.0)], [2]), np.ones(2),

@@ -7,7 +7,8 @@ from hypothesis import given, reject
 import strategies as rs
 
 from pilotwave.currents import SpinSpec, current
-from pilotwave.errors import NodeError, PhysicsError, ShapeError
+from pilotwave.errors import (ConfigurationError, NodeError, PhysicsError,
+                              ShapeError)
 from pilotwave.guide import (BeableConfig, IntegrationControls,
                              ParametricVelocity, integrate_trajectory)
 from pilotwave.reldirac import (PlaneWaveSpinorState, dirac2_velocity,
@@ -36,8 +37,8 @@ class TestSpinors:
     def test_rest_state_velocity_zero(self):
         st = PlaneWaveSpinorState((one(1.0, [0, 0, 0]),), mass=1.0)
         v, u = dirac_velocity(st, [0.3, -0.2, 0.1], 0.5)
-        np.testing.assert_allclose(v, 0.0, atol=1e-14)
-        np.testing.assert_allclose(u, [1, 0, 0, 0], atol=1e-14)
+        np.testing.assert_allclose(v[0], 0.0, atol=1e-14)
+        np.testing.assert_allclose(u[0], [1, 0, 0, 0], atol=1e-14)
 
     def test_single_term_velocity_p_over_e(self):
         rng = np.random.default_rng(1)
@@ -47,7 +48,7 @@ class TestSpinors:
             st = PlaneWaveSpinorState((one(1.0, p, +1, rng.integers(2)),), mass=m)
             v, _ = dirac_velocity(st, rng.normal(size=3), rng.normal())
             e = np.sqrt(p @ p + m * m)
-            np.testing.assert_allclose(v, p / e, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(v[0], p / e, rtol=1e-12, atol=1e-12)
 
     def test_four_velocity_near_light_speed(self):
         """u = (E, p)/m to 1e-11 of |u| at |p| = 1e3 m, where 1 - |v| is
@@ -64,6 +65,15 @@ class TestSpinors:
                 st = PlaneWaveSpinorState((one(1.0, p, +1, spin),), mass=m)
                 _, u = dirac_velocity(st, [0.3, -0.2, 0.1], 0.5)
                 assert np.max(np.abs(u - expected)) <= 1e-11 * expected[0]
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("p", [1e4, 1e6, 1e8])
+    def test_ultrarelativistic_state_builds_and_is_causal(self, p, sign):
+        """The Dirac residual check scales with E, so a state at |p| up to
+        1e8 m builds, and its velocity stays within the light cone."""
+        st = PlaneWaveSpinorState(((1.0, [p, 0.3, 0.0], sign, 0),), mass=1.0)
+        v, _ = dirac_velocity(st, [[0.3, -0.2, 0.1], [1.0, 2.0, -3.0]], 0.5)
+        assert np.all(np.sum(v**2, axis=-1) <= 1 + 1e-10)
 
     def test_two_term_interference_oracle(self):
         """Equal +p / -p superposition: the velocity oscillates in x with
@@ -84,7 +94,7 @@ class TestSpinors:
         t = 0.37
         vy = []
         for x in xs:
-            v, _ = dirac_velocity(st, np.array([x, 0.0, 0.0]), t)
+            v = dirac_velocity(st, np.array([x, 0.0, 0.0]), t)[0][0]
             ph1 = np.exp(1j * (p[0] * x - e * t)) / np.sqrt(2)
             ph2 = np.exp(1j * (-p[0] * x - e * t)) / np.sqrt(2)
             psi = u1 * ph1 + u2 * ph2
@@ -96,7 +106,7 @@ class TestSpinors:
         assert np.max(np.abs(vy)) > 0.1          # genuinely oscillates
         # periodicity pi/|p| and zero average over one period
         v_shift, _ = dirac_velocity(st, np.array([xs[7] + np.pi / p[0], 0, 0]), t)
-        np.testing.assert_allclose(v_shift[1], vy[7], atol=1e-12)
+        np.testing.assert_allclose(v_shift[0, 1], vy[7], atol=1e-12)
         assert abs(np.mean(vy)) < 1e-12
 
     def test_speed_bound_random_superpositions(self):
@@ -156,8 +166,8 @@ class TestTwoParticle:
                                   n_particles=2)
         v1, v2 = dirac2_velocity(st, rng.normal(size=3), rng.normal(size=3), 0.2)
         ep, eq = np.sqrt(p @ p + m * m), np.sqrt(q @ q + m * m)
-        np.testing.assert_allclose(v1, p / ep, atol=1e-10)
-        np.testing.assert_allclose(v2, q / eq, atol=1e-10)
+        np.testing.assert_allclose(v1[0], p / ep, atol=1e-10)
+        np.testing.assert_allclose(v2[0], q / eq, atol=1e-10)
 
     def test_pauli_exclusion_node(self):
         st = PlaneWaveSpinorState(
@@ -301,7 +311,7 @@ class TestTrajectories:
 
 
 def test_bad_inputs():
-    with pytest.raises(PhysicsError):
+    with pytest.raises(ConfigurationError):
         free_spinor([0, 0, 0], 1.0, 0, 0)
     with pytest.raises(ShapeError):
         PlaneWaveSpinorState((), mass=1.0)
