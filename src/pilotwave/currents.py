@@ -41,8 +41,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (CausalityViolationError, InvariantViolationError,
-                     NodeError, ShapeError)
+from .errors import (CausalityViolationError, DomainError,
+                     InvariantViolationError, NodeError, ShapeError)
 from .matrices import PAULI, bilinears
 from .wavefunction import grid_gradient
 
@@ -54,9 +54,12 @@ def bilinear_flow(j, scale):
     """The relativistic flow law: v = j^i / j^0, shape (n, 3k), from the
     bilinears j of k particles, time component first, shape (1 + 3k, n).
 
+    Bilinears that are not finite, as at a NaN point, raise DomainError.
     With the state's density scale, j^0 < -1e-12 scale raises
     InvariantViolationError, j^0 <= RHO_FLOOR_REL scale NodeError, and a
     particle with |v_r|^2 > 1 + 1e-10 CausalityViolationError."""
+    if not np.isfinite(j).all():
+        raise DomainError("bilinears not finite")
     if np.any(j[0] < -1e-12 * scale):
         raise InvariantViolationError("j^0 < 0 on a supposedly valid state")
     if np.any(j[0] <= RHO_FLOOR_REL * scale):

@@ -36,7 +36,7 @@ ONSHELL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ObserverVector:
-    """Constant future-causal 4-vector n^mu (n^0 > 0, n.n >= 0)."""
+    """Constant future-causal 4-vector n^mu (finite, n^0 > 0, n.n >= 0)."""
     n: np.ndarray
 
     def __post_init__(self):
@@ -45,8 +45,10 @@ class ObserverVector:
             raise ShapeError("observer vector must have 4 components")
         if not n[0] > 0:
             raise PhysicsError("observer vector must have positive time component")
-        if n @ METRIC @ n < -1e-12 * (n @ n):
-            raise PhysicsError("observer vector must be causal (n.n >= 0)")
+        # a non-finite component is refused before n.n is formed
+        if not (np.isfinite(n).all() and n @ METRIC @ n >= -1e-12 * (n @ n)):
+            raise PhysicsError(
+                "observer vector must be finite and causal (n.n >= 0)")
         object.__setattr__(self, "n", n)
 
     @property

@@ -10,12 +10,15 @@ that hit a node of the wavefunction (density below floor, velocity
 singular) are truncated and reported with status ``node_encounter``;
 leaving the domain gives ``exited``.
 
-A source's ``domain`` is a `Box`, or None for all of space.  A member
-whose full RK4 step leaves the box stops where that step first crosses a
-face, on the bound exactly; one whose intermediate stage probes outside
-(NaN velocity) stops where the chord to the first such probe crosses a
-face.  Both are ``exited``.  A NaN stage inside the domain also stops
-the member, at its last position.
+A source's ``domain`` is a `Box`, or None for all of space.  Each RK4
+step evaluates the velocity four times, at the plain stage probes, and
+every stop is read off those four stages.  A member whose full step
+leaves the box stops where that step first crosses a face, on the bound
+exactly, and is ``exited``.  A member with a non-finite stage stays at
+its last position and is ``node_encounter``, with or without a domain,
+unless one of its probes is finite and outside the box (a grid's
+velocity is NaN there): then it is ``exited`` and stops where the chord
+to the first such probe crosses a face.
 
 The node floor is one rule, relative to the wave at the evaluated point
 and never to other members: a closed-form state is at a node where
@@ -314,77 +317,53 @@ def sample_equilibrium(psi, n, seed, box=None, envelope="auto"):
 # trajectory integration
 
 
-def _probe(xa, c, k):
-    """The stage point xa + c k.  A NaN stage (node hit) counts as 0 so
-    that it does not poison the next stage's evaluation point; the member
-    is flagged via dx in `_rk4_step`."""
-    finite = np.isfinite(k)
-    if not finite.all():
-        k = np.where(finite, k, 0.0)
-    return xa + c * k
-
-
-def _stages(xa, source, t, h, k1, probe):
-    """The RK4 stages after k1, with their probe points formed by
-    `probe`: (k2, k3, k4, p2, p3, p4)."""
-    half = 0.5 * h
-    p2 = probe(xa, half, k1)
-    k2 = source.velocity(p2, t + half)
-    p3 = probe(xa, half, k2)
-    k3 = source.velocity(p3, t + half)
-    p4 = probe(xa, h, k3)
-    return k2, k3, source.velocity(p4, t + h), p2, p3, p4
-
-
 def _rk4_step(xa, source, t, h):
     """One RK4 step of the members xa: their new positions, and None when
-    no member stopped, else the masks of those that hit a node (not
-    moved) and that left the domain.  The stage probes are plain
-    xa + c k; only when dx is not finite (a finite dx means all four
-    stages were) are the stages after k1 formed again through `_probe`,
-    which keeps a NaN stage from poisoning the next probe, and the masks
-    built.  They are also built when a member left the domain."""
+    no member stopped, else the masks of those that hit a node and that
+    left the domain.  The four stages are the only velocity calls, at the
+    plain probes xa + c k.  A member whose stages are all finite takes
+    the step, and one whose step leaves the domain lands where it first
+    crosses a face.  A member with a non-finite stage stays where it was,
+    at a node, unless one of its probes is finite and outside the domain:
+    then it lands where the chord to the first such probe leaves it."""
+    half = 0.5 * h
     k1 = source.velocity(xa, t)
-    k2, k3, k4, p2, p3, p4 = _stages(xa, source, t, h, k1,
-                                     lambda x, c, k: x + c * k)
+    p2 = xa + half * k1
+    k2 = source.velocity(p2, t + half)
+    p3 = xa + half * k2
+    k3 = source.velocity(p3, t + half)
+    p4 = xa + h * k3
+    k4 = source.velocity(p4, t + h)
     dx = (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    finite = np.isfinite(dx).all()
-    if not finite:
-        # the stages agree up to a member's first non-finite one, so the
-        # same members have a non-finite dx
-        k2, k3, k4, p2, p3, p4 = _stages(xa, source, t, h, k1, _probe)
-        dx = (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     new = xa + dx
     domain = source.domain
-    if finite:
+    if np.isfinite(dx).all():
         if domain is None:
             return new, None
         inside = domain.contains(new)
         if inside.all():
             return new, None
-        node = np.zeros(len(xa), bool)
-        moved, left = ~node, ~inside
-    else:
-        # NaN at the member's own point means a node; NaN only at an
-        # intermediate stage means the step probed past the boundary.
-        node = ~np.isfinite(k1).all(axis=1)
-        moved = np.isfinite(dx).all(axis=1)
-        new[~moved] = xa[~moved]
-        if domain is None:
-            return new, (~moved, np.zeros_like(node))
-        left = moved & ~domain.contains(new)
+        left = ~inside
+        new[left] = domain.land(xa[left], new[left])
+        return new, (np.zeros(len(xa), bool), left)
+    # a non-finite stage makes every later probe non-finite, so a
+    # member's finite probes are those before its first non-finite stage
+    node = ~np.isfinite(dx).all(axis=1)
+    new[node] = xa[node]
+    if domain is None:
+        return new, (node, np.zeros_like(node))
+    left = ~node & ~domain.contains(new)
     if left.any():
         new[left] = domain.land(xa[left], new[left])
-    stopped = ~moved & ~node
-    if stopped.any():
-        # land on the chord of the first stage probe that left the domain
-        # (later probes are landed first, so the earliest one wins); a
-        # member whose probes all stayed inside keeps its position
-        rows = np.flatnonzero(stopped)
-        for p in (p4, p3, p2):
-            out = rows[~domain.contains(p[rows])]
-            new[out] = domain.land(xa[out], p[out])
-    return new, (node, stopped | left)
+    # later probes are landed first, so the earliest one wins
+    rows = np.flatnonzero(node)
+    for p in (p4, p3, p2):
+        q = p[rows]
+        out = rows[np.isfinite(q).all(axis=1) & ~domain.contains(q)]
+        new[out] = domain.land(xa[out], p[out])
+        node[out] = False
+        left[out] = True
+    return new, (node, left)
 
 
 def _rk4_schedule(span, dt):

@@ -146,33 +146,18 @@ def dirac_velocity(state, x, t):
     return v, u
 
 
-def _dirac2_flow(state, x1, x2, t):
-    """Density (n,) and the two per-particle velocities (n, 3) of a
-    two-particle state, from one amplitude evaluation, by
+def dirac2_velocity(state, x1, x2, t):
+    """Per-particle velocities of a two-particle plane-wave state, each
+    (npoints, 3), from one amplitude evaluation, by
     `currents.bilinear_flow` with its errors."""
     if state.n_particles != 2:
         raise ShapeError("state is not two-particle")
     x1 = np.atleast_2d(np.asarray(x1, dtype=float))
     x2 = np.atleast_2d(np.asarray(x2, dtype=float))
     x = np.concatenate([x1, x2], axis=1)
-    flows = bilinears(state.amplitude(x, t), _FLOW[2])
-    v = bilinear_flow(flows, state.wave.scale())
-    return flows[0], v[:, :3], v[:, 3:]
-
-
-def dirac2_velocity(state, x1, x2, t):
-    """Per-particle velocities of a two-particle plane-wave state, each
-    (npoints, 3), with the errors of `_dirac2_flow`."""
-    return _dirac2_flow(state, x1, x2, t)[1:]
-
-
-def tensor_current_causal(state, x1, x2, t):
-    """The Minkowski norms rho^2 - |rho v_r|^2 of j^{0 mu_r 0} of both
-    particles, each (npoints,): >= -1e-10 rho^2, since `_dirac2_flow`
-    refuses |v_r|^2 > 1 + 1e-10."""
-    rho, v1, v2 = _dirac2_flow(state, x1, x2, t)
-    return tuple(rho**2 - np.sum((v * rho[:, None]) ** 2, axis=-1)
-                 for v in (v1, v2))
+    v = bilinear_flow(bilinears(state.amplitude(x, t), _FLOW[2]),
+                      state.wave.scale())
+    return v[:, :3], v[:, 3:]
 
 
 def nonrelativistic_pauli_state(state):

@@ -1,6 +1,7 @@
 """DKP / Harish-Chandra states: constraints, causality, reductions."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from pilotwave.dkp import (TIME_OBSERVER, DkpState, ObserverVector,
                            reduced_nonrel_state, theta_tensor,
                            total_energy_momentum)
 from pilotwave.errors import (ConfigurationError, DegenerateObserverError,
-                              InvariantViolationError, NodeError,
-                              PhysicsError, ShapeError)
+                              DomainError, InvariantViolationError,
+                              NodeError, PhysicsError, ShapeError)
 from pilotwave.guide import (BeableConfig, IntegrationControls,
                             ParametricVelocity, integrate_trajectory)
 from pilotwave.matrices import METRIC, build_matrix_set
@@ -189,10 +190,29 @@ class TestEnergyMomentumCurrent:
         np.testing.assert_allclose(v1, v2, rtol=1e-12)
 
     def test_bad_observer_rejected(self):
+        """Spacelike, past-directed and non-finite vectors; a non-finite
+        one is refused before n.n is formed, with no RuntimeWarning."""
         with pytest.raises(PhysicsError):
             ObserverVector(np.array([1.0, 2.0, 0.0, 0.0]))   # spacelike
         with pytest.raises(PhysicsError):
             ObserverVector(np.array([-1.0, 0.0, 0.0, 0.0]))  # past-directed
+        for n in ([1.0, np.nan, 0.0, 0.0], [1.0, np.inf, 0.0, 0.0],
+                  [1.0, 0.0, -np.inf, 0.0]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(PhysicsError):
+                    ObserverVector(np.array(n))
+
+    def test_nan_point_is_a_domain_error(self):
+        """A NaN point makes the bilinears NaN: refused before the sign,
+        floor and causality tests, for one particle and for two."""
+        state = spin0_state([{"p": [0.1, 0.0, 0.0]}])
+        nan, zero = [[np.nan, 0.0, 0.0]], [[0.0, 0.0, 0.0]]
+        with pytest.raises(DomainError):
+            energy_momentum_current(state, TIME_OBSERVER, nan, 0.0)
+        for x1, x2 in ((nan, zero), (zero, nan)):
+            with pytest.raises(DomainError):
+                dkp2_velocity(state, state, x1, x2, 0.0)
 
 
 class TestTotalEnergyMomentum:

@@ -451,8 +451,8 @@ class TestDomains:
         """v = 1 except on a hole (0.52, 0.6) and outside the box: from
         x = 0.5 with dt = 0.1 the k2 probe (0.55) is NaN.  With the box
         ending at 0.54 that probe is outside and the member lands on the
-        face; with the box ending at 10 it is a NaN inside the domain and
-        the member stops where it was."""
+        face and is exited; with the box ending at 10 it is a NaN inside
+        the domain, a node: the member stops where it was."""
         class Holed:
             def __init__(self, hi):
                 self.domain = Box([-10.0], [hi])
@@ -463,10 +463,11 @@ class TestDomains:
                 return np.where(bad, np.nan, 1.0)[:, None]
 
         start = Ensemble(configs=np.array([[0.5]]), seed=0)
-        for hi, end in ((0.54, 0.54), (10.0, 0.5)):
+        for hi, end, kind in ((0.54, 0.54, "exited"),
+                              (10.0, 0.5, "node_encounter")):
             final, status = integrate_ensemble(start, Holed(hi), 1.0,
                                                IntegrationControls(dt=0.1))
-            assert list(status) == ["exited"]
+            assert list(status) == [kind]
             assert final[0, 0] == end
 
     def test_threaded_recording_bit_identical(self, monkeypatch):
@@ -659,35 +660,37 @@ def _reference_single_term_velocity(psi, at, t):
 
 
 def _reference_rk4_step(xa, source, t, h):
-    """`_rk4_step` with the node, moved and domain masks built on every
-    step: new positions, node mask, exited mask."""
+    """`_rk4_step` member by member: each row takes its own four stages
+    at plain probes; new positions, node mask, exited mask."""
     half = 0.5 * h
-    k1 = source.velocity(xa, t)
-    p2 = guide._probe(xa, half, k1)
-    k2 = source.velocity(p2, t + half)
-    p3 = guide._probe(xa, half, k2)
-    k3 = source.velocity(p3, t + half)
-    p4 = guide._probe(xa, h, k3)
-    k4 = source.velocity(p4, t + h)
-    dx = (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    new = xa + dx
-    node = ~np.isfinite(k1).all(axis=1)
-    moved = np.isfinite(dx).all(axis=1)
-    if not moved.all():
-        new[~moved] = xa[~moved]
     domain = source.domain
-    if domain is None:
-        return new, ~moved, np.zeros_like(node)
-    left = moved & ~domain.contains(new)
-    if left.any():
-        new[left] = domain.land(xa[left], new[left])
-    stopped = ~moved & ~node
-    if stopped.any():
-        rows = np.flatnonzero(stopped)
-        for p in (p4, p3, p2):
-            out = rows[~domain.contains(p[rows])]
-            new[out] = domain.land(xa[out], p[out])
-    return new, node, stopped | left
+    new = np.array(xa, dtype=float)
+    node = np.zeros(len(xa), bool)
+    exited = np.zeros(len(xa), bool)
+    for i, x in enumerate(new):
+        k1 = source.velocity(x[None], t)[0]
+        p2 = x + half * k1
+        k2 = source.velocity(p2[None], t + half)[0]
+        p3 = x + half * k2
+        k3 = source.velocity(p3[None], t + half)[0]
+        p4 = x + h * k3
+        k4 = source.velocity(p4[None], t + h)[0]
+        step = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if np.isfinite(step).all():
+            if domain is not None and not domain.contains(step[None])[0]:
+                new[i] = domain.land(x[None], step[None])[0]
+                exited[i] = True
+            else:
+                new[i] = step
+            continue
+        probes = [p for p in (p2, p3, p4) if domain is not None
+                  and np.isfinite(p).all() and not domain.contains(p[None])[0]]
+        if probes:
+            new[i] = domain.land(x[None], probes[0][None])[0]
+            exited[i] = True
+        else:
+            node[i] = True
+    return new, node, exited
 
 
 # ordinary coordinates, far-tail ones (where psi underflows and the
@@ -765,11 +768,9 @@ class TestHotPathReference:
     def test_mixed_batch_step_matches_the_reference(self):
         """One step of v = (1, 0.3) in the box x <= 1 with a node at
         x = 0.25 and a hole (0.95, 0.99): a member on the node, one whose
-        k2 probe falls in the hole and whose k4 probe (from the zeroed k2)
-        leaves the box, one whose k2 probe leaves it, and an ok member.
-        Plain probes would carry the hole's NaN into k3 and k4, so the
-        step forms its stages again; positions and masks equal the
-        reference's, with no RuntimeWarning."""
+        k2 probe falls in the hole (a node too: it stays at 0.92), one
+        whose k2 probe leaves the box, and an ok member.  Positions and
+        masks equal the reference's, with no RuntimeWarning."""
         class Holed:
             domain = Box([-10.0, -10.0], [1.0, 10.0])
 
@@ -785,10 +786,44 @@ class TestHotPathReference:
         np.testing.assert_array_equal(new, ref)
         np.testing.assert_array_equal(node, ref_node)
         np.testing.assert_array_equal(exited, ref_exited)
-        assert list(node) == [True, False, False, False]
-        assert list(exited) == [False, True, True, False]
+        assert list(node) == [True, True, False, False]
+        assert list(exited) == [False, False, True, False]
         assert np.all(np.isfinite(new))
-        np.testing.assert_array_equal(new[:, 0], [0.25, 1.0, 1.0, 0.1])
+        np.testing.assert_array_equal(new[:, 0], [0.25, 0.92, 1.0, 0.1])
+
+    def test_hole_inside_the_box_is_a_node_in_four_calls(self):
+        """A member whose k2 probe falls in a NaN hole inside a box gets
+        the status and position it gets with no domain: node_encounter
+        where it was.  Each step makes four velocity calls, also the one
+        at which it stops."""
+        class Holed:
+            def __init__(self, domain):
+                self.domain, self.calls = domain, 0
+
+            def velocity(self, configs, t):
+                self.calls += 1
+                x = configs[:, 0]
+                bad = (x > 0.52) & (x < 0.6)
+                if self.domain is not None:
+                    bad |= ~self.domain.contains(configs)
+                return np.where(bad, np.nan, 1.0)[:, None]
+
+        xa = np.array([[0.5], [0.0]])
+        runs = []
+        for domain in (None, Box([-10.0], [10.0])):
+            source = Holed(domain)
+            new, (node, exited) = guide._rk4_step(xa, source, 0.0, 0.1)
+            assert source.calls == 4
+            runs.append((new, node, exited))
+            final, status = integrate_ensemble(
+                Ensemble(configs=xa[:1], seed=0), Holed(domain), 1.0,
+                IntegrationControls(dt=0.1))
+            assert list(status) == [STATUS_NODE] and final[0, 0] == 0.5
+        (new0, node0, exited0), (new1, node1, exited1) = runs
+        np.testing.assert_array_equal(new0, new1)
+        np.testing.assert_array_equal(new1[:, 0], [0.5, 0.1])
+        assert list(node0) == list(node1) == [True, False]
+        assert not exited0.any() and not exited1.any()
 
     @pytest.mark.parametrize("domain", [None, Box([-3.0, -3.0], [1.5, 3.0])])
     def test_finite_batch_matches_the_reference(self, domain):

@@ -191,6 +191,8 @@ ROWS = [
         "time ordered"),
     Row("currents", "configuration_velocity", ShapeError,
         lambda: configuration_velocity(pair(), [[0.0, 0.0]], em=EmPotential())),
+    Row("currents", "bilinear_flow", DomainError,
+        lambda: reldirac.dirac_velocity(dirac(), [[np.nan, 0.0, 0.0]], 0.0)),
     Row("currents", "bilinear_flow", InvariantViolationError,
         lambda: bilinear_flow(np.array([[-1.0], [0.0], [0.0], [0.0]]), 1.0)),
     Row("currents", "bilinear_flow", NodeError,
@@ -449,7 +451,7 @@ ROWS = [
         lambda: dirac().antisymmetrized()),
     Row("reldirac", "dirac_velocity", ShapeError,
         lambda: reldirac.dirac_velocity(pauli_pair(), [[0.0] * 6], 0.0)),
-    Row("reldirac", "_dirac2_flow", ShapeError,
+    Row("reldirac", "dirac2_velocity", ShapeError,
         lambda: reldirac.dirac2_velocity(dirac(), [[0.0] * 3], [[0.0] * 3],
                                          0.0)),
     Row("reldirac", "nonrelativistic_pauli_state", ShapeError,

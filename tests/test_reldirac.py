@@ -7,14 +7,13 @@ from hypothesis import given, reject
 import strategies as rs
 
 from pilotwave.currents import SpinSpec, current
-from pilotwave.errors import (ConfigurationError, NodeError, PhysicsError,
-                              ShapeError)
+from pilotwave.errors import (ConfigurationError, DomainError, NodeError,
+                              PhysicsError, ShapeError)
 from pilotwave.guide import (BeableConfig, IntegrationControls,
                              ParametricVelocity, integrate_trajectory)
 from pilotwave.reldirac import (PlaneWaveSpinorState, dirac2_velocity,
                                 dirac_velocity, free_spinor,
-                                nonrelativistic_pauli_state,
-                                tensor_current_causal)
+                                nonrelativistic_pauli_state)
 
 
 def one(coef, p, sign=+1, spin=0):
@@ -188,6 +187,8 @@ class TestTwoParticle:
         np.testing.assert_allclose(a, -b.T, atol=1e-12)
 
     def test_tensor_current_causality_random(self):
+        """1 - |v_r|^2 >= -1e-10 for both particles of random two-particle
+        states: the Minkowski norm of j^{0 mu_r 0} over rho^2."""
         rng = np.random.default_rng(4)
         checked = 0
         for _ in range(40):
@@ -199,12 +200,12 @@ class TestTwoParticle:
             st = PlaneWaveSpinorState(terms, mass=rng.uniform(0.3, 2),
                                       n_particles=2)
             try:
-                n1, n2 = tensor_current_causal(st, rng.normal(size=(25, 3)),
-                                               rng.normal(size=(25, 3)), 0.3)
+                vs = dirac2_velocity(st, rng.normal(size=(25, 3)),
+                                     rng.normal(size=(25, 3)), 0.3)
             except NodeError:
                 continue
-            assert np.all(n1 >= -1e-10 * np.max(n1))
-            assert np.all(n2 >= -1e-10 * np.max(n2))
+            for v in vs:
+                assert np.all(1 - np.sum(v**2, axis=-1) >= -1e-10)
             checked += 25
         assert checked >= 500
 
@@ -308,6 +309,21 @@ class TestTrajectories:
                                    Source(), 4.0, IntegrationControls(dt=0.02))
         e = np.sqrt(p @ p + m * m)
         np.testing.assert_allclose(rec.configs[-1], 4.0 * p / e, atol=1e-12)
+
+
+def test_nan_point_is_a_domain_error():
+    """A NaN point makes the bilinears NaN: refused before the sign,
+    floor and causality tests, one particle and two."""
+    nan = [[np.nan, 0.0, 0.0]]
+    one_particle = PlaneWaveSpinorState((one(1.0, [0.1, 0, 0]),), mass=1.0)
+    two_particles = PlaneWaveSpinorState(
+        ((1.0, ([0.1, 0, 0], +1, 0), ([0, 0.2, 0], +1, 1)),), mass=1.0,
+        n_particles=2)
+    with pytest.raises(DomainError):
+        dirac_velocity(one_particle, nan, 0.0)
+    for x1, x2 in ((nan, [[0.0] * 3]), ([[0.0] * 3], nan)):
+        with pytest.raises(DomainError):
+            dirac2_velocity(two_particles, x1, x2, 0.0)
 
 
 def test_bad_inputs():
