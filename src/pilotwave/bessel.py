@@ -59,15 +59,17 @@ def _j1_asymptotic(x):
 
 
 def j1(x):
-    """Bessel function of the first kind, order one, for real argument."""
+    """Bessel function of the first kind, order one, for real argument.
+    J1(+-inf) is its limit 0, and a NaN argument gives NaN, with no
+    warning."""
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
-    out = np.empty_like(x)
+    out = np.where(np.isinf(x), 0.0, x)      # NaN stays NaN
     ax = np.abs(x)
     small = ax <= _SERIES_MAX
-    large = ax >= _ASYMPTOTIC_MIN
-    mid = ~small & ~large
+    large = (ax >= _ASYMPTOTIC_MIN) & (ax < np.inf)
+    mid = (ax > _SERIES_MAX) & (ax < _ASYMPTOTIC_MIN)
     if np.any(small):
         out[small] = _j1_series(x[small])
     if np.any(mid):

@@ -23,7 +23,7 @@ from .errors import ConfigurationError, PhysicsError, ShapeError
 from .grid import Grid
 from .guide import (STATUS_EXITED, BeableConfig, Box, Ensemble,
                     IntegrationControls, ParametricVelocity,
-                    integrate_ensemble, integrate_trajectory, _rk4_schedule,
+                    integrate_ensemble, integrate_trajectory, _rk4_clock,
                     sample_equilibrium)
 from .wavefunction import ParametricWaveFunction
 
@@ -507,10 +507,8 @@ def imaging_trajectories(spec, lens, a, n, seed=20250101):
     endpoints[:, 0] = -s_im
     # the record clock of an RK4 run to t_end in steps of t_focus / 2000
     dt = t_focus / 2000
-    nsteps, h_last = _rk4_schedule(t_end, dt)
-    steps = np.full(nsteps, dt)
-    steps[-1] = h_last
-    clock = np.concatenate([[0.0], np.cumsum(steps)])
+    steps, clock = _rk4_clock(0.0, t_end, dt)
+    nsteps = len(steps)
     ptimes = clock[np.r_[0:nsteps:IMAGING_RECORD_EVERY, nsteps]]
     ptrack = np.where((ptimes[:, None] >= t_land)[..., None], endpoints,
                       beam.flow(lens_hit, ptimes[:, None]))

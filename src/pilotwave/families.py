@@ -40,7 +40,9 @@ its keys are read and converted once, when it is built, and
   array of one time per point, shape (n,).  Guidance needs only this:
   v = (hbar/m) grad S, and Re grad log psi = grad log |psi| does not
   enter, so no complex array is formed, psi is never evaluated, and the
-  velocity stays finite where psi underflows.
+  velocity stays finite where psi underflows.  log psi is quadratic in
+  x in all five, so grad S is affine in x, and guidance steps them by
+  RK4 maps (`guide._rk4_many`).
   ``superposition``, ``spinor_product`` and ``plane_wave_sum`` have
   neither: the log-derivative of a sum needs the sum itself, and a
   spinor component that vanishes identically would make it 0/0, so

@@ -10,15 +10,26 @@ that hit a node of the wavefunction (density below floor, velocity
 singular) are truncated and reported with status ``node_encounter``;
 leaving the domain gives ``exited``.
 
-A source's ``domain`` is a `Box`, or None for all of space.  Each RK4
-step evaluates the velocity four times, at the plain stage probes, and
-every stop is read off those four stages.  A member whose full step
-leaves the box stops where that step first crosses a face, on the bound
+A source's ``domain`` is a `Box`, or None for all of space; a start
+outside it, or a NaN start, raises DomainError.  Each RK4 step
+evaluates the velocity four times, at the plain stage probes, and every
+stop is read off those four stages.  A member whose full step leaves
+the box stops where that step first crosses a face, on the bound
 exactly, and is ``exited``.  A member with a non-finite stage stays at
 its last position and is ``node_encounter``, with or without a domain,
 unless one of its probes is finite and outside the box (a grid's
 velocity is NaN there): then it is ``exited`` and stops where the chord
 to the first such probe crosses a face.
+
+The velocity of a single closed-form term, (hbar/m) grad S, is affine
+in x, and so is an RK4 step of it: x -> x + q + sum_i x_i A_i, with q
+and A set by the step's t and h alone.  Such a source is ``affine``
+(`ParametricVelocity`), and its members are stepped by these maps,
+built MAP_BLOCK steps at a time from the four stages at the basis
+points 0, e_1 ... e_d of every step: four velocity calls per block,
+whatever the member count.  A member whose increment is not finite
+(only overflow makes one) stays where it was, ``node_encounter``; the
+landing on a face is the same as above.
 
 The node floor is one rule, relative to the wave at the evaluated point
 and never to other members: a closed-form state is at a node where
@@ -43,8 +54,9 @@ import numpy as np
 
 from .currents import (RHO_FLOOR_REL, current, configuration_velocity,
                        grid_current_nodes)
-from .errors import (ConfigurationError, NoFluxError, NotSeparatedError,
-                     SamplerFailureError, ShapeError, StabilityError)
+from .errors import (ConfigurationError, DomainError, NoFluxError,
+                     NotSeparatedError, SamplerFailureError, ShapeError,
+                     StabilityError)
 from .evolve import Propagator, propagate_to, step
 from .grid import Box, Grid
 from .wavefunction import GridWaveFunction
@@ -60,6 +72,11 @@ STATUS_EXITED = "exited"
 # numpy calls, under the GIL, and two threads on two cores ran slower
 # than one
 MIN_CHUNK = 5000
+
+# steps whose RK4 maps an affine source builds in one set of four
+# velocity calls (`_rk4_many`): it caps a block's arrays, k (d + 1) d
+# floats each (0.3 MB at d = 6), however long the run
+MAP_BLOCK = 1024
 
 
 def thread_count():
@@ -122,15 +139,22 @@ class ParametricVelocity:
     """Exact pointwise velocities of a closed-form state: the guidance law
     `configuration_velocity` with the state's `spin` and `em`.  For a
     single scalar term that is (hbar/m) times its family's
-    `phase_gradient`, real arithmetic that never evaluates psi."""
+    `phase_gradient`, real arithmetic that never evaluates psi, and
+    affine in x: with no `em` such a source is ``affine``, and
+    `_rk4_many` steps it by maps."""
 
     def __init__(self, psi, spin=None, em=None):
         self.psi = psi
         self.spin = spin
         self.em = em
         self.domain = None
+        # (hbar/m) grad S of a single term is affine in x (`families`)
+        self.affine = (em is None and psi.representation == "parametric"
+                       and psi.single_term)
 
     def velocity(self, configs, t):
+        """The velocity at configs (n, config_dim) at time t, a scalar or
+        one time per point, shape (n,)."""
         return configuration_velocity(self.psi, configs, t, self.spin, self.em)
 
 
@@ -317,26 +341,35 @@ def sample_equilibrium(psi, n, seed, box=None, envelope="auto"):
 # trajectory integration
 
 
-def _rk4_step(xa, source, t, h):
-    """One RK4 step of the members xa: their new positions, and None when
-    no member stopped, else the masks of those that hit a node and that
-    left the domain.  The four stages are the only velocity calls, at the
-    plain probes xa + c k.  A member whose stages are all finite takes
-    the step, and one whose step leaves the domain lands where it first
-    crosses a face.  A member with a non-finite stage stays where it was,
-    at a node, unless one of its probes is finite and outside the domain:
-    then it lands where the chord to the first such probe leaves it."""
+def _stages(x, source, t, h):
+    """The RK4 tableau at the points x: the increment (h / 6)(k1 + 2 k2 +
+    2 k3 + k4) and the probes (p2, p3, p4) of the stages, each at the
+    plain probe x + c k.  t and h are scalars, or one per point, shape
+    (n,)."""
     half = 0.5 * h
-    k1 = source.velocity(xa, t)
-    p2 = xa + half * k1
-    k2 = source.velocity(p2, t + half)
-    p3 = xa + half * k2
-    k3 = source.velocity(p3, t + half)
-    p4 = xa + h * k3
-    k4 = source.velocity(p4, t + h)
-    dx = (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    t_half, t_end = t + half, t + h
+    if np.ndim(h):
+        h, half = h[:, None], half[:, None]
+    k1 = source.velocity(x, t)
+    p2 = x + half * k1
+    k2 = source.velocity(p2, t_half)
+    p3 = x + half * k2
+    k3 = source.velocity(p3, t_half)
+    p4 = x + h * k3
+    k4 = source.velocity(p4, t_end)
+    return (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), (p2, p3, p4)
+
+
+def _settle(xa, dx, domain, probes=()):
+    """The members xa after their increments dx: their new positions, and
+    None when no member stopped, else the masks of those that hit a node
+    and that left the domain.  A member whose increment is finite takes
+    it, and one whose step leaves the domain lands where it first crosses
+    a face.  A member with a non-finite increment stays where it was, at
+    a node, unless one of its `probes` (p2, p3, p4) is finite and outside
+    the domain: then it lands where the chord to the first such probe
+    leaves it."""
     new = xa + dx
-    domain = source.domain
     if np.isfinite(dx).all():
         if domain is None:
             return new, None
@@ -357,7 +390,7 @@ def _rk4_step(xa, source, t, h):
         new[left] = domain.land(xa[left], new[left])
     # later probes are landed first, so the earliest one wins
     rows = np.flatnonzero(node)
-    for p in (p4, p3, p2):
+    for p in probes[::-1]:
         q = p[rows]
         out = rows[np.isfinite(q).all(axis=1) & ~domain.contains(q)]
         new[out] = domain.land(xa[out], p[out])
@@ -366,42 +399,104 @@ def _rk4_step(xa, source, t, h):
     return new, (node, left)
 
 
-def _rk4_schedule(span, dt):
-    """(count, last step) of a fixed-step run over `span`: every step is
-    dt but the last, which is at most dt and ends the run on span."""
+def _rk4_step(xa, source, t, h):
+    """One RK4 step of the members xa, by `_settle`: the four stages are
+    the only velocity calls, at the plain probes xa + c k, and every stop
+    is read off them."""
+    dx, probes = _stages(xa, source, t, h)
+    return _settle(xa, dx, source.domain, probes)
+
+
+def _step_maps(source, d, clock, steps):
+    """The RK4 maps of an affine source in d dimensions for the k steps
+    that start at the times `clock` and last `steps`: (q, A), shapes
+    (k, d) and (k, d, d), such that step s moves x by q[s] + sum_i x_i
+    A[s, i].  q[s] is the step taken from the origin and A[s, i] the
+    step from the unit point e_i less q[s], all of them from one
+    `_stages` pass, each point at its own step's time."""
+    k = len(steps)
+    basis = np.zeros((k, d + 1, d))
+    basis[:, 1:] = np.eye(d)
+    dx, _ = _stages(basis.reshape(-1, d), source,
+                    np.repeat(clock, d + 1), np.repeat(steps, d + 1))
+    dx = dx.reshape(k, d + 1, d)
+    return dx[:, 0], dx[:, 1:] - dx[:, :1]
+
+
+def _rk4_clock(t0, t_final, dt):
+    """The steps of a fixed-step run from t0 to t_final and the clock of
+    their ends, t0 first: every step is dt but the last, which is at most
+    dt and ends the run on t_final.  The clock adds the steps one by one,
+    as a running t would."""
+    span = t_final - t0
     nsteps = max(1, int(np.ceil(span / dt - 1e-12)))
-    return nsteps, span - (nsteps - 1) * dt
+    steps = np.full(nsteps, dt)
+    steps[-1] = span - (nsteps - 1) * dt
+    return steps, np.cumsum(np.concatenate([[t0], steps]))
 
 
 def _rk4_many(starts, source, t0, t_final, controls, record=False):
     """RK4 of the members `starts` from t0 to t_final > t0: their final
-    positions and statuses, and (times, track) when record is set.
+    positions and statuses, and (times, track) when record is set.  A
+    start outside the source's domain (a NaN start is outside every
+    domain) raises DomainError.
 
     Every member starts ``ok`` and active.  While all of them are active
     the active set is the slice of every row, so a step reads and writes
     the positions without a gather or scatter; from the first stop on it
     is the index array of the members still going.  Statuses are written
     only on the steps at which some member stops; a stopped member keeps
-    its final position (and repeats it in the track)."""
+    its final position (and repeats it in the track).
+
+    A source whose velocity is affine in x (``affine``, set by
+    `ParametricVelocity` for a single closed-form term) has an affine
+    RK4 step too, which depends on the step's t and h only.  Its maps
+    are built MAP_BLOCK steps at a time, in four velocity calls on the
+    d + 1 basis points of every step (`_step_maps`), and each member
+    then moves by q + sum_i x_i A_i, column by column, so no row depends
+    on its batch.  A member whose increment is not finite (only overflow
+    makes one) stops where it was, ``node_encounter``; one whose step
+    leaves the domain lands on the face, as in `_settle`.  Every other
+    source takes the four stages of `_rk4_step` at every step."""
     if not t_final > t0:
         raise ShapeError("t_final must exceed the start time")
     x = np.array(starts, dtype=float)
+    domain = source.domain
+    out = (np.isnan(x) if domain is None
+           else ~((x >= domain.lo) & (x <= domain.hi)))
+    if out.any():
+        (i, a), = np.argwhere(out)[:1]
+        raise DomainError(f"start coordinate {x[i, a]} on axis {a} lies "
+                          "outside the source's domain",
+                          coordinate=float(x[i, a]))
     n = len(x)
     status = np.full(n, STATUS_OK, dtype=object)
     active, n_active = slice(None), n
-    nsteps, h_last = _rk4_schedule(t_final - t0, controls.dt)
-    every = controls.record_every
+    steps, clock = _rk4_clock(t0, t_final, controls.dt)
+    nsteps, every = len(steps), controls.record_every
     if record:
         rows = 1 + nsteps // every + (nsteps % every > 0)
         times, track = np.empty(rows), np.empty((rows,) + x.shape)
         times[0], track[0] = t0, x
         row = 1
+    affine = getattr(source, "affine", False)
+    ts, hs = clock.tolist(), steps.tolist()
 
-    t = t0
     for istep in range(nsteps):
-        h = controls.dt if istep < nsteps - 1 else h_last
         if n_active:
-            new, stops = _rk4_step(x[active], source, t, h)
+            xa = x[active]
+            if affine:
+                j = istep % MAP_BLOCK
+                if not j:
+                    block = slice(istep, istep + MAP_BLOCK)
+                    qs, As = _step_maps(source, x.shape[1],
+                                        clock[:-1][block], steps[block])
+                dx = qs[j] + xa[:, :1] * As[j, 0]
+                for i in range(1, xa.shape[1]):
+                    dx += xa[:, i:i + 1] * As[j, i]
+                new, stops = _settle(xa, dx, domain)
+            else:
+                new, stops = _rk4_step(xa, source, ts[istep], hs[istep])
             x[active] = new
             if stops is not None:
                 node, exited = stops
@@ -411,9 +506,8 @@ def _rk4_many(starts, source, t0, t_final, controls, record=False):
                 status[ids[exited]] = STATUS_EXITED
                 active = ids[~stop]
                 n_active = len(active)
-        t = t + h
         if record and ((istep + 1) % every == 0 or istep == nsteps - 1):
-            times[row], track[row] = t, x
+            times[row], track[row] = ts[istep + 1], x
             row += 1
     return x, status, (times, track) if record else None
 

@@ -34,7 +34,9 @@ class ParametricWaveFunction:
     (`families.build`): a missing or unknown key raises
     ConfigurationError, and so do family masses (the `m`, or `m1` and
     `m2`, that its dispersion uses) other than `masses`.  Evaluation
-    reads the bound family only; `params` is kept for `at_time`."""
+    reads the bound family only; `params` is kept for `at_time`.
+    `single_term` is True for the five single closed-form scalar terms,
+    the families with a `phase_gradient`."""
 
     representation = "parametric"
 
@@ -49,7 +51,7 @@ class ParametricWaveFunction:
         if fam.masses is not None and tuple(map(float, fam.masses)) != self.masses:
             raise ConfigurationError(
                 f"{family} params give masses {fam.masses}, the state {self.masses}")
-        self._has_phase_gradient = hasattr(fam, "phase_gradient")
+        self.single_term = hasattr(fam, "phase_gradient")
         self.spin_dim = fam.spin_dim
         self.config_dim = fam.config_dim
         self.hbar_m = _hbar_m(self.masses, self.config_dim)
@@ -85,7 +87,7 @@ class ParametricWaveFunction:
         """grad S of psi = R e^{iS}, i.e. Im grad log psi, shape (npoints,
         config_dim), in real arithmetic and without evaluating psi; None
         unless the family is a single closed-form scalar term."""
-        if not self._has_phase_gradient:
+        if not self.single_term:
             return None
         return self._fam.phase_gradient(*self._at(configs, t))
 

@@ -1,5 +1,7 @@
 """J1 implementation against an independent reference."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import special
@@ -33,3 +35,13 @@ def test_j1_odd():
 def test_j1_scalar_input():
     assert np.isscalar(float(j1(1.0)))
     assert j1(0.0) == 0.0
+
+
+def test_j1_infinite_and_nan_arguments():
+    """J1(+-inf) is its limit 0 and J1(NaN) is NaN, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = j1(np.array([np.inf, -np.inf, np.nan, 1.0]))
+        scalars = [j1(np.inf), j1(-np.inf), j1(np.nan)]
+    np.testing.assert_array_equal(out, [0.0, 0.0, np.nan, j1(1.0)])
+    np.testing.assert_array_equal(scalars, [0.0, 0.0, np.nan])

@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 from pilotwave import guide
 from pilotwave.currents import (EmPotential, SpinSpec, configuration_velocity,
                                 grid_current_nodes)
-from pilotwave.errors import (ConfigurationError, NoFluxError,
+from pilotwave.errors import (ConfigurationError, DomainError, NoFluxError,
                               NotSeparatedError, SamplerFailureError,
                               ShapeError, StabilityError)
 from pilotwave.evolve import Propagator, propagate_to
@@ -566,20 +566,27 @@ class TestMemberIndependence:
         column.  The batch holds members that start on a node of
         cos(K x), members whose full step leaves the box (y faces) and
         members whose stage probe leaves it (x faces).  The same holds
-        for the split-step snapshots of that wave on the box, and for
-        those snapshots with the pointer drift of `measurement_branching`
-        (a(x) = 0 for x < 0, 1 beyond) added."""
+        for the split-step snapshots of that wave on the box, for those
+        snapshots with the pointer drift of `measurement_branching`
+        (a(x) = 0 for x < 0, 1 beyond) added, and for a single Gaussian
+        packet in the box, an affine source stepped by its RK4 maps."""
         src = _NanPastXFaces()
         starts = np.random.default_rng(0).uniform(-1.4, 1.4, size=(100, 2))
-        starts[:8, 0] = np.pi / (2 * src.K) * np.array([1, -1, 3, -3] * 2)
+        # the nodes x = +-pi / 2K inside the box
+        starts[:8, 0] = np.pi / (2 * src.K) * np.array([1, -1] * 4)
         controls = IntegrationControls(dt=0.05, record_every=3)
         grid = Grid([(-1.5, 1.5), (-1.5, 1.5)], [32, 32])
         snaps = SnapshotVelocity(propagate_to(
             GridWaveFunction.sample(src.inner.psi, grid),
             Propagator("split-step", 0.05), 0.6, snapshot_times=[0.0, 0.3]))
         drift = guide._PointerDrift(snaps, np.array([-1.0, 1.0]), 2.0)
-        kinds, grid_kinds = Counter(), Counter()
-        for source in (src, snaps, drift):
+        packet = ParametricVelocity(ParametricWaveFunction(
+            "gaussian_packet", {"center": [0.0, 0.0], "sigma": 0.5,
+                                "k0": [2.0, -1.0], "m": 1.0}, [1.0]))
+        packet.domain = src.domain
+        assert packet.affine
+        kinds, other_kinds = Counter(), Counter()
+        for source in (src, snaps, drift, packet):
             final, status, (times, track) = integrate_ensemble(
                 Ensemble(configs=starts, seed=0), source, 0.6, controls,
                 record=True)
@@ -596,10 +603,12 @@ class TestMemberIndependence:
                     kinds[s1[0] if s1[0] != STATUS_EXITED
                           else "probe" if src.probed_outside else "step"] += 1
                 else:
-                    grid_kinds[s1[0]] += 1
+                    other_kinds[source is packet, s1[0]] += 1
         assert kinds[STATUS_NODE] == 8
         assert kinds["probe"] > 0 and kinds["step"] > 0 and kinds["ok"] > 0
-        assert grid_kinds[STATUS_EXITED] > 0 and grid_kinds["ok"] > 0
+        for affine in (False, True):
+            assert other_kinds[affine, STATUS_EXITED] > 0
+            assert other_kinds[affine, STATUS_OK] > 0
 
     @pytest.mark.parametrize("name", sorted(FAMILY_PARAMS))
     def test_family_velocity_is_member_independent(self, name):
@@ -631,7 +640,8 @@ class TestMemberIndependence:
         np.testing.assert_array_equal(alone, src.velocity(x, 0.4))
 
     def test_pair_makes_four_velocity_calls_per_step(self, monkeypatch):
-        """pair_trajectories: 2,000 RK4 steps, 4 velocity calls each."""
+        """pair_trajectories: 2,000 RK4 steps of an affine velocity, each
+        step's map from 4 stages at the d + 1 = 7 basis points."""
         calls = []
         velocity = ParametricVelocity.velocity
 
@@ -645,7 +655,7 @@ class TestMemberIndependence:
                                 np.array([0.0, 20.0 * spec.mu * spec.alpha]))
         assert out["record"].status == STATUS_OK
         assert len(out["record"].times) == 2001
-        assert calls == [1] * 8000
+        assert sum(calls) == 4 * 7 * 2000
 
 
 def _reference_single_term_velocity(psi, at, t):
@@ -840,6 +850,122 @@ class TestHotPathReference:
             assert count["reported"] == 0 and count["exited"] == 0
         else:
             assert count["exited"] > 0 and count["quiet"] > 0
+
+
+class _Staged:
+    """`inner`'s velocity and domain behind a source that is not affine,
+    so `_rk4_many` takes the four stages of `_rk4_step` at every step."""
+
+    def __init__(self, inner):
+        self.inner, self.domain = inner, inner.domain
+
+    def velocity(self, configs, t):
+        return self.inner.velocity(configs, t)
+
+
+class TestAffineMaps:
+    """A single closed-form term's velocity is affine in x, and
+    `_rk4_many` steps it by the RK4 map of each step, built from the
+    basis points 0, e_1 ... e_d."""
+
+    @given(term=rs.single_term_states(), data=st.data(),
+           t=st.floats(0.0, 3.0))
+    def test_velocity_is_its_affine_reconstruction(self, term, data, t):
+        """v(x) = v(0) + sum_i x_i (v(e_i) - v(0)) within rounding, at
+        one time for all points and at one time per point."""
+        name, params, masses = term
+        src = ParametricVelocity(ParametricWaveFunction(name, params, masses))
+        assert src.affine
+        d = src.psi.config_dim
+        x = data.draw(rs.config_points(d))
+        ts = data.draw(arrays(float, len(x), elements=st.floats(0.0, 3.0)))
+        for at in (t, ts):
+            times = np.broadcast_to(at, (len(x),))
+            basis = np.concatenate([np.zeros((1, d)), np.eye(d)])
+            maps = [src.velocity(basis, tk) for tk in times]
+            recon = np.array([m[0] + xk @ (m[1:] - m[0])
+                              for m, xk in zip(maps, x)])
+            scale = max(1.0, max(np.abs(m).max() for m in maps))
+            np.testing.assert_allclose(src.velocity(x, at), recon,
+                                       rtol=0, atol=1e-12 * scale * (1 + d))
+
+    @given(term=rs.single_term_states(), data=st.data())
+    def test_maps_match_the_stage_reference(self, term, data):
+        """`integrate_ensemble` of random single-term states, with no
+        domain and in a box that some members leave, against
+        `_reference_rk4_step` member by member: statuses equal, end
+        points within 1e-12 of the largest."""
+        name, params, masses = term
+        src = ParametricVelocity(ParametricWaveFunction(name, params, masses))
+        d = src.psi.config_dim
+        if data.draw(st.booleans()):
+            src.domain = Box([-1.2] * d, [1.2] * d)
+        n = data.draw(st.integers(1, 12))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        starts = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, d))
+        dt, nsteps = 0.05, data.draw(st.integers(1, 30))
+        final, status = integrate_ensemble(
+            Ensemble(configs=starts, seed=seed), src, nsteps * dt,
+            IntegrationControls(dt=dt))
+        ref, ref_status = starts.copy(), np.full(n, STATUS_OK, dtype=object)
+        steps, clock = guide._rk4_clock(0.0, nsteps * dt, dt)
+        for t, h in zip(clock, steps):
+            go = np.flatnonzero(ref_status == STATUS_OK)
+            ref[go], node, exited = _reference_rk4_step(ref[go], src, t, h)
+            ref_status[go[node]] = STATUS_NODE
+            ref_status[go[exited]] = STATUS_EXITED
+        assert list(status) == list(ref_status)
+        np.testing.assert_allclose(final, ref, rtol=0,
+                                   atol=1e-12 * np.abs(ref).max())
+
+    def test_maps_do_not_depend_on_the_block(self, monkeypatch):
+        """Blocks of 7 steps give what one block of every step gives, bit
+        for bit: each step's map reads only its own basis points."""
+        src = ParametricVelocity(correlated_pair())
+        ens = Ensemble(configs=np.random.default_rng(4).normal(size=(30, 2)),
+                       seed=4)
+        controls = IntegrationControls(dt=0.02, record_every=5)
+        runs = []
+        for block in (guide.MAP_BLOCK, 7):
+            monkeypatch.setattr(guide, "MAP_BLOCK", block)
+            runs.append(integrate_ensemble(ens, src, 1.0, controls,
+                                           record=True))
+        (f1, s1, (t1, tr1)), (f2, s2, (t2, tr2)) = runs
+        np.testing.assert_array_equal(f1, f2)
+        assert list(s1) == list(s2)
+        np.testing.assert_array_equal(tr1, tr2)
+
+    def test_affine_only_for_single_terms_without_em(self):
+        """A sum, a single term with em and a grid state take the stages."""
+        psi = gaussian()
+        assert ParametricVelocity(psi).affine
+        assert not ParametricVelocity(psi, em=EmPotential()).affine
+        assert not ParametricVelocity(ParametricWaveFunction(
+            "superposition", {"components": [
+                (1.0, "plane_wave", {"k": [1.0], "m": 1.0}),
+                (0.5, "plane_wave", {"k": [-1.0], "m": 1.0})]},
+            [1.0])).affine
+        assert not ParametricVelocity(GridWaveFunction.sample(
+            psi, Grid([(-4.0, 4.0)], [16]))).affine
+
+    @pytest.mark.parametrize("staged", [False, True])
+    @pytest.mark.parametrize("start, domain", [
+        (2.0, Box([0.0], [1.0])), (-3.0, Box([0.0], [1.0])),
+        (np.nan, Box([-np.inf], [np.inf])), (np.nan, None)])
+    def test_start_outside_the_domain_is_refused(self, staged, start, domain):
+        """A start outside the source's domain, on the map path and on the
+        stage path, raises DomainError naming the coordinate; a NaN
+        start is outside every domain.  The other members start inside."""
+        src = ParametricVelocity(ParametricWaveFunction(
+            "plane_wave", {"k": [1.0], "m": 1.0}, [1.0]))
+        src.domain = domain
+        if staged:
+            src = _Staged(src)
+        starts = np.array([[0.5], [start], [0.25]])
+        with pytest.raises(DomainError) as err:
+            integrate_ensemble(Ensemble(configs=starts, seed=0), src, 1.0,
+                               IntegrationControls(dt=0.1))
+        np.testing.assert_array_equal(err.value.coordinate, start)
 
 
 class TestEmGuidance:

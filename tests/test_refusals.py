@@ -411,6 +411,11 @@ ROWS = [
             guide.BeableConfig(np.zeros((1, 1))),
             guide.ParametricVelocity(packet()), 0.0,
             guide.IntegrationControls(dt=0.1))),
+    Row("guide", "_rk4_many", DomainError,
+        lambda: guide.integrate_trajectory(
+            guide.BeableConfig(np.full((1, 1), np.nan)),
+            guide.ParametricVelocity(packet()), 1.0,
+            guide.IntegrationControls(dt=0.1))),
     Row("guide", "marginal_cdf_by_quadrature", ConfigurationError,
         lambda: guide.marginal_cdf_by_quadrature(packet(), 0, [(100.0, 101.0)])),
     Row("guide", "equivariance_check", ShapeError,
